@@ -160,16 +160,27 @@ func TestCLIPipeline(t *testing.T) {
 		srv.Process.Kill()
 		srv.Wait()
 	}()
+	// The address is logged before the verify runs, so its counters are
+	// not final yet; "lingering" is logged after "verify done", and once
+	// it appears the scrape below sees the finished run.
 	var addr string
+	lingering := false
 	sc := bufio.NewScanner(stderr)
 	for sc.Scan() {
-		if i := strings.Index(sc.Text(), "addr="); i >= 0 {
-			addr = strings.Fields(sc.Text()[i+len("addr="):])[0]
+		line := sc.Text()
+		if i := strings.Index(line, "addr="); i >= 0 && addr == "" {
+			addr = strings.Fields(line[i+len("addr="):])[0]
+		}
+		if strings.Contains(line, "msg=lingering") {
+			lingering = true
 			break
 		}
 	}
 	if addr == "" {
 		t.Fatal("rocksalt -metrics-addr never logged its address")
+	}
+	if !lingering {
+		t.Fatal("rocksalt -linger never logged that it is lingering")
 	}
 	get := func(path string) string {
 		resp, err := http.Get("http://" + addr + path)

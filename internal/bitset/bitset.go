@@ -46,8 +46,8 @@ func (s *Set) Reset(n int) {
 // Resize sets the length to n bits, preserving the bits below
 // min(Len, n) — unlike Reset, which clears. Bits at indices >= n are
 // cleared, so a shrink followed by a grow never resurrects stale bits
-// and Count stays exact. The delta verifier uses it to keep retained
-// boundary bitmaps across image size changes.
+// and CountRange stays exact. The delta verifier uses it to keep
+// retained boundary bitmaps across image size changes.
 func (s *Set) Resize(n int) {
 	words := (n + wordBits - 1) / wordBits
 	switch old := len(s.words); {
@@ -101,10 +101,20 @@ func (s *Set) ClearRange(lo, hi int) {
 	clear(s.words[uint(lo)/wordBits : (uint(hi)+wordBits-1)/wordBits])
 }
 
-// Count returns the number of set bits.
-func (s *Set) Count() int {
+// CountRange returns the number of set bits in [lo, hi), under
+// ClearRange's ownership contract: lo must be a multiple of 64 and the
+// word containing hi-1 is counted in full up to the set's length. The
+// engine uses it to take each shard's instruction count over the words
+// that shard owns.
+func (s *Set) CountRange(lo, hi int) int {
+	if hi > s.n {
+		hi = s.n
+	}
 	c := 0
-	for _, w := range s.words {
+	if lo >= hi {
+		return c
+	}
+	for _, w := range s.words[uint(lo)/wordBits : (uint(hi)+wordBits-1)/wordBits] {
 		c += mathbits.OnesCount64(w)
 	}
 	return c

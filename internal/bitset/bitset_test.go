@@ -29,8 +29,26 @@ func TestSetGetAgainstBools(t *testing.T) {
 				count++
 			}
 		}
-		if s.Count() != count {
-			t.Fatalf("n=%d: Count = %d, want %d", n, s.Count(), count)
+		if got := s.CountRange(0, n); got != count {
+			t.Fatalf("n=%d: CountRange(0, n) = %d, want %d", n, got, count)
+		}
+		// Per-range counts over word-aligned pieces (the engine's
+		// per-shard split) sum to the whole.
+		sum := 0
+		for lo := 0; lo < n; lo += 192 {
+			got, want := s.CountRange(lo, lo+192), 0
+			for i := lo; i < lo+192 && i < n; i++ {
+				if ref[i] {
+					want++
+				}
+			}
+			if got != want {
+				t.Fatalf("n=%d: CountRange(%d, %d) = %d, want %d", n, lo, lo+192, got, want)
+			}
+			sum += got
+		}
+		if sum != count {
+			t.Fatalf("n=%d: CountRange pieces sum to %d, want %d", n, sum, count)
 		}
 		bools := s.Bools()
 		if len(bools) != n {
@@ -49,7 +67,7 @@ func TestResetClearsAndReuses(t *testing.T) {
 	s.Set(0)
 	s.Set(127)
 	s.Reset(128)
-	if s.Count() != 0 {
+	if s.CountRange(0, s.Len()) != 0 {
 		t.Fatal("Reset did not clear")
 	}
 	// Shrinking then growing within capacity must still be fully clear.

@@ -95,3 +95,51 @@ func TestVerifyZeroAllocGenerated(t *testing.T) {
 		t.Errorf("Verify allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// maxDeltaRoundAllocs bounds a steady-state delta round: its Report and
+// the encoding buffers of the configuration key the round hashes. The
+// dirty set and re-parse list are scratch in the DeltaState and must
+// not be among them.
+const maxDeltaRoundAllocs = 3
+
+// TestDeltaRoundAllocs pins the steady-state allocation behaviour of
+// VerifyDelta: after one warm-up round (which sizes the state's
+// scratch), a one-chunk edit round allocates at most
+// maxDeltaRoundAllocs objects, and the same number on an image eight
+// times larger.
+func TestDeltaRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the bound only holds in normal builds")
+	}
+	c := checker(t)
+	// Pad to a chunk multiple so tiles repeat compliantly (direct-jump
+	// displacements are relative, so each copy's targets stay inside it).
+	tile := cacheImage(t, 15, 60000)
+	tile = append(tile, bytes.Repeat([]byte{0x90}, (deltaChunk-len(tile)%deltaChunk)%deltaChunk)...)
+	opts := core.VerifyOptions{Workers: 1}
+	edit := []core.Range{{Off: deltaChunk + 1024, Len: 64}}
+	var perSize []float64
+	for _, copies := range []int{1, 8} {
+		img := bytes.Repeat(tile, copies)
+		_, state, err := c.VerifyDeltaWith(img, nil, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			rep, next, err := c.VerifyDeltaWith(img, edit, state, opts)
+			if err != nil || !rep.Safe {
+				t.Fatalf("delta round over %d tiles: safe=%v err=%v", copies, rep != nil && rep.Safe, err)
+			}
+			state = next
+		}
+		round()
+		allocs := testing.AllocsPerRun(50, round)
+		if allocs > maxDeltaRoundAllocs {
+			t.Errorf("delta round over %d tiles allocated %.1f times, want <= %d", copies, allocs, maxDeltaRoundAllocs)
+		}
+		perSize = append(perSize, allocs)
+	}
+	if perSize[0] != perSize[1] {
+		t.Errorf("delta round allocations grow with the image: %v", perSize)
+	}
+}

@@ -135,11 +135,12 @@ func (f *fusedDFA) fingerprint() vcache.Key {
 	return f.fp
 }
 
-// cacheableChunks is the number of chunks eligible for caching and
-// delta retention: whole chunks strictly before the image end. The
-// final chunk — even when exactly chunk-sized — is excluded because its
-// parse depends on where the image ends (the end-of-image straddle
-// allowance).
+// cacheableChunks is the number of chunks eligible for caching: whole
+// chunks strictly before the image end. The final chunk — even when
+// exactly chunk-sized — is excluded because its parse depends on where
+// the image ends (the end-of-image straddle allowance). Delta retention
+// is not bound by this: a DeltaState keeps the final chunk too, and
+// re-parses it whenever the image size moves.
 func cacheableChunks(size int) int {
 	nchunks := size / chunkBytes
 	if nchunks*chunkBytes == size && nchunks > 0 {
@@ -257,9 +258,10 @@ func reportSize(r *Report) int {
 }
 
 // probeChunks runs before stage 1: for every cacheable chunk with a
-// resident entry it restores the chunk's parse artifacts and marks its
-// shards to be skipped. The returned slice is indexed by shard (nil
-// when nothing was restored).
+// resident entry it restores the chunk's parse artifacts, counts each
+// restored shard's instructions, and marks its shards to be skipped.
+// The returned slice is indexed by shard (nil when nothing was
+// restored).
 func (c *Checker) probeChunks(cc *cacheCtx, sc *scratch, st *Stats) []bool {
 	var skip []bool
 	wvalid, wpair := sc.valid.Words(), sc.pairJmp.Words()
@@ -285,8 +287,9 @@ func (c *Checker) probeChunks(cc *cacheCtx, sc *scratch, st *Stats) []bool {
 		if skip == nil {
 			skip = make([]bool, len(sc.results))
 		}
-		for s := 0; s < chunkShards; s++ {
-			skip[i*chunkShards+s] = true
+		for s := i * chunkShards; s < (i+1)*chunkShards; s++ {
+			skip[s] = true
+			sc.results[s].insns = int32(sc.valid.CountRange(s*ShardBytes, (s+1)*ShardBytes))
 		}
 		if st != nil {
 			st.CacheChunkHits++

@@ -21,10 +21,17 @@ import (
 // the image size, and the checker configuration. A DeltaState retains
 // the whole-image stage-1 artifacts of the previous round — the packed
 // boundary/pairJmp bitmaps and every shard's result (targets, proven-bad
-// targets, parse-mode flags): the in-memory, whole-image form of the
-// chunk cache's chunkEntry. A delta round re-parses only the chunks
-// whose parse inputs may have changed and then re-runs the ordinary
-// stage-2 reconciliation over the merged results.
+// targets, parse-mode flags, instruction count): the in-memory,
+// whole-image form of the chunk cache's chunkEntry. A delta round
+// re-parses only the chunks whose parse inputs may have changed and then
+// re-runs the ordinary stage-2 reconciliation over the merged results.
+// Every chunk is retained, the final one included: its parse also
+// depends on where the image ends (the end-of-image straddle allowance,
+// target classification), but those inputs move only with the size,
+// and a size change re-parses it (below). No step of a round passes
+// over the image's bytes or bitmaps: the dirty set is O(chunks), the
+// re-parse O(edit), and stage 2 O(shards + cross-shard targets), with
+// Stats.Instructions a sum of retained per-shard counts.
 //
 // Verdicts are byte-identical to a from-scratch Verify because both
 // stages are reproduced exactly:
@@ -45,7 +52,8 @@ import (
 // Image size changes need care beyond byte ranges, because stage 1
 // classifies direct-jump targets against the image size:
 //   - every chunk whose parse window reaches past min(old, new) size is
-//     re-parsed (its bytes or straddle/walk envelope changed);
+//     re-parsed (its bytes or straddle/walk envelope changed) — the
+//     final chunk of either size always is;
 //   - a retained chunk holding a banked target at or beyond the new
 //     size is re-parsed (on a shrink the target's classification flips
 //     to out-of-image);
@@ -76,7 +84,9 @@ type Range struct {
 // configured checker is detected (the config key mismatches) and
 // degrades to a full re-parse, never to a wrong verdict. Its memory
 // footprint is size/4 bytes of bitmaps plus ~100 bytes per 16 KiB
-// shard.
+// shard; it also keeps each round's dirty set and re-parse list as
+// scratch, so a steady-state round allocates nothing that grows with
+// the image.
 //
 // A DeltaState must not be used concurrently: one round at a time.
 type DeltaState struct {
@@ -84,12 +94,17 @@ type DeltaState struct {
 	size     int
 	overhang int
 	sc       scratch
-	// chunkClean[i] records that cacheable chunk i's latest parse found
-	// no shard-local violation, licensing replay next round. Violating
-	// chunks are re-parsed every round (mirroring the chunk cache's
+	// chunkClean[i] records that chunk i's latest parse found no
+	// shard-local violation, licensing replay next round. Every chunk
+	// of the image is tracked, the final one included. Violating chunks
+	// are re-parsed every round (mirroring the chunk cache's
 	// never-store-violations rule), so a verdict can never be assembled
 	// from stale violations.
 	chunkClean []bool
+	// dirty (per chunk) and reparse (shard indices) are the current
+	// round's dirty set, reused across rounds.
+	dirty   []bool
+	reparse []int
 }
 
 // Size returns the image size the state currently describes.
@@ -133,7 +148,7 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 	}
 	size := len(code)
 	shards := shardCount(size)
-	nc := cacheableChunks(size)
+	nc := (size + chunkBytes - 1) / chunkBytes
 	cfg := c.configKey()
 	overhang := c.fused.lookahead()
 
@@ -152,10 +167,18 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 	engine, mode := c.resolveEngine(opts)
 	stats.Engine = engineName(engine, mode)
 
-	// The dirty set: cacheable chunks whose retained artifacts cannot be
-	// trusted this round. The tail (every shard past the cacheable
-	// prefix) is always re-parsed — its parse depends on the image end.
-	dirty := make([]bool, nc)
+	// The dirty set: chunks whose retained artifacts cannot be trusted
+	// this round. The final chunk is tracked like any other: its parse
+	// depends on the image end, but the size-change rules below dirty it
+	// whenever the size moves, so a same-size round may replay it.
+	dirty := st.dirty
+	if cap(dirty) < nc {
+		dirty = make([]bool, nc)
+	} else {
+		dirty = dirty[:nc]
+		clear(dirty)
+	}
+	st.dirty = dirty
 	if fresh {
 		for i := range dirty {
 			dirty[i] = true
@@ -244,17 +267,15 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 
 	// Erase-then-reparse: list the dirty shards and clear their bitmap
 	// words and results, so the parse appends onto clean slates.
-	var reparse []int
-	for i := 0; i < nc; i++ {
+	reparse := st.reparse[:0]
+	for i := range dirty {
 		if dirty[i] {
-			for s := i * chunkShards; s < (i+1)*chunkShards; s++ {
+			for s := i * chunkShards; s < (i+1)*chunkShards && s < shards; s++ {
 				reparse = append(reparse, s)
 			}
 		}
 	}
-	for s := nc * chunkShards; s < shards; s++ {
-		reparse = append(reparse, s)
-	}
+	st.reparse = reparse
 	var reparsedBytes int64
 	for _, s := range reparse {
 		lo, hi := s*ShardBytes, (s+1)*ShardBytes
@@ -274,20 +295,27 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 		}
 	}
 	stats.DeltaChunksReparsed = int64(dirtyChunks)
-	if shards > nc*chunkShards {
-		stats.DeltaChunksReparsed++ // the never-retained tail
-	}
 	stats.DeltaChunksReplayed = int64(nc - dirtyChunks)
 	stats.DeltaBytesReparsed = reparsedBytes
 
 	fr := flight.Active()
 	frun, frt0 := flightBegin(fr)
 	if fr != nil {
-		for i := range dirty {
-			if !dirty[i] {
-				fr.Record(flight.Event{Kind: flight.EventChunkReplay, Engine: flight.EngineCache,
-					Shard: uint32(i * chunkShards), Run: frun, Start: fr.Now(), Bytes: chunkBytes})
+		// One replay event per maximal run of replayed chunks, so a round's
+		// trace grows with the edit, not with the image.
+		for i := 0; i < nc; {
+			if dirty[i] {
+				i++
+				continue
 			}
+			j := i + 1
+			for j < nc && !dirty[j] {
+				j++
+			}
+			fr.Record(flight.Event{Kind: flight.EventChunkReplay, Engine: flight.EngineCache,
+				Shard: uint32(i * chunkShards), Run: frun, Start: fr.Now(),
+				Bytes: int64(min(j*chunkBytes, size) - i*chunkBytes)})
+			i = j
 		}
 	}
 
@@ -301,6 +329,9 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 			c.parseOne(code, s, &st.sc, engine, mode, fr, frun, 0)
 		}
 	} else {
+		// The workers capture sc, not st: st is reassigned above, so
+		// capturing it would move it to the heap on every round.
+		sc := &st.sc
 		var wg sync.WaitGroup
 		jobs := make(chan int, len(reparse))
 		for w := 0; w < workers; w++ {
@@ -311,7 +342,7 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 					if ctx.Err() != nil {
 						return
 					}
-					c.parseOne(code, s, &st.sc, engine, mode, fr, frun, w)
+					c.parseOne(code, s, sc, engine, mode, fr, frun, w)
 				}
 			}(w)
 		}
@@ -352,7 +383,7 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 			continue
 		}
 		clean := true
-		for s := i * chunkShards; s < (i+1)*chunkShards; s++ {
+		for s := i * chunkShards; s < (i+1)*chunkShards && s < shards; s++ {
 			if len(st.sc.results[s].violations) > 0 {
 				clean = false
 				break
@@ -363,7 +394,8 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 
 	// Satellite of the chunk cache: bank the refreshed chunks so a delta
 	// session also warms the ordinary keyed Verify path. Only re-parsed
-	// clean chunks are hashed — O(changed bytes), like the parse.
+	// clean chunks are hashed — O(changed bytes), like the parse — and
+	// only the cacheable prefix: the cache never holds the final chunk.
 	if opts.Cache != nil {
 		var ft0 int64
 		if fr != nil {
@@ -371,7 +403,7 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 		}
 		var storedBytes int64
 		wvalid, wpair := st.sc.valid.Words(), st.sc.pairJmp.Words()
-		for i := range dirty {
+		for i := range dirty[:cacheableChunks(size)] {
 			if !dirty[i] || !st.chunkClean[i] {
 				continue
 			}
@@ -422,7 +454,6 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 			stats.Restarts++
 		}
 	}
-	stats.Instructions = int64(st.sc.valid.Count())
 	stats.Stage2Wall = time.Since(t1)
 	stats.Wall = time.Since(t0)
 	publishStats(&stats, false, total > 0)

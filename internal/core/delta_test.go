@@ -31,32 +31,29 @@ func deltaRound(t *testing.T, c *core.Checker, code []byte, changed []core.Range
 
 // TestDeltaEdgeGeometry drives VerifyDelta through the edit shapes
 // that stress the dirty-set computation: a no-op round, an edit
-// straddling a chunk boundary, an edit in the never-retained final
-// chunk, growth, shrinkage, a clean chunk flipping to violating, and
-// the revert — each round checked byte-identical to a full verify.
+// straddling a chunk boundary, an edit in the final chunk, growth,
+// shrinkage, a clean chunk flipping to violating, and the revert —
+// each round checked byte-identical to a full verify.
 func TestDeltaEdgeGeometry(t *testing.T) {
 	c := checker(t)
 	img := cacheImage(t, 5, 60000)
-	nc := len(img) / deltaChunk
-	if len(img)%deltaChunk == 0 {
-		nc--
-	}
+	nc := (len(img) + deltaChunk - 1) / deltaChunk
 
 	_, state := deltaRound(t, c, img, nil, nil, "initial full round")
 
-	// A no-edit round replays every retained chunk and re-parses only
-	// the tail.
+	// A no-edit round replays every chunk, the final one included, and
+	// re-parses nothing.
 	rep, state := deltaRound(t, c, img, nil, state, "no-edit round")
-	if rep.Stats.DeltaChunksReplayed != int64(nc) || rep.Stats.DeltaChunksReparsed != 1 {
-		t.Fatalf("no-edit round reparsed %d chunks, replayed %d (want 1 reparsed, %d replayed)",
+	if rep.Stats.DeltaChunksReplayed != int64(nc) || rep.Stats.DeltaChunksReparsed != 0 {
+		t.Fatalf("no-edit round reparsed %d chunks, replayed %d (want 0 reparsed, %d replayed)",
 			rep.Stats.DeltaChunksReparsed, rep.Stats.DeltaChunksReplayed, nc)
 	}
-	if want := int64(len(img) - nc*deltaChunk); rep.Stats.DeltaBytesReparsed != want {
-		t.Fatalf("no-edit round reparsed %d bytes, want the %d-byte tail", rep.Stats.DeltaBytesReparsed, want)
+	if rep.Stats.DeltaBytesReparsed != 0 {
+		t.Fatalf("no-edit round reparsed %d bytes, want 0", rep.Stats.DeltaBytesReparsed)
 	}
 
 	// An edit straddling the chunk 0 / chunk 1 boundary dirties both
-	// sides (plus the tail).
+	// sides and nothing else.
 	edit := func(code []byte, off, n int, fill byte) []core.Range {
 		for i := off; i < off+n && i < len(code); i++ {
 			code[i] = fill
@@ -65,26 +62,25 @@ func TestDeltaEdgeGeometry(t *testing.T) {
 	}
 	saved := append([]byte(nil), img[deltaChunk-4:deltaChunk+4]...)
 	rep, state = deltaRound(t, c, img, edit(img, deltaChunk-4, 8, 0x90), state, "boundary-straddling edit")
-	if got := rep.Stats.DeltaChunksReparsed; got != 3 {
-		t.Fatalf("boundary edit reparsed %d chunks, want 3 (both sides + tail)", got)
+	if got := rep.Stats.DeltaChunksReparsed; got != 2 {
+		t.Fatalf("boundary edit reparsed %d chunks, want 2 (both sides)", got)
 	}
 	copy(img[deltaChunk-4:], saved)
 	_, state = deltaRound(t, c, img, []core.Range{{Off: deltaChunk - 4, Len: 8}}, state, "boundary revert")
 
-	// An edit in the final (never-retained) chunk re-parses only the
-	// tail — and possibly the last retained chunk when the edit sits
-	// inside its lookahead overhang, never more.
+	// An edit at the very end re-parses the final chunk alone.
 	rep, state = deltaRound(t, c, img, edit(img, len(img)-2, 2, 0x90), state, "final-chunk edit")
-	if got := rep.Stats.DeltaChunksReparsed; got < 1 || got > 2 {
-		t.Fatalf("final-chunk edit reparsed %d chunks, want 1 or 2", got)
+	if got := rep.Stats.DeltaChunksReparsed; got != 1 {
+		t.Fatalf("final-chunk edit reparsed %d chunks, want 1", got)
 	}
 
-	// Growth: append nop bundles. Only the chunks near the old end and
-	// the new tail may re-parse; everything before replays.
+	// Growth: append nop bundles. The old final chunk (whose parse saw
+	// the old image end) and the new chunks re-parse; everything before
+	// replays.
 	grown := append(append([]byte(nil), img...), bytes.Repeat([]byte{0x90}, 3*deltaChunk)...)
 	rep, state = deltaRound(t, c, grown, nil, state, "grow by three chunks")
-	if rep.Stats.DeltaChunksReplayed < int64(nc-2) {
-		t.Fatalf("grow replayed only %d of %d prior chunks", rep.Stats.DeltaChunksReplayed, nc)
+	if rep.Stats.DeltaChunksReplayed != int64(nc-1) {
+		t.Fatalf("grow replayed %d chunks, want the %d before the old final chunk", rep.Stats.DeltaChunksReplayed, nc-1)
 	}
 
 	// Shrinkage back to the original size, then below a chunk boundary.
@@ -112,6 +108,79 @@ func TestDeltaEdgeGeometry(t *testing.T) {
 	rep2, _ = deltaRound(t, c, img, []core.Range{{Off: off, Len: 256}}, state, "revert to clean")
 	if !rep2.Safe {
 		t.Fatalf("reverted image still rejected: %v", rep2.Err())
+	}
+}
+
+// TestDeltaFinalChunk pins the final chunk's retention rules, for an
+// image ending mid-chunk and one ending on a chunk boundary: a
+// same-size round replays an unedited, violation-free final chunk; an
+// edit inside it re-parses it alone; an edit in its first bytes — the
+// lookahead overhang its predecessor's parse also reads — re-parses
+// both; a violating final chunk re-parses every round until reverted;
+// and a size change always re-parses it. Edits that only re-declare a
+// range (same bytes) keep the image compliant, so the counts are exact.
+func TestDeltaFinalChunk(t *testing.T) {
+	c := checker(t)
+	base := cacheImage(t, 12, 60000)
+	pad := (deltaChunk - len(base)%deltaChunk) % deltaChunk
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"partial final chunk", base},
+		{"chunk-aligned end", append(append([]byte(nil), base...), bytes.Repeat([]byte{0x90}, pad)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := append([]byte(nil), tc.img...)
+			nc := (len(img) + deltaChunk - 1) / deltaChunk
+			last := (nc - 1) * deltaChunk
+			wantReparsed := func(rep *core.Report, n int, what string) {
+				t.Helper()
+				if rep.Stats.DeltaChunksReparsed != int64(n) || rep.Stats.DeltaChunksReplayed != int64(nc-n) {
+					t.Fatalf("%s: reparsed %d, replayed %d chunks; want %d reparsed, %d replayed",
+						what, rep.Stats.DeltaChunksReparsed, rep.Stats.DeltaChunksReplayed, n, nc-n)
+				}
+			}
+
+			_, state := deltaRound(t, c, img, nil, nil, "initial full round")
+			rep, state := deltaRound(t, c, img, nil, state, "no-edit round")
+			wantReparsed(rep, 0, "no-edit round")
+
+			rep, state = deltaRound(t, c, img, []core.Range{{Off: len(img) - 2, Len: 2}}, state, "edit at the image end")
+			wantReparsed(rep, 1, "edit at the image end")
+			if want := int64(len(img) - last); rep.Stats.DeltaBytesReparsed != want {
+				t.Fatalf("edit at the image end reparsed %d bytes, want the %d-byte final chunk", rep.Stats.DeltaBytesReparsed, want)
+			}
+
+			rep, state = deltaRound(t, c, img, []core.Range{{Off: last, Len: 1}}, state, "edit in the predecessor's overhang")
+			wantReparsed(rep, 2, "edit in the predecessor's overhang")
+
+			// Poison the last bundle: a bundle start is an instruction
+			// boundary, and a bare RET there is illegal.
+			lastBundle := (len(img) - 1) / core.BundleSize * core.BundleSize
+			saved := img[lastBundle]
+			img[lastBundle] = 0xc3
+			poison := []core.Range{{Off: lastBundle, Len: 1}}
+			rep, state = deltaRound(t, c, img, poison, state, "poisoned final chunk")
+			if rep.Safe {
+				t.Fatal("poisoned final chunk accepted")
+			}
+			rep, state = deltaRound(t, c, img, nil, state, "no-edit round over a violating final chunk")
+			wantReparsed(rep, 1, "no-edit round over a violating final chunk")
+			img[lastBundle] = saved
+			_, state = deltaRound(t, c, img, poison, state, "revert")
+			rep, state = deltaRound(t, c, img, nil, state, "no-edit round after the revert")
+			wantReparsed(rep, 0, "no-edit round after the revert")
+
+			// A size change re-parses the final chunk even with no range.
+			shrunk := img[:len(img)-core.BundleSize]
+			rep, state = deltaRound(t, c, shrunk, nil, state, "shrink by one bundle")
+			if rep.Stats.DeltaChunksReparsed < 1 || rep.Stats.DeltaBytesReparsed < int64(len(shrunk)-last) {
+				t.Fatalf("shrink reparsed %d chunks (%d bytes), want at least the final chunk",
+					rep.Stats.DeltaChunksReparsed, rep.Stats.DeltaBytesReparsed)
+			}
+			deltaRound(t, c, img, nil, state, "grow back")
+		})
 	}
 }
 

@@ -212,6 +212,13 @@ type shardResult struct {
 	// prefetch absorbs the next-shard cache-line touches (see
 	// touchLines); never read.
 	prefetch byte
+	// insns is the shard's instruction count: the population of the
+	// boundary-bitmap words the shard owns, taken when its parse ends
+	// or when a cache restore or stream harvest installs its words (a
+	// delta round retains it with them). Reconcile sums it into
+	// Stats.Instructions, so the census costs O(shards), not a popcount
+	// of the whole image.
+	insns int32
 }
 
 func (r *shardResult) reset() {
@@ -220,6 +227,7 @@ func (r *shardResult) reset() {
 	r.bad = r.bad[:0]
 	r.lane, r.swar, r.scalar, r.restart = false, false, false, false
 	r.backoff = false
+	r.insns = 0
 }
 
 // scratch is the reusable per-run state: the packed boundary bitmaps
@@ -332,8 +340,10 @@ func shardCount(size int) int {
 }
 
 // testShardHook, when non-nil, runs at the start of every stage-1 shard
-// parse with the shard index. Tests use it to inject cancellation and
-// panics mid-stage-1; it is never set in production.
+// parse with the shard's index in the image (a streamed window's shards
+// report their image-wide index, not the window-relative one). Tests
+// use it to inject cancellation and panics mid-stage-1; it is never set
+// in production.
 var testShardHook func(shard int)
 
 // runResult is what run hands to the report builders: the reconciled,
@@ -388,7 +398,7 @@ func (c *Checker) report(out runResult, size int) *Report {
 //
 // st, when non-nil, receives the per-run Stats: the size/shard facts
 // up front, wall times at each stage boundary, and at the end the
-// per-shard parse-mode flags and the bitmap population merged during
+// per-shard parse-mode flags and instruction counts merged during
 // reconciliation. Everything written to st is stack- or scratch-
 // resident, so collecting it never allocates.
 func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *scratch, st *Stats, cc *cacheCtx) runResult {
@@ -525,7 +535,6 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 				st.Restarts++
 			}
 		}
-		st.Instructions = int64(sc.valid.Count())
 		st.Stage2Wall = time.Since(t1)
 		st.Wall = time.Since(t0)
 		publishStats(st, false, total > 0)
@@ -630,6 +639,11 @@ func (c *Checker) parseOne(code []byte, s int, sc *scratch, engine EngineKind, m
 
 func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine EngineKind, mode stepMode, fr *flight.Recorder, frun uint32, w int) {
 	res := &sc.results[s]
+	start := s * ShardBytes
+	end := start + ShardBytes
+	if end > len(code) {
+		end = len(code)
+	}
 	var ft0 int64
 	if fr != nil {
 		ft0 = fr.Now()
@@ -653,14 +667,12 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 				Stack:  string(debug.Stack()),
 			})
 		}
+		// Counted after recovery, so a contained panic still counts the
+		// boundaries the shard wrote before it.
+		res.insns = int32(sc.valid.CountRange(start, end))
 	}()
 	if testShardHook != nil {
-		testShardHook(s)
-	}
-	start := s * ShardBytes
-	end := start + ShardBytes
-	if end > len(code) {
-		end = len(code)
+		testShardHook(gs)
 	}
 	// Software prefetch: stream one byte per cache line of the *next*
 	// shard before the dependent-load walk starts on this one. The
@@ -1026,15 +1038,21 @@ func jumpTarget(code []byte, saved, pos int) (int64, bool) {
 // violation ordering. A safe image takes the nil fast path: no slice is
 // allocated. When st is non-nil the uncapped per-kind violation census
 // is recorded before the report cap is applied, so Stats sees every
-// violation even when the Report is truncated.
+// violation even when the Report is truncated, and Stats.Instructions
+// is the sum of the shards' own counts.
 func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *Stats, fr *flight.Recorder, frun uint32) (all []Violation, total int) {
 	// The image size comes from the scratch geometry, not len(code):
 	// the streaming verifier reconciles with code == nil (the window
 	// bytes are gone), in which case stage-2 violations simply carry no
 	// Window excerpt (violation guards the slice access).
 	size := sc.imgSize
+	var insns int64
 	for i := range sc.results {
 		all = append(all, sc.results[i].violations...)
+		insns += int64(sc.results[i].insns)
+	}
+	if st != nil {
+		st.Instructions = insns
 	}
 	// Jump-target validation. In-shard targets were already resolved on
 	// the stage-1 workers (parseOne) with their failures banked in bad;

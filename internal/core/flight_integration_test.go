@@ -156,3 +156,39 @@ func TestFlightChunkEvents(t *testing.T) {
 		t.Errorf("no chunk-miss events; stats: %+v", rep.Stats)
 	}
 }
+
+// TestFlightDeltaReplayRuns: a delta round records one replay event per
+// maximal run of replayed chunks, not one per chunk, so a one-chunk
+// edit mid-image records two (the runs before and after the edit), and
+// together they cover exactly the replayed bytes.
+func TestFlightDeltaReplayRuns(t *testing.T) {
+	c := checker(t)
+	img := cacheImage(t, 14, 60000)
+	_, state, err := c.VerifyDeltaWith(img, nil, nil, core.VerifyOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := installRecorder(t)
+	off := 2*64<<10 + 1024 // well inside chunk 2, clear of any overhang
+	rep, _, err := c.VerifyDeltaWith(img, []core.Range{{Off: off, Len: 64}}, state, core.VerifyOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.DeltaChunksReparsed != 1 {
+		t.Fatalf("one-chunk edit reparsed %d chunks, want 1", rep.Stats.DeltaChunksReparsed)
+	}
+	var replays, replayed int64
+	for _, ev := range r.Snapshot() {
+		if ev.Kind == flight.EventChunkReplay {
+			replays++
+			replayed += ev.Bytes
+		}
+	}
+	if replays != 2 {
+		t.Errorf("mid-image one-chunk edit recorded %d replay events, want 2 (one run each side)", replays)
+	}
+	if want := int64(len(img)) - rep.Stats.DeltaBytesReparsed; replayed != want {
+		t.Errorf("replay events cover %d bytes, want the %d bytes not re-parsed", replayed, want)
+	}
+}

@@ -84,9 +84,9 @@ type Stats struct {
 	// parse thanks to cache hits (the whole image on a whole-image hit).
 	CacheBytesSaved int64 `json:"cache_bytes_saved"`
 	// DeltaChunksReparsed / DeltaChunksReplayed count, for a VerifyDelta
-	// round, the cacheable 64KiB chunks re-parsed (dirty under the edit
-	// set) versus replayed from the retained delta state; the
-	// never-retained final chunk is counted under reparsed when present.
+	// round, the 64KiB chunks re-parsed (dirty under the edit set)
+	// versus replayed from the retained delta state; they sum to the
+	// image's chunk count, the final (possibly partial) chunk included.
 	// DeltaBytesReparsed is the total bytes stage 1 actually re-parsed
 	// in the round. Like the cache fields, they describe delta state
 	// rather than the image, so they sit outside the engine-invariance

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
 	"rocksalt/internal/core"
 	"rocksalt/internal/nacl"
 	"rocksalt/internal/telemetry"
+	"rocksalt/internal/vcache"
 )
 
 // TestStatsDeterministic pins the acceptance criterion that
@@ -164,5 +166,115 @@ func TestContainedPanicMetric(t *testing.T) {
 	}
 	if after-before != 1 {
 		t.Errorf("contained-panic counter moved by %d, want 1", after-before)
+	}
+}
+
+// TestInstructionsParity: Stats.Instructions is the sum of per-shard
+// counts taken wherever a shard's boundary words are installed — by a
+// parse, a chunk-cache restore, a stream-window harvest, or delta
+// retention — so every path must report exactly what a cold VerifyWith
+// of the same bytes reports: on a safe image, a rejected one, and one
+// whose shard panicked (the contained panic fails the run closed).
+func TestInstructionsParity(t *testing.T) {
+	c := checker(t)
+	safe := cacheImage(t, 13, 60000)
+	// A bare RET at a bundle start in chunk 1 is an illegal instruction;
+	// the other chunks stay clean, so the warm run restores them.
+	rejected := append([]byte(nil), safe...)
+	rejected[deltaChunk+4*core.BundleSize] = 0xc3
+	// Shard 5 sits in chunk 1 as well: the panicking chunk is never
+	// cached or retained, so every path re-parses it.
+	const panicShard = 5
+
+	for _, tc := range []struct {
+		name        string
+		img         []byte
+		panic, safe bool
+	}{
+		{"safe", safe, false, true},
+		{"rejected", rejected, false, false},
+		{"contained panic", safe, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			panics := int64(0)
+			if tc.panic {
+				panics = 1
+				core.SetShardHook(func(shard int) {
+					if shard == panicShard {
+						panic("injected shard fault")
+					}
+				})
+				defer core.SetShardHook(nil)
+			}
+			one := core.VerifyOptions{Workers: 1}
+			// check compares a path's report against a cold VerifyWith of
+			// the same bytes.
+			check := func(what string, img []byte, rep *core.Report) {
+				t.Helper()
+				cold := c.VerifyWith(img, one)
+				if rep.Outcome != cold.Outcome || rep.Total != cold.Total {
+					t.Fatalf("%s: verdict %v/%d, cold %v/%d", what, rep.Outcome, rep.Total, cold.Outcome, cold.Total)
+				}
+				if cold.Safe != tc.safe || cold.Stats.ContainedPanics != panics {
+					t.Fatalf("%s: cold run outcome %v with %d contained panics does not fit the case",
+						what, cold.Outcome, cold.Stats.ContainedPanics)
+				}
+				if cold.Stats.Instructions == 0 {
+					t.Fatalf("%s: cold run counted no instructions", what)
+				}
+				if rep.Stats.Instructions != cold.Stats.Instructions {
+					t.Errorf("%s: Instructions = %d, cold VerifyWith = %d", what, rep.Stats.Instructions, cold.Stats.Instructions)
+				}
+			}
+
+			check("cold, 4 workers", tc.img, c.VerifyWith(tc.img, core.VerifyOptions{Workers: 4}))
+
+			// Chunk-cache warm: prime with the image, then verify a copy
+			// whose final (never cached) bundle is rewritten as NOPs, so
+			// the whole-image key misses and the cacheable chunks are
+			// restored instead of parsed.
+			cache := vcache.New(64 << 20)
+			c.VerifyWith(tc.img, core.VerifyOptions{Workers: 1, Cache: cache})
+			warmImg := append([]byte(nil), tc.img...)
+			for i := len(warmImg) - core.BundleSize; i < len(warmImg); i++ {
+				warmImg[i] = 0x90
+			}
+			warm := c.VerifyWith(warmImg, core.VerifyOptions{Workers: 1, Cache: cache})
+			if warm.Stats.CacheChunkHits == 0 {
+				t.Fatalf("warm run restored no chunks: %+v", warm.Stats)
+			}
+			check("chunk-cache warm", warmImg, warm)
+
+			srep, err := c.VerifyReader(bytes.NewReader(tc.img), core.VerifyOptions{StreamSize: int64(len(tc.img))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("VerifyReader", tc.img, srep)
+
+			img := append([]byte(nil), tc.img...)
+			rep, state, err := c.VerifyDeltaWith(img, nil, nil, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("delta round 0", img, rep)
+			rep, state, err = c.VerifyDeltaWith(img, nil, state, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Stats.DeltaChunksReplayed == 0 {
+				t.Fatal("no-edit delta round replayed nothing")
+			}
+			check("no-edit delta round", img, rep)
+			// NOP out a bundle in chunk 2: a compliance-preserving edit.
+			off := 2*deltaChunk + 8*core.BundleSize
+			for i := off; i < off+core.BundleSize; i++ {
+				img[i] = 0x90
+			}
+			rep, _, err = c.VerifyDeltaWith(img, []core.Range{{Off: off, Len: core.BundleSize}}, state, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("edited delta round", img, rep)
+		})
 	}
 }

@@ -104,6 +104,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 			src, dst := &wsc.results[ws], &ssc.results[base/ShardBytes+ws]
 			dst.lane, dst.swar, dst.scalar, dst.restart, dst.backoff =
 				src.lane, src.swar, src.scalar, src.restart, src.backoff
+			dst.insns = src.insns
 			for _, v := range src.violations {
 				v.Offset += base
 				dst.violations = append(dst.violations, v)
@@ -218,7 +219,6 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 			st.Restarts++
 		}
 	}
-	st.Instructions = int64(ssc.valid.Count())
 	st.Stage2Wall = time.Since(t1)
 	st.Wall = time.Since(t0)
 	publishStats(&st, false, total > 0)

@@ -73,8 +73,11 @@ const (
 	// EventCacheServe marks a Verify answered entirely from the
 	// whole-image verdict cache (no byte was scanned).
 	EventCacheServe
-	// EventChunkReplay marks one chunk replayed from retained delta
-	// state (its shards were skipped by a VerifyDelta round).
+	// EventChunkReplay marks one maximal run of consecutive chunks
+	// replayed from retained delta state (their shards were skipped by a
+	// VerifyDelta round): Shard is the run's first shard and Bytes its
+	// length, so a round records one event per gap between its dirty
+	// chunks rather than one per retained chunk.
 	EventChunkReplay
 
 	numKinds
