@@ -116,8 +116,9 @@ type Range = core.Range
 // state and returns the next. See core.DeltaState.
 //
 // Checker.VerifyReader streams an image of a declared size
-// (VerifyOptions.StreamSize) through a bounded two-chunk window on the
-// same machinery, for images too large to hold in memory.
+// (VerifyOptions.StreamSize) through a bounded 512 KiB window on the
+// same machinery, parsing each window on the stage-1 workers, for
+// images too large to hold in memory.
 type DeltaState = core.DeltaState
 
 // ---------- The x86 model ----------

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"rocksalt/internal/flight"
@@ -40,9 +39,9 @@ import (
 //     size and configuration are unchanged (anything else dirties it),
 //     so its retained artifacts are exactly what re-parsing it would
 //     produce. Dirty chunks are re-parsed through the identical engine
-//     dispatch (parseShardAt), after their bitmap words and results are
-//     erased — the same erase-then-reparse discipline the lane engine
-//     uses for restarts.
+//     dispatch (stage1.dispatch), after their bitmap words and results
+//     are erased — the same erase-then-reparse discipline the lane
+//     engine uses for restarts.
 //   - Stage 2: reconcile runs unchanged over all shard results, so
 //     cross-chunk jump validation, bundle-boundary coverage and the
 //     deterministic (offset, kind) ordering are recomputed against the
@@ -321,37 +320,7 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 
 	workers := clampWorkers(opts.Workers, len(reparse))
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-	if workers == 1 {
-		for _, s := range reparse {
-			if ctx.Err() != nil {
-				break
-			}
-			c.parseOne(code, s, &st.sc, engine, mode, fr, frun, 0)
-		}
-	} else {
-		// The workers capture sc, not st: st is reassigned above, so
-		// capturing it would move it to the heap on every round.
-		sc := &st.sc
-		var wg sync.WaitGroup
-		jobs := make(chan int, len(reparse))
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for s := range jobs {
-					if ctx.Err() != nil {
-						return
-					}
-					c.parseOne(code, s, sc, engine, mode, fr, frun, w)
-				}
-			}(w)
-		}
-		for _, s := range reparse {
-			jobs <- s
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	stage1{c: c, code: code, sc: &st.sc, engine: engine, mode: mode, fr: fr, frun: frun}.dispatch(ctx, workers, len(reparse), reparse, nil)
 	endStage1()
 	stats.Stage1Wall = time.Since(t0)
 

@@ -252,6 +252,13 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch(size, shards int) *scratch {
 	sc := scratchPool.Get().(*scratch)
+	sc.reset(size, shards)
+	return sc
+}
+
+// reset readies sc for an image of size bytes in shards shards,
+// keeping the capacity of its bitmaps and result slices.
+func (sc *scratch) reset(size, shards int) {
 	sc.valid.Reset(size)
 	sc.pairJmp.Reset(size)
 	sc.base, sc.imgSize = 0, size
@@ -263,7 +270,6 @@ func getScratch(size, shards int) *scratch {
 	for i := range sc.results {
 		sc.results[i].reset()
 	}
-	return sc
 }
 
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
@@ -413,8 +419,7 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 		st.Shards = int64(shards)
 	}
 	// The effective engine is resolved once per run and is uniform across
-	// shards, so reports stay deterministic. (Assign-once locals: the
-	// worker closure below captures them by value.)
+	// shards, so reports stay deterministic.
 	engine, mode := c.resolveEngine(opts)
 	if st != nil {
 		st.Engine = engineName(engine, mode)
@@ -422,65 +427,19 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 	// Flight recorder: one atomic pointer load decides whether this run
 	// records spans — with no recorder installed that load is the whole
 	// cost, which is what keeps Verify at 0 allocs/op recorder-off.
-	// (frun/frt0 come from a helper so they are assign-once too — a
-	// declare-then-assign local would be captured by reference and
-	// heap-allocated.)
 	fr := flight.Active()
 	frun, frt0 := flightBegin(fr)
 	// Chunk-cache probe: restore the parse artifacts of every resident
 	// chunk and mark its shards skipped. Skipped shards set none of the
 	// lane/scalar/restart flags, so Stats' parse-mode counts cover only
-	// the shards actually parsed this run. (skip, like engine above, is
-	// assign-once so the worker closure captures it by value.)
+	// the shards actually parsed this run.
 	var skip []bool
 	if cc != nil && len(cc.keys) > 0 {
 		cc.fr, cc.frun = fr, frun
 		skip = c.probeChunks(cc, sc, st)
 	}
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-
-	// Workers write disjoint [start,end) bit ranges of the shared
-	// bitmaps; ShardBytes is a multiple of 64, so the ranges are also
-	// word-disjoint and no synchronization is needed beyond the pool's.
-	// Workers poll ctx.Err between shards: one atomic load per 16 KiB
-	// shard parse, observed synchronously (a cancel that happened-before
-	// a shard starts is always seen).
-	if workers == 1 {
-		for s := 0; s < shards; s++ {
-			if skip != nil && skip[s] {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			c.parseOne(code, s, sc, engine, mode, fr, frun, 0)
-		}
-	} else {
-		var wg sync.WaitGroup
-		jobs := make(chan int, shards)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for s := range jobs {
-					if ctx.Err() != nil {
-						// The channel is buffered and already closed, so
-						// returning early cannot block the producer.
-						return
-					}
-					c.parseOne(code, s, sc, engine, mode, fr, frun, w)
-				}
-			}(w)
-		}
-		for s := 0; s < shards; s++ {
-			if skip != nil && skip[s] {
-				continue
-			}
-			jobs <- s
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	stage1{c: c, code: code, sc: sc, engine: engine, mode: mode, fr: fr, frun: frun}.dispatch(ctx, workers, shards, nil, skip)
 	endStage1()
 	if st != nil {
 		st.Stage1Wall = time.Since(t0)
@@ -624,19 +583,114 @@ func (c *Checker) resolveEngine(opts VerifyOptions) (EngineKind, stepMode) {
 	return engine, stepSingle
 }
 
-// parseOne runs stage 1 on shard s, containing panics as InternalFault
-// violations so the worker (and the pool behind it) survives. fr, when
-// non-nil, receives a SpanShard record (and an EventSWARBackoff instant
-// when the density backoff fired) tagged with the worker index w.
-// Ordinary runs parse the whole image in place; the streaming verifier
-// parses a window, where s is window-relative and the shard's true
-// index differs — parseShardAt takes both so flight records and panic
-// details name the global shard while offsets stay window-relative
-// (the harvest translates them).
-func (c *Checker) parseOne(code []byte, s int, sc *scratch, engine EngineKind, mode stepMode, fr *flight.Recorder, frun uint32, w int) {
-	c.parseShardAt(code, s, s, sc, engine, mode, fr, frun, w)
+// stage1 is what every shard parse of one stage-1 pass shares: the
+// bytes, the scratch the shards write, the resolved engine and the
+// flight run. Verify and VerifyDelta parse the whole image in place,
+// so local and image shard indices agree (g0 is 0); VerifyReader
+// parses one window, whose local shard 0 is image shard g0.
+type stage1 struct {
+	c      *Checker
+	code   []byte
+	sc     *scratch
+	engine EngineKind
+	mode   stepMode
+	fr     *flight.Recorder
+	frun   uint32
+	g0     int
+	// after, when non-nil, runs on the worker that parsed local shard
+	// s (image shard gs), right after the parse: the streaming
+	// verifier's harvest.
+	after func(s, gs int)
 }
 
+func (p *stage1) parse(s, w int) {
+	p.c.parseShardAt(p.code, s, p.g0+s, p.sc, p.engine, p.mode, p.fr, p.frun, w)
+	if p.after != nil {
+		p.after(s, p.g0+s)
+	}
+}
+
+// dispatch is stage 1's worker pool, the one loop Verify, VerifyDelta
+// and VerifyReader all parse through. It parses the local shards
+// list[:n] — or, with list nil, every s in [0, n) that skip does not
+// mark — on workers goroutines, and returns once they are done. One
+// worker parses in-line, with no goroutines or channel, so the lean
+// path stays allocation-free.
+//
+// Workers write disjoint [start,end) bit ranges of the shared bitmaps
+// and disjoint result entries; ShardBytes is a multiple of 64, so the
+// ranges are also word-disjoint and no synchronization is needed beyond
+// the pool's. Workers poll ctx.Err between shards: one atomic load per
+// 16 KiB shard parse, observed synchronously (a cancel that
+// happened-before a shard starts is always seen). A caller that finds
+// ctx done afterwards must treat the pass as interrupted: the shards
+// skipped after the cancel hold no artifacts.
+func (p stage1) dispatch(ctx context.Context, workers, n int, list []int, skip []bool) {
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			s, ok := pick(i, list, skip)
+			if !ok {
+				continue
+			}
+			if ctx.Err() != nil {
+				return
+			}
+			p.parse(s, 0)
+		}
+		return
+	}
+	d := &shardPool{stage1: p, ctx: ctx, jobs: make(chan int, n)}
+	d.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go d.work(w)
+	}
+	for i := 0; i < n; i++ {
+		if s, ok := pick(i, list, skip); ok {
+			d.jobs <- s
+		}
+	}
+	close(d.jobs)
+	d.wg.Wait()
+}
+
+// pick maps dispatch candidate i to its local shard, reporting false
+// for a shard skip marks.
+func pick(i int, list []int, skip []bool) (int, bool) {
+	if list != nil {
+		return list[i], true
+	}
+	return i, skip == nil || !skip[i]
+}
+
+// shardPool is one multi-worker dispatch. The workers share it through
+// one pointer, which keeps each goroutine's closure to that pointer and
+// its worker index.
+type shardPool struct {
+	stage1
+	ctx  context.Context
+	jobs chan int // buffered to hold every job, so the producer never blocks
+	wg   sync.WaitGroup
+}
+
+func (d *shardPool) work(w int) {
+	defer d.wg.Done()
+	for s := range d.jobs {
+		if d.ctx.Err() != nil {
+			// Returning early cannot block the producer: the channel
+			// holds every job.
+			return
+		}
+		d.parse(s, w)
+	}
+}
+
+// parseShardAt runs stage 1 on local shard s of code, which is image
+// shard gs, containing panics as InternalFault violations so the worker
+// (and the pool behind it) survives. Flight records and panic details
+// name the image shard while offsets stay local (a streamed window's
+// harvest translates them). fr, when non-nil, receives a SpanShard
+// record (and an EventSWARBackoff instant when the density backoff
+// fired) tagged with the worker index w.
 func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine EngineKind, mode stepMode, fr *flight.Recorder, frun uint32, w int) {
 	res := &sc.results[s]
 	start := s * ShardBytes
@@ -1055,7 +1109,7 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 		st.Instructions = insns
 	}
 	// Jump-target validation. In-shard targets were already resolved on
-	// the stage-1 workers (parseOne) with their failures banked in bad;
+	// the stage-1 workers (parseShardAt) with their failures banked in bad;
 	// here only the cross-shard leftovers are checked against the merged
 	// boundary map. Several jumps may share a bad target; dedupe after
 	// sorting so the report is one violation per offending offset.

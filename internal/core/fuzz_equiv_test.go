@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,19 +13,24 @@ import (
 // FuzzVerifyParallelEquiv asserts the engine's defining property on
 // arbitrary byte strings: the parallel verdict, the canonical first-
 // violation offset, and in fact the whole violation list are identical
-// to the sequential run's. Seeds come from the compliant-image
-// generator (including a multi-shard image) and the unsafe corpus. Run
-// longer with
+// to the sequential run's. The streaming verifier is held to the same
+// run at the same worker counts, under the streamEqual contract (every
+// violation but its Window excerpt) plus the engine-invariant Stats.
+// Seeds come from the compliant-image generator (including a
+// multi-shard image), the unsafe corpus, and compliant images on the
+// streaming window's edges. Run longer with
 //
 //	go test -fuzz FuzzVerifyParallelEquiv ./internal/core
 func FuzzVerifyParallelEquiv(f *testing.F) {
 	gen := nacl.NewGenerator(31)
+	var tile []byte
 	for _, n := range []int{5, 60, 6000} {
 		img, err := gen.Random(n)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(img)
+		tile = img
 	}
 	for _, img := range nacl.UnsafeCorpus() {
 		f.Add(img)
@@ -34,6 +41,9 @@ func FuzzVerifyParallelEquiv(f *testing.F) {
 	c, err := core.NewChecker()
 	if err != nil {
 		f.Fatal(err)
+	}
+	for _, img := range streamEdgeSeeds(f, c, tile) {
+		f.Add(img)
 	}
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if len(img) > 1<<20 {
@@ -50,7 +60,46 @@ func FuzzVerifyParallelEquiv(f *testing.F) {
 					w, img, seq.Violations, par.Violations)
 			}
 		}
+		for _, w := range []int{1, 2, 4, 0} {
+			got, err := c.VerifyReader(bytes.NewReader(img), core.VerifyOptions{StreamSize: int64(len(img)), Workers: w})
+			if err != nil {
+				t.Fatalf("stream workers=%d: %v", w, err)
+			}
+			what := fmt.Sprintf("stream workers=%d on %d bytes", w, len(img))
+			streamEqual(t, got, seq, what)
+			if gs, ss := got.Stats.EngineInvariant(), seq.Stats.EngineInvariant(); gs != ss {
+				t.Fatalf("%s: stats diverged\nseq: %+v\nstream: %+v", what, ss, gs)
+			}
+		}
 	})
+}
+
+// streamEdgeSeeds builds compliant images whose lengths sit on the
+// streaming window's edges — one settled span (seven chunks) ± a few
+// bytes, and one window (eight chunks) + 1 — plus a settled span with a
+// violation in its last shard. Each is tiles of the compliant tile,
+// padded to whole bundles, then NOPs up to the length.
+func streamEdgeSeeds(f *testing.F, c *core.Checker, tile []byte) [][]byte {
+	tile = append(tile, bytes.Repeat([]byte{0x90}, (-len(tile))&(core.BundleSize-1))...)
+	build := func(n int) []byte {
+		img := bytes.Repeat(tile, n/len(tile))
+		return append(img, bytes.Repeat([]byte{0x90}, n-len(img))...)
+	}
+	var seeds [][]byte
+	for _, n := range []int{streamSettle - 3, streamSettle, streamSettle + 5, streamWindow + 1} {
+		img := build(n)
+		if !c.Verify(img) {
+			f.Fatalf("window-edge seed of %d bytes is not compliant", n)
+		}
+		seeds = append(seeds, img)
+	}
+	// int 0x80 at the last bundle of the span's last shard.
+	bad := build(streamSettle + 5)
+	copy(bad[streamSettle-core.BundleSize:], []byte{0xcd, 0x80})
+	if rep := c.VerifyWith(bad, core.VerifyOptions{Workers: 1}); rep.Safe || rep.Violations[0].Offset/core.ShardBytes != streamSettle/core.ShardBytes-1 {
+		f.Fatalf("window-edge violation seed misplaced: %+v", rep.Violations)
+	}
+	return append(seeds, bad)
 }
 
 // FuzzFusedEquiv holds the fused product automaton to the reference

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"rocksalt/internal/flight"
@@ -11,45 +12,73 @@ import (
 )
 
 // This file is the bounded-memory streaming verifier: the same staged
-// engine driven through a sliding two-chunk window, for images too
-// large (or too remote) to map whole.
+// engine driven through a sliding window of streamChunks chunks
+// (512 KiB), for images too large (or too remote) to map whole.
 //
 // The scheme leans on the scratch base/imgSize geometry threaded
 // through the engine: a window's shards are parsed in window-relative
 // coordinates against a small window scratch whose base places it in
 // the image, so straddle allowances and jump-target classification
-// behave exactly as in a whole-image parse. The first chunk of the
-// window is always complete — the parse of a chunk reads at most
+// behave exactly as in a whole-image parse. Every chunk of a full
+// window but the last is complete — the parse of a chunk reads at most
 // lookahead()-1 bytes past its end (see fusedDFA.lookahead), and
-// lookahead() is far below chunkBytes for every real grammar — so its
-// artifacts are final the moment it is parsed. They are harvested into
-// a full-image carry scratch (bitmap words copied to their absolute
-// word positions, offsets and targets translated by the window base),
-// the window slides one chunk, and the loop continues. At EOF the
-// remaining window is parsed in full, with the window end coinciding
-// with the image end so the end-of-image straddle allowance applies.
+// lookahead() is far below chunkBytes for every real grammar — so their
+// artifacts are final the moment they are parsed. Each step parses that
+// settled span on the stage-1 workers, through the same dispatcher
+// Verify uses, and each worker harvests the shards it parsed into a
+// full-image carry scratch (bitmap words copied to their absolute word
+// positions, offsets and targets translated by the window base); shards
+// own disjoint words and result entries there too, so the harvest needs
+// no synchronization. The window then slides by the settled span and
+// the loop continues. At EOF the remaining window is parsed in full,
+// with the window end coinciding with the image end so the end-of-image
+// straddle allowance applies.
 //
 // The carry state is the image's packed bitmaps (size/4 bytes) plus
 // the per-shard results — the same retained form DeltaState holds — so
 // memory is bounded by the bitmaps, not the code: the window holds
-// only 128 KiB of image bytes. Stage 2 then runs unchanged over the
-// carry scratch with code == nil: verdict, offsets, kinds and details
-// are identical to the in-memory verifier; the one documented
-// difference is that stage-2 violations (TargetNotBoundary, the
-// bundle-coverage scan) carry no Window byte excerpt, since the bytes
-// around them are no longer resident.
+// only 512 KiB of image bytes, in a pooled buffer. Stage 2 then runs
+// unchanged over the carry scratch with code == nil: verdict, offsets,
+// kinds and details are identical to the in-memory verifier; the one
+// documented difference is that stage-2 violations (TargetNotBoundary,
+// the bundle-coverage scan) carry no Window byte excerpt, since the
+// bytes around them are no longer resident.
+
+const (
+	// streamChunks is the window length in chunks. A step settles all
+	// but the last chunk, so a wider window means fewer fork/joins of
+	// the stage-1 workers per image; eight keeps the barrier cost small
+	// next to the 28 shards a step parses.
+	streamChunks = 8
+	streamWindow = streamChunks * chunkBytes
+	streamSettle = streamWindow - chunkBytes
+)
+
+// streamWin is one call's window: the image bytes and the scratch
+// their shards are parsed into. It has a pool of its own, so a window
+// never trades places with the whole-image scratches of the ordinary
+// pool.
+type streamWin struct {
+	buf [streamWindow]byte
+	sc  scratch
+}
+
+var streamWinPool = sync.Pool{New: func() any { return new(streamWin) }}
 
 // VerifyReader streams an image from r through a bounded window and
 // verifies it. opts.StreamSize must carry the total size (see its doc);
 // when it is zero the stream is buffered whole in memory and verified
-// by the ordinary path. Parsing is sequential (one window chunk at a
-// time), so opts.Workers is ignored and Report.Workers is 1.
+// by the ordinary path. The image is read 512 KiB at a time; each
+// window's settled shards are parsed on opts.Workers stage-1 workers,
+// clamped to the image's shards and to one window's, and
+// Report.Workers is that clamped count.
 func (c *Checker) VerifyReader(r io.Reader, opts VerifyOptions) (*Report, error) {
 	return c.VerifyReaderContext(context.Background(), r, opts)
 }
 
-// VerifyReaderContext is VerifyReader under a context; cancellation is
-// observed between window chunks.
+// VerifyReaderContext is VerifyReader under a context; the stage-1
+// workers observe cancellation between shards, and an interrupted run
+// stops reading at the next window step.
 func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts VerifyOptions) (*Report, error) {
 	if opts.StreamSize <= 0 {
 		code, err := io.ReadAll(r)
@@ -85,38 +114,40 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 	fr := flight.Active()
 	frun, frt0 := flightBegin(fr)
 
-	// ssc is the carry state (absolute coordinates, full image); wsc is
-	// re-aimed at each window. Both come from the ordinary pool.
+	// ssc is the carry state (absolute coordinates, full image), from
+	// the ordinary pool; wsc is re-aimed at each window.
 	ssc := getScratch(size, shards)
 	defer putScratch(ssc)
-	wsc := getScratch(2*chunkBytes, shardCount(2*chunkBytes))
-	defer putScratch(wsc)
-	window := make([]byte, 2*chunkBytes)
+	win := streamWinPool.Get().(*streamWin)
+	defer streamWinPool.Put(win)
+	window, wsc := win.buf[:], &win.sc
+	workers := clampWorkers(opts.Workers, min(shards, shardCount(streamWindow)))
 
-	// harvest banks the final artifacts of window bytes [0, n) — always
-	// whole shards — into the carry scratch at absolute offset base.
-	harvest := func(base, n int) {
-		w0 := base / 64
-		nw := (n + 63) / 64
-		copy(ssc.valid.Words()[w0:w0+nw], wsc.valid.Words()[:nw])
-		copy(ssc.pairJmp.Words()[w0:w0+nw], wsc.pairJmp.Words()[:nw])
-		for ws := 0; ws*ShardBytes < n; ws++ {
-			src, dst := &wsc.results[ws], &ssc.results[base/ShardBytes+ws]
-			dst.lane, dst.swar, dst.scalar, dst.restart, dst.backoff =
-				src.lane, src.swar, src.scalar, src.restart, src.backoff
-			dst.insns = src.insns
-			for _, v := range src.violations {
-				v.Offset += base
-				dst.violations = append(dst.violations, v)
-			}
-			for _, t := range src.targets {
-				dst.targets = append(dst.targets, t+int32(base))
-			}
-			for _, t := range src.bad {
-				dst.bad = append(dst.bad, t+int32(base))
-			}
+	// harvest banks the final artifacts of window shard ws into the
+	// carry scratch as image shard gs. It runs on the worker that parsed
+	// ws, and touches only that shard's words and result entries.
+	harvest := func(ws, gs int) {
+		const shardWords = ShardBytes / 64
+		w0, w1 := ws*shardWords, min((ws+1)*shardWords, len(wsc.valid.Words()))
+		copy(ssc.valid.Words()[gs*shardWords:], wsc.valid.Words()[w0:w1])
+		copy(ssc.pairJmp.Words()[gs*shardWords:], wsc.pairJmp.Words()[w0:w1])
+		base := (gs - ws) * ShardBytes
+		src, dst := &wsc.results[ws], &ssc.results[gs]
+		dst.lane, dst.swar, dst.scalar, dst.restart, dst.backoff =
+			src.lane, src.swar, src.scalar, src.restart, src.backoff
+		dst.insns = src.insns
+		for _, v := range src.violations {
+			v.Offset += base
+			dst.violations = append(dst.violations, v)
+		}
+		for _, t := range src.targets {
+			dst.targets = append(dst.targets, t+int32(base))
+		}
+		for _, t := range src.bad {
+			dst.bad = append(dst.bad, t+int32(base))
 		}
 	}
+	p := stage1{c: c, sc: wsc, engine: engine, mode: mode, fr: fr, frun: frun, after: harvest}
 
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
 	base, filled := 0, 0
@@ -139,35 +170,34 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 			endStage1()
 			return nil, fmt.Errorf("core: stream ended at %d bytes, %d declared", base+filled, size)
 		}
+		last := base+filled == size
+		// Parse the settled span: all but the last chunk mid-stream (the
+		// last provides their overhang), the whole remainder at EOF.
+		// parseShardAt parses [ws*ShardBytes, min(·, filled)); mid-stream
+		// that is exactly the shard, and the walk past the span's end
+		// stays inside the last chunk (lookahead).
+		span := streamSettle
+		if last {
+			span = filled
+		}
+		nshards := shardCount(span)
+		wsc.reset(filled, nshards)
+		wsc.base, wsc.imgSize = base, size
+		p.code, p.g0 = window[:filled], base/ShardBytes
+		p.dispatch(ctx, workers, nshards, nil, nil)
+		// The workers skip every shard after a cancel, so a done ctx
+		// leaves holes in the carry state, final window included: stop
+		// before any of it reaches reconcile.
 		if ctx.Err() != nil {
 			interrupted = true
 			break
 		}
-		last := base+filled == size
-		// Parse the settled span: the first chunk mid-stream (the second
-		// chunk provides its overhang), the whole remainder at EOF.
-		span := chunkBytes
-		if last {
-			span = filled
-		}
-		wsc.valid.Reset(filled)
-		wsc.pairJmp.Reset(filled)
-		wsc.base, wsc.imgSize = base, size
-		nshards := shardCount(span)
-		for ws := 0; ws < nshards; ws++ {
-			wsc.results[ws].reset()
-			c.parseShardAt(window[:filled], ws, base/ShardBytes+ws, wsc, engine, mode, fr, frun, 0)
-		}
-		// parseShardAt parses [ws*ShardBytes, min(·, filled)); for the
-		// mid-stream first chunk that span is exactly the chunk, and the
-		// walk past its end stays inside the second chunk (lookahead).
-		harvest(base, span)
 		if last {
 			break
 		}
-		copy(window, window[chunkBytes:filled])
-		base += chunkBytes
-		filled -= chunkBytes
+		copy(window, window[span:filled])
+		base += span
+		filled -= span
 	}
 	endStage1()
 	st.Stage1Wall = time.Since(t0)
@@ -187,7 +217,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 			fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine, mode),
 				Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
 		}
-		rep := c.report(runResult{shards: shards, workers: 1, ctxErr: err}, size)
+		rep := c.report(runResult{shards: shards, workers: workers, ctxErr: err}, size)
 		rep.Stats = st
 		return rep, nil
 	}
@@ -226,7 +256,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 		fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine, mode),
 			Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
 	}
-	rep := c.report(runResult{violations: violations, total: total, shards: shards, workers: 1}, size)
+	rep := c.report(runResult{violations: violations, total: total, shards: shards, workers: workers}, size)
 	rep.Stats = st
 	return rep, nil
 }

@@ -3,7 +3,10 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rocksalt/internal/core"
@@ -34,19 +37,52 @@ func streamEqual(t *testing.T, got, want *core.Report, what string) {
 	}
 }
 
+// streamWindow and streamSettle mirror the streaming verifier's window
+// geometry: an eight-chunk window, of which each mid-stream step
+// settles all but the last chunk.
+const (
+	streamWindow = 8 * deltaChunk
+	streamSettle = 7 * deltaChunk
+)
+
+// streamTiles repeats a compliant tile, padded to a chunk multiple,
+// until the image spans at least n bytes (direct-jump displacements are
+// relative, so each copy's targets stay inside it).
+func streamTiles(t *testing.T, seed int64, n int) []byte {
+	t.Helper()
+	tile := cacheImage(t, seed, 60000)
+	tile = append(tile, bytes.Repeat([]byte{0x90}, (deltaChunk-len(tile)%deltaChunk)%deltaChunk)...)
+	return bytes.Repeat(tile, (n+len(tile)-1)/len(tile))
+}
+
+// streamWorkers is the worker count VerifyReader reports: the request
+// (0 meaning GOMAXPROCS) clamped to the image's shards and to one
+// window's.
+func streamWorkers(req, shards int) int {
+	if req <= 0 {
+		req = runtime.GOMAXPROCS(0)
+	}
+	return min(req, shards, streamWindow/core.ShardBytes)
+}
+
 // TestVerifyReaderMatchesVerify: the bounded-window streaming verifier
 // agrees with the in-memory one across the window geometries — images
-// smaller than one chunk, exactly the window size, spanning many
-// windows — on both compliant and corrupted inputs.
+// smaller than one chunk, exactly one settled span, exactly the window,
+// one byte past it, spanning many windows — on both compliant and
+// corrupted inputs, at every worker count, and reports the clamped
+// worker count.
 func TestVerifyReaderMatchesVerify(t *testing.T) {
 	c := checker(t)
-	big := cacheImage(t, 10, 60000)
+	big := streamTiles(t, 10, 3*streamWindow+deltaChunk/2)
 	images := map[string][]byte{
-		"tiny":         big[:64],
-		"one chunk":    big[:deltaChunk],
-		"exact window": big[:2*deltaChunk],
-		"multi-window": big,
-		"odd tail":     big[:2*deltaChunk+12345],
+		"tiny":           big[:64],
+		"one chunk":      big[:deltaChunk],
+		"settled span":   big[:streamSettle],
+		"exact window":   big[:streamWindow],
+		"window plus 1":  big[:streamWindow+1],
+		"multi-window":   big,
+		"odd tail":       big[:2*streamWindow+12345],
+		"two spans plus": big[:2*streamSettle+deltaChunk+3],
 	}
 	// Corrupted variants: flip bytes in every chunk so violations fall
 	// in different windows.
@@ -55,21 +91,29 @@ func TestVerifyReaderMatchesVerify(t *testing.T) {
 		bad[off] ^= 0xff
 	}
 	images["corrupted"] = bad
-	// A violation straddling a window seam: corrupt right at a chunk
-	// boundary.
+	// Violations straddling the window seams: corrupt right at the end
+	// of the first and second settled spans, where the window slides.
 	seam := append([]byte(nil), big...)
-	copy(seam[2*deltaChunk-8:2*deltaChunk+8], bytes.Repeat([]byte{0xff}, 16))
+	for _, off := range []int{streamSettle, 2 * streamSettle} {
+		copy(seam[off-8:off+8], bytes.Repeat([]byte{0xff}, 16))
+	}
 	images["seam corruption"] = seam
 
 	for name, img := range images {
 		want := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
-		got, err := c.VerifyReader(bytes.NewReader(img), core.VerifyOptions{StreamSize: int64(len(img))})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		streamEqual(t, got, want, name)
-		if got.Workers != 1 {
-			t.Fatalf("%s: streaming run reported %d workers", name, got.Workers)
+		for _, w := range []int{1, 2, 0} {
+			got, err := c.VerifyReader(bytes.NewReader(img), core.VerifyOptions{StreamSize: int64(len(img)), Workers: w})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, w, err)
+			}
+			what := fmt.Sprintf("%s workers=%d", name, w)
+			streamEqual(t, got, want, what)
+			if gs, ws := got.Stats.EngineInvariant(), want.Stats.EngineInvariant(); gs != ws {
+				t.Fatalf("%s: stats diverged\nstream: %+v\nmemory: %+v", what, gs, ws)
+			}
+			if got.Workers != streamWorkers(w, got.Shards) {
+				t.Fatalf("%s: streaming run reported %d workers, want %d", what, got.Workers, streamWorkers(w, got.Shards))
+			}
 		}
 	}
 }
@@ -129,5 +173,98 @@ func TestVerifyReaderCanceled(t *testing.T) {
 	}
 	if len(rep.Violations) != 0 {
 		t.Fatal("interrupted streaming run carried partial violations")
+	}
+}
+
+// TestVerifyReaderCanceledMidWindow: a cancel that lands while a
+// window's shards are in flight — in a middle window, and in the final
+// window, whose skipped shards would otherwise go straight to
+// reconcile — yields the interrupted report, never Safe and never the
+// violations reached so far.
+func TestVerifyReaderCanceledMidWindow(t *testing.T) {
+	c := checker(t)
+	img := streamTiles(t, 14, 3*streamWindow)
+	img[100] ^= 0xff // a violation in the first window, already harvested
+	shards := (len(img) + core.ShardBytes - 1) / core.ShardBytes
+	// Windows start every streamSettle bytes; the final one is the first
+	// that reaches the image end.
+	final := (len(img) - streamWindow + streamSettle - 1) / streamSettle * streamSettle / core.ShardBytes
+	cases := []struct {
+		name  string
+		shard int
+	}{
+		{"middle window", streamSettle/core.ShardBytes + 3},
+		{"final window", final + 1},
+	}
+	if cases[1].shard >= shards-1 || cases[0].shard >= final {
+		t.Fatalf("image too small for the window geometry: %d shards, final window at shard %d", shards, final)
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var parsed atomic.Int32
+			core.SetShardHook(func(shard int) {
+				parsed.Add(1)
+				if shard == tc.shard {
+					cancel()
+				}
+			})
+			rep, err := c.VerifyReaderContext(ctx, bytes.NewReader(img), core.VerifyOptions{StreamSize: int64(len(img)), Workers: w})
+			core.SetShardHook(nil)
+			cancel()
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+			}
+			if rep.Safe || rep.Outcome != core.OutcomeCanceled || !rep.Interrupted() {
+				t.Fatalf("%s workers=%d: canceled stream reported %v (safe %v)", tc.name, w, rep.Outcome, rep.Safe)
+			}
+			if len(rep.Violations) != 0 || rep.Total != 0 {
+				t.Fatalf("%s workers=%d: interrupted stream carried %d partial violations", tc.name, w, len(rep.Violations))
+			}
+			if int(parsed.Load()) >= shards {
+				t.Fatalf("%s workers=%d: cancellation did not stop stage 1 early (%d/%d shards parsed)",
+					tc.name, w, parsed.Load(), shards)
+			}
+		}
+	}
+}
+
+// maxStreamAllocs bounds a steady-state VerifyReader call at one
+// worker: its Report, the harvest closure and the one-byte probe past
+// the declared size. The window and both scratches are pooled and must
+// not be among them.
+const maxStreamAllocs = 3
+
+// TestVerifyReaderAllocs pins the steady-state allocation behaviour of
+// VerifyReader: after warm-up calls (which fill the pools), a call at
+// one worker allocates at most maxStreamAllocs objects, and the same
+// number for images of about 1 MiB and 8 MiB.
+func TestVerifyReaderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the bound only holds in normal builds")
+	}
+	c := checker(t)
+	var perSize []float64
+	for _, n := range []int{1 << 20, 8 << 20} {
+		img := streamTiles(t, 15, n)
+		rd := bytes.NewReader(img)
+		opts := core.VerifyOptions{StreamSize: int64(len(img)), Workers: 1}
+		call := func() {
+			rd.Reset(img)
+			rep, err := c.VerifyReader(rd, opts)
+			if err != nil || !rep.Safe {
+				t.Fatalf("stream of %d bytes: safe=%v err=%v", len(img), rep != nil && rep.Safe, err)
+			}
+		}
+		call()
+		call()
+		allocs := testing.AllocsPerRun(10, call)
+		if allocs > maxStreamAllocs {
+			t.Errorf("stream of %d bytes allocated %.1f times, want <= %d", n, allocs, maxStreamAllocs)
+		}
+		perSize = append(perSize, allocs)
+	}
+	if perSize[0] != perSize[1] {
+		t.Errorf("stream allocations grow with the image: %v", perSize)
 	}
 }
