@@ -112,7 +112,7 @@ func BenchmarkEngineAblation(b *testing.B) {
 }
 
 // BenchmarkNewChecker measures checker construction from the embedded
-// RSLT2 bundle — the startup cost a process pays before its first
+// RSLT4 bundle — the startup cost a process pays before its first
 // Verify. The acceptance bar is under a millisecond; compiling the
 // grammars from scratch (the pre-bundle path, still available through
 // NewCheckerFromGrammars) takes ~170ms.

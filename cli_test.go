@@ -48,29 +48,26 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("rocksalt (tables): %v\n%s", err, out)
 	}
 
-	// Legacy RSLT1 bundles (component DFAs only, fused on load) must
-	// still be accepted through the same flag.
-	tablesV1 := filepath.Join(dir, "tables_v1.bin")
-	if out, err := exec.Command(bin("dfagen"), "-format", "1", "-o", tablesV1).CombinedOutput(); err != nil {
-		t.Fatalf("dfagen -format 1: %v\n%s", err, out)
-	}
-	out, err = exec.Command(bin("rocksalt"), "-tables", tablesV1, img).CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "SAFE") {
-		t.Fatalf("rocksalt (v1 tables): %v\n%s", err, out)
-	}
-
-	// A file that is not a table bundle at all must fail version
-	// sniffing with a clear diagnostic, not a decode panic or a verdict.
-	notTables := filepath.Join(dir, "not_tables.bin")
-	if err := os.WriteFile(notTables, []byte("GARBAGE BYTES HERE"), 0o644); err != nil {
+	// A bundle in a format older builds wrote, or a file that is not a
+	// table bundle at all, must fail the magic check with a pointer to
+	// dfagen, not a decode panic or a verdict.
+	legacy, err := os.ReadFile(tables)
+	if err != nil {
 		t.Fatal(err)
 	}
-	msg0, err := exec.Command(bin("rocksalt"), "-tables", notTables, img).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Errorf("rocksalt -tables on garbage: want exit 2, got %v\n%s", err, msg0)
-	}
-	if !strings.Contains(string(msg0), "unknown table bundle version") {
-		t.Errorf("garbage bundle diagnostic missing version message: %q", msg0)
+	legacy[4] = '1' // RSLT1
+	for name, data := range map[string][]byte{"legacy": legacy, "garbage": []byte("GARBAGE BYTES HERE")} {
+		bad := filepath.Join(dir, name+".bin")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		msg0, err := exec.Command(bin("rocksalt"), "-tables", bad, img).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("rocksalt -tables on %s: want exit 2, got %v\n%s", name, err, msg0)
+		}
+		if !strings.Contains(string(msg0), "regenerate the bundle with cmd/dfagen") {
+			t.Errorf("%s bundle diagnostic missing regeneration message: %q", name, msg0)
+		}
 	}
 
 	// Parallel verification must agree with the sequential run.

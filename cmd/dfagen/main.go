@@ -7,12 +7,11 @@
 //
 // The repository's embedded bundle is regenerated with
 //
-//	go run ./cmd/dfagen -o internal/core/rocksalt_tables_v3.bin
+//	go run ./cmd/dfagen -o internal/core/rocksalt_tables.bin
 //
-// Non-default specs serialize as RSLT4 bundles, which carry the
-// policy's engine parameters (bundle size, mask length, guard cutoff)
-// alongside the tables; formats 1–3 imply the default NaCl parameters
-// and are refused for any other spec.
+// Every bundle is RSLT4: it carries the policy's engine parameters
+// (bundle size, mask length, guard cutoff) alongside the tables, so the
+// default NaCl policy and compiled specs share one format.
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 func main() {
 	emit := flag.Bool("emit", false, "emit the DFA tables as Go source on stdout")
 	out := flag.String("o", "", "write a binary table bundle (loadable by rocksalt -tables)")
-	format := flag.Int("format", 0, "bundle format for -o: 0 = auto (3 for the default policy, 4 otherwise), 4 = RSLT4 (policy parameters + v3 body), 3 = RSLT3 (fused + stride tables + component DFAs), 2 = RSLT2 (no stride section), 1 = legacy RSLT1")
 	specPath := flag.String("spec", "", "compile this JSON policy spec instead of the default NaCl policy")
 	flag.Parse()
 
@@ -100,42 +98,20 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmtUsed := *format
-		if fmtUsed == 0 {
-			fmtUsed = 3
-			if !defaultPolicy {
-				fmtUsed = 4
-			}
+		info := core.PolicyInfo{
+			Name:        com.Spec.Name,
+			BundleSize:  com.Spec.BundleSize,
+			MaskLen:     com.Spec.MaskLen(),
+			GuardCutoff: com.Spec.GuardCutoff,
 		}
-		if fmtUsed >= 1 && fmtUsed <= 3 && !defaultPolicy {
-			fail(fmt.Errorf("policy %q is not the default NaCl policy; formats 1-3 cannot carry its engine parameters, use -format 4 (or 0)", com.Spec.Name))
-		}
-		switch fmtUsed {
-		case 1:
-			err = dfas.WriteTables(f)
-		case 2:
-			err = dfas.WriteTablesV2(f)
-		case 3:
-			err = dfas.WriteTablesV3(f)
-		case 4:
-			info := core.PolicyInfo{
-				Name:        com.Spec.Name,
-				BundleSize:  com.Spec.BundleSize,
-				MaskLen:     com.Spec.MaskLen(),
-				GuardCutoff: com.Spec.GuardCutoff,
-			}
-			err = dfas.WriteTablesV4(f, info, com.Spec.AlignedCalls)
-		default:
-			err = fmt.Errorf("unknown bundle format %d (want 0, 1, 2, 3 or 4)", fmtUsed)
-		}
-		if err != nil {
+		if err := dfas.WriteTables(f, info, com.Spec.AlignedCalls); err != nil {
 			fail(err)
 		}
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
 		st, _ := os.Stat(*out)
-		fmt.Printf("wrote %s (RSLT%d, %d bytes)\n", *out, fmtUsed, st.Size())
+		fmt.Printf("wrote %s (RSLT4, %d bytes)\n", *out, st.Size())
 	}
 
 	if *emit {

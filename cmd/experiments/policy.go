@@ -132,7 +132,7 @@ func benchPolicy() {
 				DirectJump:    com.DirectJump,
 			}
 			var buf bytes.Buffer
-			if err := set.WriteTablesV3(&buf); err != nil {
+			if err := set.WriteTables(&buf, checker.PolicyInfo(), checker.AlignedCalls); err != nil {
 				panic(err)
 			}
 			defaultMatchesEmbedded = bytes.Equal(buf.Bytes(), core.EmbeddedTableBytes())

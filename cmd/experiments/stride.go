@@ -13,14 +13,14 @@ import (
 )
 
 // benchStride is the bandwidth-bound scanning benchmark: the byte-class
-// / two-stride / SWAR engine work and the content-addressed verdict
-// cache, measured against the recorded fused baseline. It prints the
-// table, writes BENCH_stride.json (host-stamped), and — the CI perf
-// smoke — exits nonzero under -quick if the strided or SWAR engine is
-// slower than the scalar-fused walk measured in the same run, or if
-// the lean Verify path allocates.
+// lanes and SWAR engine work and the content-addressed verdict cache,
+// measured against the recorded fused baseline. It prints the table,
+// writes BENCH_stride.json (host-stamped), and — the CI perf smoke —
+// exits nonzero under -quick if the lanes or SWAR engine is slower
+// than the scalar-fused walk measured in the same run, or if the lean
+// Verify path allocates.
 func benchStride() {
-	header("stride", "two-stride + SWAR engines + verdict cache (extension)",
+	header("stride", "lanes + SWAR engines + verdict cache (extension)",
 		"beyond the paper: byte-class compaction, multi-byte SWAR stepping, and content-addressed re-verification")
 
 	c, err := core.NewChecker()
@@ -75,8 +75,7 @@ func benchStride() {
 	}
 
 	scalar := engineRow("fused-scalar", core.VerifyOptions{Workers: 1, Engine: core.EngineFusedScalar})
-	lanes := engineRow("lanes (forced)", core.VerifyOptions{Workers: 1, StrideBudgetBytes: -1})
-	strided := engineRow("strided (forced)", core.VerifyOptions{Workers: 1, Engine: core.EngineStrided})
+	lanes := engineRow("lanes (forced)", core.VerifyOptions{Workers: 1, Engine: core.EngineLanes})
 	swar := engineRow("swar (forced)", core.VerifyOptions{Workers: 1, Engine: core.EngineSWAR})
 	fused := engineRow("fused (default)", core.VerifyOptions{Workers: 1})
 
@@ -128,7 +127,7 @@ func benchStride() {
 		}
 	}
 	ratioVsRecorded := fused.MBPerS / recordedBaseline
-	ratioVsScalar := strided.MBPerS / scalar.MBPerS
+	lanesVsScalar := lanes.MBPerS / scalar.MBPerS
 	swarVsRecorded := swar.MBPerS / recordedBaseline
 	swarVsScalar := swar.MBPerS / scalar.MBPerS
 	swarVsLanes := swar.MBPerS / lanes.MBPerS
@@ -142,7 +141,7 @@ func benchStride() {
 		Rows              []row    `json:"results"`
 		RecordedFusedMBs  float64  `json:"recorded_fused_mb_per_s"`
 		FusedVsRecorded   float64  `json:"fused_vs_recorded"`
-		StridedVsScalar   float64  `json:"strided_vs_scalar"`
+		LanesVsScalar     float64  `json:"lanes_vs_scalar"`
 		SWARVsRecorded    float64  `json:"swar_vs_recorded"`
 		SWARVsScalar      float64  `json:"swar_vs_scalar"`
 		SWARVsLanes       float64  `json:"swar_vs_lanes"`
@@ -160,7 +159,7 @@ func benchStride() {
 		Rows:              rows,
 		RecordedFusedMBs:  recordedBaseline,
 		FusedVsRecorded:   ratioVsRecorded,
-		StridedVsScalar:   ratioVsScalar,
+		LanesVsScalar:     lanesVsScalar,
 		SWARVsRecorded:    swarVsRecorded,
 		SWARVsScalar:      swarVsScalar,
 		SWARVsLanes:       swarVsLanes,
@@ -177,24 +176,24 @@ func benchStride() {
 	if err := os.WriteFile("BENCH_stride.json", append(data, '\n'), 0o644); err != nil {
 		panic(err)
 	}
-	fmt.Printf("   wrote BENCH_stride.json (fused %.1f MB/s = %.2fx recorded %.1f; swar %.2fx recorded; strided/scalar %.2fx; keyed warm %.0fx)\n",
-		fused.MBPerS, ratioVsRecorded, recordedBaseline, swarVsRecorded, ratioVsScalar, keyedSpeedup)
+	fmt.Printf("   wrote BENCH_stride.json (fused %.1f MB/s = %.2fx recorded %.1f; swar %.2fx recorded; lanes/scalar %.2fx; keyed warm %.0fx)\n",
+		fused.MBPerS, ratioVsRecorded, recordedBaseline, swarVsRecorded, lanesVsScalar, keyedSpeedup)
 
-	ok := ratioVsScalar >= 1.0 && swarVsScalar >= 1.0 && leanAllocs == 0
+	ok := lanesVsScalar >= 1.0 && swarVsScalar >= 1.0 && leanAllocs == 0
 	full := ok && ratioVsRecorded >= 1.25 && swarVsRecorded >= 1.25 && keyedSpeedup > 100
 	if *quick {
 		// CI perf smoke: the invariants that hold on any machine at any
-		// load — strided and SWAR no slower than the scalar walk they
+		// load — lanes and SWAR no slower than the scalar walk they
 		// replace, and the lean path allocation-free. Throughput-vs-
 		// recorded is a full-run criterion (the recorded number belongs
 		// to a specific host, and quick images are too small for stable
 		// MB/s).
-		fmt.Printf("   verdict: %s (quick: strided and swar >= scalar same-run, lean Verify 0 allocs)\n", pass(ok))
+		fmt.Printf("   verdict: %s (quick: lanes and swar >= scalar same-run, lean Verify 0 allocs)\n", pass(ok))
 		if !ok {
 			os.Exit(1)
 		}
 		return
 	}
-	fmt.Printf("   verdict: %s (fused and swar >= 1.25x recorded baseline, strided/swar >= scalar, keyed warm > 100x, 0 allocs)\n",
+	fmt.Printf("   verdict: %s (fused and swar >= 1.25x recorded baseline, lanes/swar >= scalar, keyed warm > 100x, 0 allocs)\n",
 		pass(full))
 }

@@ -11,7 +11,8 @@ import (
 // TestEngineFlag runs the built binary once per -engine value against
 // the same image and pins the contract: every engine returns the same
 // verdict (exit 0 here), the resolved stepper lands in the -json stats
-// engine field, and an unknown engine is a usage error (exit 2).
+// engine field, and an unknown engine, strided among them, is a usage
+// error (exit 2).
 func TestEngineFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
@@ -37,7 +38,6 @@ func TestEngineFlag(t *testing.T) {
 		{"auto", "swar"},
 		{"scalar", "fused-scalar"},
 		{"lanes", "lanes"},
-		{"strided", "strided"},
 		{"swar", "swar"},
 	}
 	for _, tc := range cases {
@@ -64,11 +64,13 @@ func TestEngineFlag(t *testing.T) {
 		})
 	}
 
-	t.Run("unknown", func(t *testing.T) {
-		err := exec.Command(bin, "-engine", "turbo", "-q", img).Run()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 2 {
-			t.Fatalf("unknown engine: got %v, want exit 2", err)
-		}
-	})
+	for name, engine := range map[string]string{"unknown": "turbo", "strided": "strided"} {
+		t.Run(name, func(t *testing.T) {
+			err := exec.Command(bin, "-engine", engine, "-q", img).Run()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 {
+				t.Fatalf("-engine %s: got %v, want exit 2", engine, err)
+			}
+		})
+	}
 }

@@ -27,11 +27,10 @@
 // -engine pins the stage-1 stepper: auto (the default; the engine
 // picks the fastest available stepper, currently the SWAR multi-byte
 // walk with its density backoff), scalar (the canonical byte-at-a-time
-// fused walk), lanes (the four-lane single-stride walk, auto with the
-// stride upgrade disabled), strided (the forced two-stride pair walk),
-// or swar (the forced SWAR stepper). Verdicts are engine-invariant
-// byte for byte; the resolved stepper is recorded in the -stats/-json
-// engine field. Anything else exits 2.
+// fused walk), lanes (the four-lane single-stride walk), or swar (the
+// forced SWAR stepper). Verdicts are engine-invariant byte for byte;
+// the resolved stepper is recorded in the -stats/-json engine field.
+// Anything else exits 2.
 //
 // -cache N attaches an N-MiB content-addressed verdict cache for the
 // process lifetime and reports the image's content key. One-shot runs
@@ -99,7 +98,7 @@ import (
 // usage is the one-line synopsis printed on argument errors. A test
 // (cli_test.go) holds it and the package doc comment to the actual flag
 // set, so neither can drift when a flag is added.
-const usage = "usage: rocksalt [-entries addr,addr] [-tables f] [-policy spec.json] [-engine auto|scalar|lanes|strided|swar] [-j N] [-timeout d] [-cache MiB] [-delta old.bin] [-stream] [-stats] [-json] [-v] [-metrics-addr a] [-linger d] [-trace-out f] [-postmortem-dir d] [-q] file.bin"
+const usage = "usage: rocksalt [-entries addr,addr] [-tables f] [-policy spec.json] [-engine auto|scalar|lanes|swar] [-j N] [-timeout d] [-cache MiB] [-delta old.bin] [-stream] [-stats] [-json] [-v] [-metrics-addr a] [-linger d] [-trace-out f] [-postmortem-dir d] [-q] file.bin"
 
 // cliFlags is every rocksalt flag, registered on a caller-supplied
 // FlagSet so tests can enumerate the registry without running main.
@@ -129,7 +128,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		quiet:       fs.Bool("q", false, "suppress output; use the exit status"),
 		tables:      fs.String("tables", "", "load pre-generated DFA tables (from dfagen -o) instead of compiling grammars"),
 		policySpec:  fs.String("policy", "", "compile this JSON policy spec at runtime and verify against it (mutually exclusive with -tables)"),
-		engine:      fs.String("engine", "auto", "stage-1 stepper: auto, scalar, lanes, strided or swar (verdicts are engine-invariant)"),
+		engine:      fs.String("engine", "auto", "stage-1 stepper: auto, scalar, lanes or swar (verdicts are engine-invariant)"),
 		workers:     fs.Int("j", 1, "stage-1 verification workers (0 = all CPUs)"),
 		timeout:     fs.Duration("timeout", 0, "abort verification after this duration (exit 3); 0 = no limit"),
 		cacheMiB:    fs.Int("cache", 0, "attach a content-addressed verdict cache of this many MiB (0 = no cache)"),
@@ -284,13 +283,11 @@ func main() {
 	case "scalar":
 		opts.Engine = core.EngineFusedScalar
 	case "lanes":
-		opts.StrideBudgetBytes = -1
-	case "strided":
-		opts.Engine = core.EngineStrided
+		opts.Engine = core.EngineLanes
 	case "swar":
 		opts.Engine = core.EngineSWAR
 	default:
-		fmt.Fprintf(os.Stderr, "rocksalt: unknown -engine %q (want auto, scalar, lanes, strided or swar)\n", *f.engine)
+		fmt.Fprintf(os.Stderr, "rocksalt: unknown -engine %q (want auto, scalar, lanes or swar)\n", *f.engine)
 		os.Exit(2)
 	}
 	if *f.cacheMiB > 0 {

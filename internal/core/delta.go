@@ -163,8 +163,8 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 		Shards:       int64(shards),
 	}
 	t0 = time.Now()
-	engine, mode := c.resolveEngine(opts)
-	stats.Engine = engineName(engine, mode)
+	engine := c.resolveEngine(opts)
+	stats.Engine = engineName(engine)
 
 	// The dirty set: chunks whose retained artifacts cannot be trusted
 	// this round. The final chunk is tracked like any other: its parse
@@ -320,7 +320,7 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 
 	workers := clampWorkers(opts.Workers, len(reparse))
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-	stage1{c: c, code: code, sc: &st.sc, engine: engine, mode: mode, fr: fr, frun: frun}.dispatch(ctx, workers, len(reparse), reparse, nil)
+	stage1{c: c, code: code, sc: &st.sc, engine: engine, fr: fr, frun: frun}.dispatch(ctx, workers, len(reparse), reparse, nil)
 	endStage1()
 	stats.Stage1Wall = time.Since(t0)
 

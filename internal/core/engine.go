@@ -53,52 +53,34 @@ const (
 	// optimistic lane phase disabled. It exists for cross-checks and as
 	// the like-for-like baseline in benchmarks.
 	EngineFusedScalar
-	// EngineStrided forces the two-stride lane walk, building (and
-	// semantically verifying) the pair tables if needed, regardless of
-	// the size budget. EngineFused never auto-selects it (the pcls-
-	// indexed walk measured slower than the single-stride lanes, see
-	// swarAuto); it exists for cross-checks and benchmarks. A table
-	// build or verification failure falls back to the single-stride
-	// lanes.
-	EngineStrided
+	// EngineLanes forces the four-lane single-stride walk
+	// (engine_lanes.go), the stepper EngineFused resolves to when the
+	// SWAR tables are absent or too large. It exists for cross-checks
+	// and as the like-for-like baseline of the SWAR stepper.
+	EngineLanes
 	// EngineSWAR forces the SWAR multi-byte stepper (engine_swar.go):
-	// the two-stride walk driven 8 input bytes per round through the
-	// pair-class map, retiring 4-8 bytes per iteration with one
-	// eventful-sentinel branch per chain half, and handing event-dense
-	// shards back to the single-stride lanes (the density backoff).
-	// EngineFused upgrades to it automatically when the tables are
-	// present and fit StrideBudgetBytes; forcing it builds them on
-	// demand. If the automaton cannot support it (too many states, or a
-	// table failure) the run degrades to the single-stride lanes.
+	// the pair-class walk driven 8 input bytes per round, retiring 4-8
+	// bytes per iteration with one eventful-sentinel branch per chain
+	// half, and handing event-dense shards back to the single-stride
+	// lanes (the density backoff). EngineFused upgrades to it
+	// automatically when the tables are present and fit the footprint
+	// budget (swarAuto); forcing it builds them on demand. If the
+	// automaton cannot support it (too many states, or a table failure)
+	// the run degrades to the single-stride lanes.
 	EngineSWAR
 )
 
-// stepMode is the resolved inner stepper of the lane engine for one
-// run: the single-stride flat walk, the forced two-stride pair walk, or
-// the SWAR multi-byte stepper. It is derived once per run by
-// resolveEngine and uniform across shards, so reports and stats stay
-// deterministic.
-type stepMode uint8
-
-const (
-	stepSingle stepMode = iota
-	stepStride
-	stepSWAR
-)
-
 // engineName is the human-readable engine census value recorded in
-// Stats.Engine: the requested kind refined by the resolved stepper, so
-// "what actually ran" is visible in -stats/-json output.
-func engineName(e EngineKind, mode stepMode) string {
-	switch {
-	case e == EngineReference:
+// Stats.Engine for a resolved engine (see resolveEngine), so "what
+// actually ran" is visible in -stats/-json output.
+func engineName(e EngineKind) string {
+	switch e {
+	case EngineReference:
 		return "reference"
-	case e == EngineFusedScalar:
+	case EngineFusedScalar:
 		return "fused-scalar"
-	case mode == stepSWAR:
+	case EngineSWAR:
 		return "swar"
-	case mode == stepStride:
-		return "strided"
 	default:
 		return "lanes"
 	}
@@ -117,13 +99,6 @@ type VerifyOptions struct {
 	// Engine selects the stage-1 matcher; the zero value is the fused
 	// product automaton. Reports are engine-invariant byte for byte.
 	Engine EngineKind
-	// StrideBudgetBytes bounds the hot stride-table footprint
-	// EngineFused will auto-select the SWAR stepper under (see
-	// swarAuto): 0 means the default ceiling, negative disables the
-	// upgrade and pins the run to the single-stride lanes. Ignored by
-	// the other engines; EngineStrided/EngineSWAR always build their
-	// tables.
-	StrideBudgetBytes int
 	// Cache, when non-nil, attaches the content-addressed verdict cache
 	// (see cache.go): Verify* runs first look up the whole image's
 	// content key and return the cached Report on a hit; on a miss the
@@ -420,9 +395,9 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 	}
 	// The effective engine is resolved once per run and is uniform across
 	// shards, so reports stay deterministic.
-	engine, mode := c.resolveEngine(opts)
+	engine := c.resolveEngine(opts)
 	if st != nil {
-		st.Engine = engineName(engine, mode)
+		st.Engine = engineName(engine)
 	}
 	// Flight recorder: one atomic pointer load decides whether this run
 	// records spans — with no recorder installed that load is the whole
@@ -439,7 +414,7 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 		skip = c.probeChunks(cc, sc, st)
 	}
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-	stage1{c: c, code: code, sc: sc, engine: engine, mode: mode, fr: fr, frun: frun}.dispatch(ctx, workers, shards, nil, skip)
+	stage1{c: c, code: code, sc: sc, engine: engine, fr: fr, frun: frun}.dispatch(ctx, workers, shards, nil, skip)
 	endStage1()
 	if st != nil {
 		st.Stage1Wall = time.Since(t0)
@@ -450,7 +425,7 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 			publishStats(st, true, false)
 		}
 		if fr != nil {
-			fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine, mode),
+			fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine),
 				Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
 		}
 		return runResult{shards: shards, workers: workers, ctxErr: err}
@@ -499,14 +474,12 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 		publishStats(st, false, total > 0)
 	}
 	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine, mode),
+		fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine),
 			Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
 	}
 	return runResult{violations: violations, total: total, shards: shards, workers: workers}
 }
 
-// runFlightEngine maps the run's resolved engine to the flight
-// recorder's enum — the run-level counterpart of engineName.
 // flightBegin opens a flight-recorder run, returning its run id and
 // start timestamp (zeros with no recorder installed).
 func flightBegin(fr *flight.Recorder) (frun uint32, frt0 int64) {
@@ -516,16 +489,16 @@ func flightBegin(fr *flight.Recorder) (frun uint32, frt0 int64) {
 	return fr.BeginRun(), fr.Now()
 }
 
-func runFlightEngine(e EngineKind, mode stepMode) flight.Engine {
-	switch {
-	case e == EngineReference:
+// runFlightEngine maps the run's resolved engine to the flight
+// recorder's enum — the run-level counterpart of engineName.
+func runFlightEngine(e EngineKind) flight.Engine {
+	switch e {
+	case EngineReference:
 		return flight.EngineReference
-	case e == EngineFusedScalar:
+	case EngineFusedScalar:
 		return flight.EngineScalar
-	case mode == stepSWAR:
+	case EngineSWAR:
 		return flight.EngineSWAR
-	case mode == stepStride:
-		return flight.EngineStrided
 	default:
 		return flight.EngineLanes
 	}
@@ -534,14 +507,12 @@ func runFlightEngine(e EngineKind, mode stepMode) flight.Engine {
 // shardFlightEngine classifies how one shard was actually parsed, from
 // its result flags — finer-grained than the run-level engine because a
 // shard can individually back off or restart scalar.
-func shardFlightEngine(e EngineKind, mode stepMode, res *shardResult) flight.Engine {
+func shardFlightEngine(e EngineKind, res *shardResult) flight.Engine {
 	switch {
 	case e == EngineReference:
 		return flight.EngineReference
 	case res.swar:
 		return flight.EngineSWAR
-	case res.lane && mode == stepStride:
-		return flight.EngineStrided
 	case res.lane:
 		return flight.EngineLanes
 	default:
@@ -549,38 +520,24 @@ func shardFlightEngine(e EngineKind, mode stepMode, res *shardResult) flight.Eng
 	}
 }
 
-// resolveEngine maps the requested engine to the stepper a run will
-// actually use. The forced kinds (EngineStrided, EngineSWAR) build and
-// semantically verify their tables on first use and degrade to the
+// resolveEngine maps the requested engine to the one a run will
+// actually use: EngineFused resolves to EngineSWAR or EngineLanes, and
+// the other kinds to themselves. Forced EngineSWAR builds and
+// semantically verifies its tables on first use and degrades to the
 // single-stride lanes if they cannot be readied. EngineFused — the
-// default — auto-upgrades to the SWAR stepper when the tables are
-// already present (shipped in the bundle or built by an earlier forced
-// run) and their hot footprint fits the budget; it never auto-selects
-// the plain two-stride walk, which measures slower than the
-// single-stride lanes (the regression TestAutoEngineSelection pins
-// this: auto must never pick a slower stepper).
-func (c *Checker) resolveEngine(opts VerifyOptions) (EngineKind, stepMode) {
-	engine := opts.Engine
-	if c.fused == nil {
-		return engine, stepSingle
+// default — upgrades to the SWAR stepper when the tables are already
+// present (shipped in the bundle, or built by NewCheckerFromPolicy or
+// an earlier forced run) and their hot footprint fits the budget.
+func (c *Checker) resolveEngine(opts VerifyOptions) EngineKind {
+	e := opts.Engine
+	if e != EngineFused && e != EngineSWAR {
+		return e
 	}
-	switch engine {
-	case EngineStrided:
-		if c.fused.ensureStride() == nil {
-			return engine, stepStride
-		}
-		return EngineFused, stepSingle
-	case EngineSWAR:
-		if c.fused.ensureStride() == nil && c.fused.swarReady() {
-			return engine, stepSWAR
-		}
-		return EngineFused, stepSingle
-	case EngineFused:
-		if c.fused.swarAuto(opts.StrideBudgetBytes) && c.fused.ensureStride() == nil && c.fused.swarReady() {
-			return engine, stepSWAR
-		}
+	f := c.fused
+	if f != nil && (e == EngineSWAR || f.swarAuto()) && f.ensureStride() == nil && f.swarReady() {
+		return EngineSWAR
 	}
-	return engine, stepSingle
+	return EngineLanes
 }
 
 // stage1 is what every shard parse of one stage-1 pass shares: the
@@ -593,7 +550,6 @@ type stage1 struct {
 	code   []byte
 	sc     *scratch
 	engine EngineKind
-	mode   stepMode
 	fr     *flight.Recorder
 	frun   uint32
 	g0     int
@@ -604,7 +560,7 @@ type stage1 struct {
 }
 
 func (p *stage1) parse(s, w int) {
-	p.c.parseShardAt(p.code, s, p.g0+s, p.sc, p.engine, p.mode, p.fr, p.frun, w)
+	p.c.parseShardAt(p.code, s, p.g0+s, p.sc, p.engine, p.fr, p.frun, w)
 	if p.after != nil {
 		p.after(s, p.g0+s)
 	}
@@ -691,7 +647,7 @@ func (d *shardPool) work(w int) {
 // harvest translates them). fr, when non-nil, receives a SpanShard
 // record (and an EventSWARBackoff instant when the density backoff
 // fired) tagged with the worker index w.
-func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine EngineKind, mode stepMode, fr *flight.Recorder, frun uint32, w int) {
+func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine EngineKind, fr *flight.Recorder, frun uint32, w int) {
 	res := &sc.results[s]
 	start := s * ShardBytes
 	end := start + ShardBytes
@@ -746,7 +702,7 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 		res.scalar = true
 		c.parseShardFusedScalar(code, start, end, sc, res)
 	default:
-		c.parseShardFused(code, start, end, sc, res, mode)
+		c.parseShardFused(code, start, end, sc, res, engine == EngineSWAR)
 	}
 	// Overlap stage 2 with stage 1: the shard's bitmap words are final
 	// the moment its parse returns (shards own disjoint word ranges), so
@@ -768,7 +724,7 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 	res.targets = kept
 	if fr != nil {
 		now := fr.Now()
-		fr.Record(flight.Event{Kind: flight.SpanShard, Engine: shardFlightEngine(engine, mode, res),
+		fr.Record(flight.Event{Kind: flight.SpanShard, Engine: shardFlightEngine(engine, res),
 			Worker: uint16(w), Shard: uint32(gs), Run: frun, Start: ft0, Dur: now - ft0, Bytes: int64(end - start)})
 		if res.backoff {
 			fr.Record(flight.Event{Kind: flight.EventSWARBackoff, Engine: flight.EngineSWAR,
@@ -800,8 +756,8 @@ func stopShard(res *shardResult, code []byte, off int, kind ViolationKind, detai
 
 // parseShardFused is stage 1 around the fused product automaton. The
 // whole-bundle prefix of the shard runs through the four-lane
-// interleaved parser — with the single-stride, two-stride or SWAR
-// stepper per the resolved mode — which assumes the image is
+// interleaved parser — with the SWAR stepper when swar is set, the
+// single-stride walk otherwise — which assumes the image is
 // compliant; if it finds anything irregular its partial writes are
 // erased and the canonical scalar loop below re-parses the shard from
 // the start, so every violating shard is diagnosed by exactly the same
@@ -816,13 +772,13 @@ func stopShard(res *shardResult, code []byte, off int, kind ViolationKind, detai
 // policy-relevant decision lives there and in the shared helpers, so
 // the verdict is engine-invariant either way (FuzzPolicyEquiv holds
 // the engines identical per policy).
-func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res *shardResult, mode stepMode) {
+func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res *shardResult, swar bool) {
 	bundle := c.params.bundle
 	if bundle <= 64 {
 		full := start + (end-start)/bundle*bundle
 		if full-start >= laneCount*bundle {
 			ok := false
-			if mode == stepSWAR {
+			if swar {
 				var dense bool
 				ok, dense = c.parseShardSWAR(code, start, full, sc, res)
 				if ok {
@@ -838,11 +794,11 @@ func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res 
 					sc.pairJmp.ClearRange(start, end)
 					res.reset()
 					res.backoff = true
-					if ok = c.parseShardLanes(code, start, full, sc, res, false); ok {
+					if ok = c.parseShardLanes(code, start, full, sc, res); ok {
 						res.lane = true
 					}
 				}
-			} else if ok = c.parseShardLanes(code, start, full, sc, res, mode == stepStride); ok {
+			} else if ok = c.parseShardLanes(code, start, full, sc, res); ok {
 				res.lane = true
 			}
 			if ok {

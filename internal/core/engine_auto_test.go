@@ -10,13 +10,12 @@ import (
 )
 
 // TestAutoEngineSelection pins the engine picker's contract: the
-// default EngineFused upgrades to the SWAR stepper when the stride
-// tables are present and fit the budget, degrades to the single-stride
-// lanes when the budget forbids them, and — the regression this test
-// exists for — never resolves to the plain two-stride walk, which
-// measures slower than the lanes it would replace. Forced kinds resolve
-// to themselves (or degrade to lanes when their tables cannot be
-// readied, which the shipped automaton never hits).
+// default EngineFused upgrades to the SWAR stepper when the pair tables
+// are present and fit the footprint budget (swarAuto; see
+// TestSWARAutoBudget), and otherwise runs the single-stride lanes.
+// Forced kinds resolve to themselves (or, for SWAR, degrade to lanes
+// when its tables cannot be readied, which the shipped automaton never
+// hits).
 func TestAutoEngineSelection(t *testing.T) {
 	c, err := core.NewChecker()
 	if err != nil {
@@ -28,10 +27,7 @@ func TestAutoEngineSelection(t *testing.T) {
 		want string
 	}{
 		{"auto", core.VerifyOptions{}, "swar"},
-		{"auto-default-budget", core.VerifyOptions{StrideBudgetBytes: 0}, "swar"},
-		{"auto-negative-budget", core.VerifyOptions{StrideBudgetBytes: -1}, "lanes"},
-		{"auto-tiny-budget", core.VerifyOptions{StrideBudgetBytes: 1024}, "lanes"},
-		{"forced-strided", core.VerifyOptions{Engine: core.EngineStrided}, "strided"},
+		{"forced-lanes", core.VerifyOptions{Engine: core.EngineLanes}, "lanes"},
 		{"forced-swar", core.VerifyOptions{Engine: core.EngineSWAR}, "swar"},
 		{"forced-scalar", core.VerifyOptions{Engine: core.EngineFusedScalar}, "fused-scalar"},
 		{"reference", core.VerifyOptions{Engine: core.EngineReference}, "reference"},
@@ -39,13 +35,6 @@ func TestAutoEngineSelection(t *testing.T) {
 	for _, tc := range cases {
 		if got := c.ResolvedEngineForTest(tc.opts); got != tc.want {
 			t.Errorf("%s: resolved to %q, want %q", tc.name, got, tc.want)
-		}
-	}
-	// Auto must never pick the plain two-stride walk, whatever the
-	// budget: it is strictly a forced cross-check engine.
-	for _, b := range []int{0, 1, 4096, 1 << 20, 1 << 30} {
-		if got := c.ResolvedEngineForTest(core.VerifyOptions{StrideBudgetBytes: b}); got == "strided" {
-			t.Errorf("budget %d: auto resolved to the plain two-stride walk", b)
 		}
 	}
 
@@ -75,7 +64,7 @@ func TestAutoEngineSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	auto := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
-	lanes := c.VerifyWith(img, core.VerifyOptions{Workers: 1, StrideBudgetBytes: -1})
+	lanes := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineLanes})
 	if !auto.Safe || !lanes.Safe {
 		t.Fatalf("generated image rejected: auto=%v lanes=%v", auto.Safe, lanes.Safe)
 	}

@@ -66,12 +66,6 @@ import (
 //     can never be reported here: the scalar fallback diagnoses it, and
 //     reports stay byte-identical, which FuzzFusedEquiv and the
 //     fault-injection cross-check enforce.
-//
-// The optional two-stride variant consumes two bytes per dependent load
-// through the pair-class tables (fused_stride.go); a superstate entry is
-// the two state bytes the single-stride walk would have stored, so the
-// state buffer — and therefore pass 2 and every recovery scan — is
-// byte-identical between the variants.
 
 // laneCount is the interleave width. Four keeps every lane's hot state
 // in registers on amd64 while covering most of the L1 latency of the
@@ -192,11 +186,8 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs, re int) (uint16, int) 
 // parseShardLanes runs the interleaved two-pass parse over the
 // whole-bundle region [start, fullEnd). It reports whether the region
 // was fully regular; on false the caller must discard the shard's
-// bitmap/result writes and re-parse with the scalar loop. With strided
-// set it consumes byte pairs through the two-stride tables (the caller
-// has run ensureStride); the stored states, and so the result, are
-// byte-identical to the single-stride walk.
-func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, res *shardResult, strided bool) bool {
+// bitmap/result writes and re-parse with the scalar loop.
+func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, res *shardResult) bool {
 	f := c.fused
 	if f.flat == nil || f.nc == f.quiet {
 		return false
@@ -236,144 +227,49 @@ func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, 
 	var i0, i1, i2, i3 int
 	s0, s1, s2, s3 := lc.fstart, lc.fstart, lc.fstart, lc.fstart
 
-	if strided {
-		sw := f.stride
-		pcls := (*[1 << 16]uint16)(sw.pcls)
-		walk := (*[flatStates << strideShift]uint16)(sw.walk)
-		for i0 < len(sb0) || i1 < len(sb1) || i2 < len(sb2) || i3 < len(sb3) {
-			if i0 < len(sb0) {
-				if i0+2 <= len(sb0) {
-					v := walk[int(s0&127)<<strideShift|int(pcls[binary.LittleEndian.Uint16(li0[i0:])])&(stridePairCap-1)]
-					if v < 0x8000 {
-						sb0[i0] = byte(v)
-						sb0[i0+1] = byte(v >> 8)
-						s0 = v >> 8
-						i0 += 2
-						goto lane1
-					}
-				}
-				if s := flat[int(s0&127)<<8|int(li0[i0])]; s < rec {
-					sb0[i0] = byte(s)
-					s0 = s
-					i0++
-				} else {
-					var o int
-					s0, o = c.laneEvent(&lc, s, st0+i0+1, st0, en0)
-					i0 = o - st0
-				}
-			}
-		lane1:
-			if i1 < len(sb1) {
-				if i1+2 <= len(sb1) {
-					v := walk[int(s1&127)<<strideShift|int(pcls[binary.LittleEndian.Uint16(li1[i1:])])&(stridePairCap-1)]
-					if v < 0x8000 {
-						sb1[i1] = byte(v)
-						sb1[i1+1] = byte(v >> 8)
-						s1 = v >> 8
-						i1 += 2
-						goto lane2
-					}
-				}
-				if s := flat[int(s1&127)<<8|int(li1[i1])]; s < rec {
-					sb1[i1] = byte(s)
-					s1 = s
-					i1++
-				} else {
-					var o int
-					s1, o = c.laneEvent(&lc, s, st1+i1+1, st1, en1)
-					i1 = o - st1
-				}
-			}
-		lane2:
-			if i2 < len(sb2) {
-				if i2+2 <= len(sb2) {
-					v := walk[int(s2&127)<<strideShift|int(pcls[binary.LittleEndian.Uint16(li2[i2:])])&(stridePairCap-1)]
-					if v < 0x8000 {
-						sb2[i2] = byte(v)
-						sb2[i2+1] = byte(v >> 8)
-						s2 = v >> 8
-						i2 += 2
-						goto lane3
-					}
-				}
-				if s := flat[int(s2&127)<<8|int(li2[i2])]; s < rec {
-					sb2[i2] = byte(s)
-					s2 = s
-					i2++
-				} else {
-					var o int
-					s2, o = c.laneEvent(&lc, s, st2+i2+1, st2, en2)
-					i2 = o - st2
-				}
-			}
-		lane3:
-			if i3 < len(sb3) {
-				if i3+2 <= len(sb3) {
-					v := walk[int(s3&127)<<strideShift|int(pcls[binary.LittleEndian.Uint16(li3[i3:])])&(stridePairCap-1)]
-					if v < 0x8000 {
-						sb3[i3] = byte(v)
-						sb3[i3+1] = byte(v >> 8)
-						s3 = v >> 8
-						i3 += 2
-						continue
-					}
-				}
-				if s := flat[int(s3&127)<<8|int(li3[i3])]; s < rec {
-					sb3[i3] = byte(s)
-					s3 = s
-					i3++
-				} else {
-					var o int
-					s3, o = c.laneEvent(&lc, s, st3+i3+1, st3, en3)
-					i3 = o - st3
-				}
+	for i0 < len(sb0) || i1 < len(sb1) || i2 < len(sb2) || i3 < len(sb3) {
+		if i0 < len(sb0) {
+			if s := flat[int(s0&127)<<8|int(li0[i0])]; s < rec {
+				sb0[i0] = byte(s)
+				s0 = s
+				i0++
+			} else {
+				var o int
+				s0, o = c.laneEvent(&lc, s, st0+i0+1, st0, en0)
+				i0 = o - st0
 			}
 		}
-	} else {
-		for i0 < len(sb0) || i1 < len(sb1) || i2 < len(sb2) || i3 < len(sb3) {
-			if i0 < len(sb0) {
-				if s := flat[int(s0&127)<<8|int(li0[i0])]; s < rec {
-					sb0[i0] = byte(s)
-					s0 = s
-					i0++
-				} else {
-					var o int
-					s0, o = c.laneEvent(&lc, s, st0+i0+1, st0, en0)
-					i0 = o - st0
-				}
+		if i1 < len(sb1) {
+			if s := flat[int(s1&127)<<8|int(li1[i1])]; s < rec {
+				sb1[i1] = byte(s)
+				s1 = s
+				i1++
+			} else {
+				var o int
+				s1, o = c.laneEvent(&lc, s, st1+i1+1, st1, en1)
+				i1 = o - st1
 			}
-			if i1 < len(sb1) {
-				if s := flat[int(s1&127)<<8|int(li1[i1])]; s < rec {
-					sb1[i1] = byte(s)
-					s1 = s
-					i1++
-				} else {
-					var o int
-					s1, o = c.laneEvent(&lc, s, st1+i1+1, st1, en1)
-					i1 = o - st1
-				}
+		}
+		if i2 < len(sb2) {
+			if s := flat[int(s2&127)<<8|int(li2[i2])]; s < rec {
+				sb2[i2] = byte(s)
+				s2 = s
+				i2++
+			} else {
+				var o int
+				s2, o = c.laneEvent(&lc, s, st2+i2+1, st2, en2)
+				i2 = o - st2
 			}
-			if i2 < len(sb2) {
-				if s := flat[int(s2&127)<<8|int(li2[i2])]; s < rec {
-					sb2[i2] = byte(s)
-					s2 = s
-					i2++
-				} else {
-					var o int
-					s2, o = c.laneEvent(&lc, s, st2+i2+1, st2, en2)
-					i2 = o - st2
-				}
-			}
-			if i3 < len(sb3) {
-				if s := flat[int(s3&127)<<8|int(li3[i3])]; s < rec {
-					sb3[i3] = byte(s)
-					s3 = s
-					i3++
-				} else {
-					var o int
-					s3, o = c.laneEvent(&lc, s, st3+i3+1, st3, en3)
-					i3 = o - st3
-				}
+		}
+		if i3 < len(sb3) {
+			if s := flat[int(s3&127)<<8|int(li3[i3])]; s < rec {
+				sb3[i3] = byte(s)
+				s3 = s
+				i3++
+			} else {
+				var o int
+				s3, o = c.laneEvent(&lc, s, st3+i3+1, st3, en3)
+				i3 = o - st3
 			}
 		}
 	}

@@ -2,14 +2,14 @@ package core
 
 import "encoding/binary"
 
-// This file is the SWAR multi-byte stepper: the third generation of the
+// This file is the SWAR multi-byte stepper: the second generation of the
 // fused hot path, layered on the same two-pass lane machinery as
 // engine_lanes.go (pass-1 state buffer, laneEvent recovery, laneExtract
 // boundary extraction), with only the pass-1 inner step replaced.
 //
 // Per lane and per round, the stepper loads 8 input bytes with one
 // uint64 load, translates adjacent byte pairs to pair classes through
-// the 64K-entry pcls map (fused_stride.go) and chains four two-stride
+// the 64K-entry pcls map (fused_stride.go) and chains four byte-pair
 // walk entries:
 //
 //	x  := le64(code[i:])
@@ -23,7 +23,7 @@ import "encoding/binary"
 // Each walk entry *is* the two state bytes the single-stride walk would
 // have stored (fused_stride.go), so the state buffer — and with it pass
 // 2, every recovery scan, and the final report — is byte-identical to
-// the single-stride and two-stride variants by construction.
+// the single-stride lanes by construction.
 //
 // The sentinel test is split after the second pair on purpose: with a
 // jump-dense image a quarter or more of the rounds contain an event,
@@ -42,7 +42,7 @@ import "encoding/binary"
 // the single-stride stores), then one single-byte flat step re-discovers
 // the event at the right byte and hands it to laneEvent unchanged. The
 // guard and bundle checks themselves live in laneEvent/laneExtract,
-// shared verbatim with the other variants, so no policy decision is
+// shared verbatim with the single-stride lanes, so no policy decision is
 // duplicated here. FuzzByteClassEquiv and FuzzPolicyEquiv hold the
 // engine byte-identical to EngineReference.
 

@@ -7,7 +7,7 @@ import "errors"
 // mid-run; see testShardHook.
 func SetShardHook(f func(shard int)) { testShardHook = f }
 
-// EnsureStrideForTest forces the two-stride tables ready (building and
+// EnsureStrideForTest forces the pair tables ready (building and
 // semantically verifying them if needed); tests use it to assert the
 // construction succeeds for the shipped automaton.
 func (c *Checker) EnsureStrideForTest() error {
@@ -29,7 +29,7 @@ func (c *Checker) StrideParamsForTest() (states, ncls, npcls int) {
 func (c *Checker) ByteClassForTest(b byte) int { return int(c.fused.cls[b]) }
 
 // ClosedStepForTest is one restart-closed transition (the single-stride
-// semantics the two-stride tables must compose).
+// semantics the pair tables must compose).
 func (c *Checker) ClosedStepForTest(s int, b byte) int {
 	return int(c.fused.closed[s][b])
 }
@@ -48,7 +48,7 @@ func (c *Checker) StrideStepForTest(s int, b1, b2 byte) (s1, s2 int, ok bool) {
 }
 
 // RecBoundaryForTest is the first eventful state id: the lane engines'
-// inline bands are [0, rec), and a two-stride entry is the sentinel
+// inline bands are [0, rec), and a pair-table entry is the sentinel
 // exactly when either composed step leaves them.
 func (c *Checker) RecBoundaryForTest() int { return c.fused.rec }
 

@@ -83,16 +83,16 @@ type fusedDFA struct {
 	// cls partitions the byte alphabet by column equality over closed
 	// (grammar.ByteClasses): cls[b1] == cls[b2] iff every state maps b1
 	// and b2 to the same successor. ncls is the class count. The
-	// compacted states×classes table this induces is what the two-stride
+	// compacted states×classes table this induces is what the pair-table
 	// construction works from; see fused_stride.go.
 	cls  [256]uint8
 	ncls int
-	// stride holds the optional two-stride tables (pair-class map +
-	// superstate transitions); nil when no bundle carried them and
-	// ensureStride has not built them. Guarded by strideOnce: the first
-	// strided run verifies (or builds) the tables and materializes the
-	// padded walk table; a sticky strideErr keeps later runs on the
-	// single-stride path. See fused_stride.go.
+	// stride holds the optional pair tables the SWAR stepper walks
+	// (pair-class map + superstate transitions); nil when no bundle
+	// carried them and ensureStride has not built them. Guarded by
+	// strideOnce: the first SWAR run verifies (or builds) the tables and
+	// materializes the padded walk table; a sticky strideErr keeps later
+	// runs on the single-stride lanes. See fused_stride.go.
 	stride     *strideTables
 	strideOnce sync.Once
 	strideErr  error

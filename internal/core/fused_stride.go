@@ -2,20 +2,20 @@ package core
 
 import "fmt"
 
-// This file builds the optional two-stride (byte-pair) tables for the
-// lane engine — the second classic regex-engine acceleration after byte
-// classes. Two byte pairs are equivalent iff from every state the
-// restart-closed two-step walk stores the same two states (or is
-// eventful either step); the pair-class map pcls collapses the 2^16
-// pair space onto those classes, and the strided table gives, per
+// This file builds the optional byte-pair tables the SWAR stepper
+// (engine_swar.go) walks — the second classic regex-engine acceleration
+// after byte classes. Two byte pairs are equivalent iff from every
+// state the restart-closed two-step walk stores the same two states (or
+// is eventful either step); the pair-class map pcls collapses the 2^16
+// pair space onto those classes, and the dense pair table gives, per
 // (state, pair class), the two state bytes the single-stride walk would
 // have stored — packed little-endian so one uint16 entry is exactly the
 // two-byte store into the state buffer. An entry is the sentinel
 // strideEventful when either step leaves the inline bands [0, rec); the
-// walk then falls back to two single-byte steps, which re-discover the
+// walk then falls back to single-byte steps, which re-discover the
 // event at the right byte. Because entries are *defined* as the
 // single-stride stores, the state buffer — and everything derived from
-// it — is byte-identical between the variants.
+// it — is byte-identical between the SWAR stepper and the lanes.
 //
 // Pair classes factor through byte classes: encStride(s, b1, b2) only
 // reads closed-table columns, and two bytes in the same byte class have
@@ -27,8 +27,8 @@ import "fmt"
 //     (ncls², ~15k for the shipped automaton) instead of one per raw
 //     pair (65,536), while numbering classes exactly as the historical
 //     per-pair construction did (first occurrence in ascending pair
-//     order, deduped by column signature) so serialized RSLT3/RSLT4
-//     bundles stay byte-identical.
+//     order, deduped by column signature) so serialized bundles stay
+//     byte-identical.
 //   - verifyStride checks each byte-class pair's column exhaustively
 //     against encStride once, and holds every other pair of the same
 //     class pair to that canonical column — the same acceptance set as
@@ -38,22 +38,22 @@ import "fmt"
 //     map doubles as the SWAR translation table, so nothing new is
 //     derived or serialized and no table format grew.
 //
-// The tables are big (pcls is 128 KiB; the dense strided table is
+// The tables are big (pcls is 128 KiB; the dense pair table is
 // states×pairClasses×2 bytes, ~455 KiB for the shipped 66-state
-// automaton), so the pair-indexed walks are L2-resident rather than L1;
+// automaton), so the pair-indexed walk is L2-resident rather than L1;
 // swarAuto gates auto-selection on that hot footprint, and the density
 // backoff (engine_swar.go) hands event-dense shards back to the
-// L1-resident flat walk. EngineStrided/EngineSWAR force the tables
-// regardless. RSLT3/RSLT4 bundles carry pcls/dense
-// precomputed; they are fully semantically verified against the
-// in-process closed table before first use (ensureStride), so a corrupt
-// or stale bundle can disable striding but never change a verdict.
+// L1-resident flat walk. EngineSWAR forces the tables regardless.
+// Bundles carry pcls/dense precomputed; they are fully semantically
+// verified against the in-process closed table before first use
+// (ensureStride), so a corrupt or stale bundle can disable the SWAR
+// stepper but never change a verdict.
 
 const (
 	// strideShift is the pair-class capacity exponent: the padded walk
 	// table is flatStates << strideShift entries, so (state&127)<<shift
 	// | (class & (cap-1)) is provably in bounds. Automata whose pair
-	// partition exceeds the capacity get no stride tables (the size
+	// partition exceeds the capacity get no pair tables (the footprint
 	// budget would reject them anyway).
 	strideShift   = 12
 	stridePairCap = 1 << strideShift
@@ -68,13 +68,12 @@ const (
 // walk rows). The shipped automaton needs ~585 KiB, which stays
 // L2-resident alongside the 16 KiB code shard on commodity cores; the
 // budget rejects pathological runtime-compiled automata whose pair
-// partition balloons. VerifyOptions.StrideBudgetBytes overrides;
-// negative pins the engine to the single-stride lanes.
+// partition balloons.
 const defaultSWARBudgetBytes = 1 << 20
 
 // strideTables holds the pair-class machinery. pcls and dense are the
-// serialized form (RSLT3/RSLT4); walk is the padded runtime table
-// derived by ensureStride.
+// serialized form; walk is the padded runtime table derived by
+// ensureStride.
 type strideTables struct {
 	npcls int
 	pcls  []uint16 // 1<<16: byte pair (little-endian uint16) -> class
@@ -96,7 +95,7 @@ func (f *fusedDFA) encStride(s uint16, b1, b2 byte) uint16 {
 	return s1 | s2<<8
 }
 
-// buildStride constructs the pair-class map and dense strided table
+// buildStride constructs the pair-class map and dense pair table
 // from the closed table, deterministically (classes numbered by first
 // occurrence in ascending pair order, deduped by column signature —
 // the numbering the serialized bundles pin). The dense column is
@@ -108,7 +107,7 @@ func (f *fusedDFA) encStride(s uint16, b1, b2 byte) uint16 {
 func (f *fusedDFA) buildStride() (*strideTables, error) {
 	n := len(f.table)
 	if n > flatStates {
-		return nil, fmt.Errorf("core: %d states exceed the %d the strided walk supports", n, flatStates)
+		return nil, fmt.Errorf("core: %d states exceed the %d the pair walk supports", n, flatStates)
 	}
 	ncls := f.ncls
 	sig := make([]byte, 2*n)
@@ -168,12 +167,12 @@ func (f *fusedDFA) buildStride() (*strideTables, error) {
 // it is held to the canonical pair's column — equal id passes outright,
 // a different id must carry an equal column. A bundle whose stride
 // tables passed the CRC but disagree semantically (a stale or
-// hand-edited bundle) is rejected here, before the strided walk ever
+// hand-edited bundle) is rejected here, before the SWAR stepper ever
 // consumes them.
 func (f *fusedDFA) verifyStride(st *strideTables) error {
 	n := len(f.table)
 	if n > flatStates {
-		return fmt.Errorf("core: %d states exceed the %d the strided walk supports", n, flatStates)
+		return fmt.Errorf("core: %d states exceed the %d the pair walk supports", n, flatStates)
 	}
 	if st.npcls < 1 || st.npcls > stridePairCap {
 		return fmt.Errorf("core: implausible pair-class count %d", st.npcls)
@@ -197,7 +196,7 @@ func (f *fusedDFA) verifyStride(st *strideTables) error {
 		case cid < 0:
 			for s := 0; s < n; s++ {
 				if st.dense[s*st.npcls+id] != f.encStride(uint16(s), b1, b2) {
-					return fmt.Errorf("core: strided table disagrees with the closed walk at state %d pair %#04x", s, p)
+					return fmt.Errorf("core: pair table disagrees with the closed walk at state %d pair %#04x", s, p)
 				}
 			}
 			canon[key] = int32(id)
@@ -206,7 +205,7 @@ func (f *fusedDFA) verifyStride(st *strideTables) error {
 			// column is identical to the canonical (already verified) one.
 			for s := 0; s < n; s++ {
 				if st.dense[s*st.npcls+id] != st.dense[s*st.npcls+int(cid)] {
-					return fmt.Errorf("core: strided table disagrees with the closed walk at state %d pair %#04x", s, p)
+					return fmt.Errorf("core: pair table disagrees with the closed walk at state %d pair %#04x", s, p)
 				}
 			}
 		}
@@ -218,7 +217,7 @@ func (f *fusedDFA) verifyStride(st *strideTables) error {
 // bundle-shipped tables are semantically verified, otherwise they are
 // built from the closed table, and either way the padded walk table is
 // materialized. Runs once per automaton (a few milliseconds); the error
-// is sticky, and a failure leaves the engine on the single-stride path.
+// is sticky, and a failure leaves the engine on the single-stride lanes.
 func (f *fusedDFA) ensureStride() error {
 	f.strideOnce.Do(func() {
 		st := f.stride
@@ -250,41 +249,20 @@ func (f *fusedDFA) ensureStride() error {
 	return f.strideErr
 }
 
-// strideReady reports whether the walk tables are materialized and
-// verified (ensureStride succeeded).
-func (f *fusedDFA) strideReady() bool {
-	return f.stride != nil && f.stride.walk != nil
-}
-
-// swarReady reports whether the SWAR stepper's tables — the padded walk,
-// the pair map and the flat fallback table — are materialized.
+// swarReady reports whether the SWAR stepper's tables — the padded walk
+// (verified by ensureStride), the pair map and the flat fallback table
+// — are materialized.
 func (f *fusedDFA) swarReady() bool {
-	return f.strideReady() && f.flat != nil
+	return f.stride != nil && f.stride.walk != nil && f.flat != nil
 }
 
 // swarAuto decides whether EngineFused should upgrade to the SWAR
 // stepper: the automaton must fit the packed encodings and the hot
 // table footprint — the 128 KiB pair map plus the dense walk rows
-// actually touched — must fit the budget, so pathological
+// actually touched — must fit defaultSWARBudgetBytes, so pathological
 // runtime-compiled automata degrade gracefully to the single-stride
-// lanes instead of thrashing the cache. budget 0 means
-// defaultSWARBudgetBytes; negative disables the upgrade outright (the
-// "lanes" engine of the CLI).
-//
-// Note what is deliberately absent: a plain two-stride auto-upgrade.
-// The byte-at-a-time pcls-indexed walk measured *slower* than the
-// single-stride lanes on commodity cores (its 128 KiB pair map misses
-// L1 on every load), so auto never selects it — EngineStrided still
-// forces it for cross-checks. The SWAR stepper pays the same per-load
-// latency but retires 8 bytes per round trip and backs dense shards
-// off to the flat walk, which is what makes striding pay.
-func (f *fusedDFA) swarAuto(budget int) bool {
-	if budget < 0 {
-		return false
-	}
-	if budget == 0 {
-		budget = defaultSWARBudgetBytes
-	}
+// lanes instead of thrashing the cache.
+func (f *fusedDFA) swarAuto() bool {
 	if len(f.table) > flatStates {
 		return false
 	}
@@ -293,5 +271,5 @@ func (f *fusedDFA) swarAuto(budget int) bool {
 		return false
 	}
 	hot := 2*(1<<16) + 2*len(f.table)*st.npcls
-	return hot <= budget
+	return hot <= defaultSWARBudgetBytes
 }

@@ -164,14 +164,14 @@ func FuzzFusedEquiv(f *testing.F) {
 }
 
 // FuzzByteClassEquiv holds the byte-class compacted scalar walk, the
-// two-stride superstate engine and the SWAR multi-byte stepper to the
+// forced single-stride lanes and the SWAR multi-byte stepper to the
 // reference three-DFA engine (and, transitively, to the default fused
-// lane engine) on arbitrary byte strings: same verdict, byte-identical
+// engine) on arbitrary byte strings: same verdict, byte-identical
 // violation lists, same uncapped total, same engine-invariant Stats,
 // with and without AlignedCalls. This is the executable statement that
-// the compaction, the stride composition and the SWAR stepping (with
-// its density backoff and dispatcher re-parses) are pure performance
-// transformations. Run longer with
+// the compaction, the lane interleaving, the pair composition and the
+// SWAR stepping (with its density backoff and dispatcher re-parses)
+// are pure performance transformations. Run longer with
 //
 //	go test -fuzz FuzzByteClassEquiv ./internal/core
 func FuzzByteClassEquiv(f *testing.F) {
@@ -207,7 +207,7 @@ func FuzzByteClassEquiv(f *testing.F) {
 	}{
 		{"fused", core.EngineFused},
 		{"fused-scalar", core.EngineFusedScalar},
-		{"strided", core.EngineStrided},
+		{"lanes", core.EngineLanes},
 		{"swar", core.EngineSWAR},
 	}
 	f.Fuzz(func(t *testing.T, img []byte) {

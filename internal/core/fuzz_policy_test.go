@@ -31,9 +31,10 @@ var fuzzPolicies = sync.OnceValues(func() ([]*core.Checker, error) {
 // FuzzPolicyEquiv extends the engine-equivalence property to
 // runtime-compiled policies: for each shipped policy (NaCl-32,
 // NaCl-16, REINS-style), the reference three-DFA loop, the scalar
-// fused walk, the strided walk and the SWAR stepper must produce
-// byte-identical reports on arbitrary inputs — the 16-byte-bundle
-// policies exercise the non-32 stride and SWAR region splits. This is
+// fused walk, the single-stride lanes and the SWAR stepper must
+// produce byte-identical reports on arbitrary inputs — the
+// 16-byte-bundle policies exercise the non-32 lane and SWAR region
+// splits. This is
 // the executable statement that the engine parameterization (bundle
 // size, mask length, guard cutoff) is threaded identically through
 // every engine. Run longer with
@@ -84,7 +85,7 @@ func FuzzPolicyEquiv(f *testing.F) {
 			}{
 				{"fused", core.EngineFused},
 				{"fused-scalar", core.EngineFusedScalar},
-				{"strided", core.EngineStrided},
+				{"lanes", core.EngineLanes},
 				{"swar", core.EngineSWAR},
 			} {
 				got := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: eng.e})

@@ -41,27 +41,20 @@ func policyImage(t *testing.T, com *policy.Compiled, seed int64, insns int) []by
 	return img
 }
 
-// TestRuntimeDefaultMatchesEmbedded is the refactor's keystone: the
+// TestRuntimeDefaultMatchesEmbedded is the regeneration guard: the
 // runtime policy compiler, fed the default NaCl spec, must reproduce
-// the embedded table bundle byte for byte. This holds the new
-// internal/policy pipeline identical to the offline dfagen path the
-// bundle was generated with.
+// the embedded table bundle byte for byte, exactly as cmd/dfagen
+// writes it. A failure means someone changed the grammars (or the
+// fusion/serialization) without re-running
+//
+//	go run ./cmd/dfagen -o internal/core/rocksalt_tables.bin
 func TestRuntimeDefaultMatchesEmbedded(t *testing.T) {
 	com, err := policy.CompileDefault()
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := &core.DFASet{
-		MaskedJump:    com.MaskedJump,
-		NoControlFlow: com.NoControlFlow,
-		DirectJump:    com.DirectJump,
-	}
-	var buf bytes.Buffer
-	if err := set.WriteTablesV3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), core.EmbeddedTableBytes()) {
-		t.Fatal("runtime-compiled default policy diverges from the embedded bundle; the policy package and the embedded tables are out of sync")
+	if !bytes.Equal(writeBundle(t, com), core.EmbeddedTableBytes()) {
+		t.Fatal("embedded table bundle is stale: re-run 'go run ./cmd/dfagen -o internal/core/rocksalt_tables.bin'")
 	}
 }
 
@@ -81,8 +74,9 @@ func TestPolicyInfo(t *testing.T) {
 	}
 }
 
-// writeV4 serializes a compiled policy as a v4 bundle.
-func writeV4(t *testing.T, com *policy.Compiled) []byte {
+// writeBundle serializes a compiled policy as a table bundle, the way
+// cmd/dfagen does.
+func writeBundle(t *testing.T, com *policy.Compiled) []byte {
 	t.Helper()
 	set := &core.DFASet{
 		MaskedJump:    com.MaskedJump,
@@ -96,20 +90,20 @@ func writeV4(t *testing.T, com *policy.Compiled) []byte {
 		GuardCutoff: com.Spec.GuardCutoff,
 	}
 	var buf bytes.Buffer
-	if err := set.WriteTablesV4(&buf, info, com.Spec.AlignedCalls); err != nil {
+	if err := set.WriteTables(&buf, info, com.Spec.AlignedCalls); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestTableRoundTripV4 holds a v4-loaded checker identical to the
-// runtime-compiled one it was serialized from: same reported policy
-// parameters, same verdicts over compliant images, mutants and the
-// unsafe corpus.
+// TestTableRoundTripV4 holds a checker loaded from an RSLT4 bundle
+// identical to the runtime-compiled one it was serialized from: same
+// reported policy parameters, same verdicts over compliant images,
+// mutants and the unsafe corpus.
 func TestTableRoundTripV4(t *testing.T) {
 	for _, spec := range []policy.Spec{policy.NaCl16(), policy.REINS()} {
 		fresh, com := compiledChecker(t, spec)
-		loaded, err := core.NewCheckerFromTables(bytes.NewReader(writeV4(t, com)))
+		loaded, err := core.NewCheckerFromTables(bytes.NewReader(writeBundle(t, com)))
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -133,38 +127,22 @@ func TestTableRoundTripV4(t *testing.T) {
 	}
 }
 
-// TestReadTablesV4 exercises the set-only reader on a v4 bundle.
-func TestReadTablesV4(t *testing.T) {
-	com, err := policy.Compile(policy.NaCl16())
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := core.ReadTables(bytes.NewReader(writeV4(t, com)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.MaskedJump.NumStates() != com.MaskedJump.NumStates() ||
-		set.NoControlFlow.NumStates() != com.NoControlFlow.NumStates() ||
-		set.DirectJump.NumStates() != com.DirectJump.NumStates() {
-		t.Fatal("v4 ReadTables returned a different component set")
-	}
-}
-
-// TestV4ParamValidation: corrupted or implausible parameter blocks must
-// fail closed at the loader with a message naming the problem.
+// TestV4ParamValidation: corrupted or implausible RSLT4 parameter
+// blocks must fail closed at the loader with a message naming the
+// problem.
 func TestV4ParamValidation(t *testing.T) {
 	com, err := policy.Compile(policy.NaCl16())
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := writeV4(t, com)
+	good := writeBundle(t, com)
 
 	load := func(b []byte) error {
 		_, err := core.NewCheckerFromTables(bytes.NewReader(b))
 		return err
 	}
 	if err := load(good); err != nil {
-		t.Fatalf("pristine v4 bundle rejected: %v", err)
+		t.Fatalf("pristine bundle rejected: %v", err)
 	}
 
 	cases := []struct {
@@ -217,7 +195,7 @@ func TestV4ParamValidation(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := set.WriteTablesV4(&buf, tc.info, false); err != nil {
+			if err := set.WriteTables(&buf, tc.info, false); err != nil {
 				t.Fatal(err)
 			}
 			err := load(buf.Bytes())

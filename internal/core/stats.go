@@ -46,7 +46,7 @@ type Stats struct {
 	// Shards is the stage-1 shard count.
 	Shards int64 `json:"shards"`
 	// Engine names the stage-1 stepper the run resolved to
-	// ("lanes", "swar", "strided", "fused-scalar", "reference") — the
+	// ("lanes", "swar", "fused-scalar", "reference") — the
 	// per-run face of the engine census. It describes how the bytes
 	// were matched, not what was concluded, so EngineInvariant blanks
 	// it alongside the parse-mode counters.
@@ -250,7 +250,7 @@ func init() {
 	coreMetrics.reconcileNanos = r.NewLabeledHistogram("rocksalt_stage_duration_ns", stageHelp, "stage", "reconcile")
 	coreMetrics.jumpsNanos = r.NewLabeledHistogram("rocksalt_stage_duration_ns", stageHelp, "stage", "jumps")
 	coreMetrics.engineNanos = map[string]*telemetry.Histogram{}
-	for _, e := range []string{"lanes", "swar", "strided", "fused-scalar", "reference", "cache"} {
+	for _, e := range []string{"lanes", "swar", "fused-scalar", "reference", "cache"} {
 		coreMetrics.engineNanos[e] = r.NewLabeledHistogram("rocksalt_engine_duration_ns",
 			"wall time per verification run, by resolved engine", "engine", e)
 	}

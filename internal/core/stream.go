@@ -109,8 +109,8 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 	st.BytesScanned = int64(size)
 	st.Bundles = int64((size + c.params.bundle - 1) / c.params.bundle)
 	st.Shards = int64(shards)
-	engine, mode := c.resolveEngine(opts)
-	st.Engine = engineName(engine, mode)
+	engine := c.resolveEngine(opts)
+	st.Engine = engineName(engine)
 	fr := flight.Active()
 	frun, frt0 := flightBegin(fr)
 
@@ -147,7 +147,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 			dst.bad = append(dst.bad, t+int32(base))
 		}
 	}
-	p := stage1{c: c, sc: wsc, engine: engine, mode: mode, fr: fr, frun: frun, after: harvest}
+	p := stage1{c: c, sc: wsc, engine: engine, fr: fr, frun: frun, after: harvest}
 
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
 	base, filled := 0, 0
@@ -214,7 +214,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 		st.Wall = time.Since(t0)
 		publishStats(&st, true, false)
 		if fr != nil {
-			fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine, mode),
+			fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine),
 				Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
 		}
 		rep := c.report(runResult{shards: shards, workers: workers, ctxErr: err}, size)
@@ -253,7 +253,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 	st.Wall = time.Since(t0)
 	publishStats(&st, false, total > 0)
 	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine, mode),
+		fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine),
 			Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
 	}
 	rep := c.report(runResult{violations: violations, total: total, shards: shards, workers: workers}, size)

@@ -52,8 +52,8 @@ func TestByteClassPartition(t *testing.T) {
 	t.Logf("%d states, %d byte classes, compacted table %d bytes", states, ncls, states*ncls*2)
 }
 
-// TestStrideComposition is the defining equation of the two-stride
-// tables, checked exhaustively: for every (state, b1, b2), the strided
+// TestStrideComposition is the defining equation of the pair tables,
+// checked exhaustively: for every (state, b1, b2), the pair-table
 // entry equals two composed restart-closed single steps, or is the
 // eventful sentinel exactly when either step leaves the inline bands.
 func TestStrideComposition(t *testing.T) {
@@ -94,44 +94,23 @@ func strideParams(t *testing.T, c *core.Checker) (states, ncls, npcls int) {
 	return c.StrideParamsForTest()
 }
 
-// TestStrideSectionCorruptionRejected flips bytes inside the RSLT3
-// stride section specifically: every flip must be caught (the section
-// CRC plus the structural and semantic cross-checks), never silently
-// accepted into a checker with different tables.
+// TestStrideSectionCorruptionRejected flips bytes inside the stride
+// section of the bundle NewChecker ships: every flip must be caught
+// (the section CRC plus the structural and semantic cross-checks),
+// never silently accepted into a checker with different tables.
 func TestStrideSectionCorruptionRejected(t *testing.T) {
 	set, err := core.BuildDFAs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1, v2, v3 bytes.Buffer
-	if err := set.WriteTables(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.WriteTablesV2(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.WriteTablesV3(&v3); err != nil {
-		t.Fatal(err)
-	}
-	// v2 = magic + fused section + v1 body; v3 = magic + fused section +
-	// stride section + v1 body. The shared pieces locate the stride
-	// section without duplicating the serializer's layout here.
-	v1body := v1.Len() - 6
-	strideStart := v2.Len() - v1body
-	strideEnd := strideStart + (v3.Len() - v2.Len())
-	if strideEnd <= strideStart || strideEnd > v3.Len() {
-		t.Fatalf("bad stride section bounds [%d,%d) of %d", strideStart, strideEnd, v3.Len())
-	}
-	good := v3.Bytes()
-	if _, err := core.NewCheckerFromTables(bytes.NewReader(good)); err != nil {
-		t.Fatalf("pristine v3 bundle rejected: %v", err)
-	}
+	good := core.EmbeddedTableBytes()
+	_, strideStart, strideEnd := bundleLayout(t, good, set)
 	offsets := []int{
 		strideStart,                               // ncls header
 		strideStart + 100,                         // cls map
 		strideStart + 400,                         // compact table
 		(strideStart + strideEnd) / 2,             // pcls / dense interior
-		strideEnd - 5,                             // section CRC itself
+		strideEnd - 3,                             // section CRC itself
 		strideStart + (strideEnd-strideStart)/4*3, // dense interior
 	}
 	for _, off := range offsets {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -13,94 +12,46 @@ import (
 // This file serializes the generated DFA tables. In the paper's
 // deployment story the tables are generated offline from the verified
 // grammars and shipped alongside the tiny trusted C checker; here
-// cmd/dfagen can emit a table bundle and NewCheckerFromTables can run
-// without touching the grammar machinery at all — the run-time trusted
-// computing base is then exactly: this loader, verifier.go, engine.go,
-// and the bytes of the tables.
+// cmd/dfagen emits a table bundle and NewCheckerFromTables runs without
+// touching the grammar machinery at all — the run-time trusted
+// computing base is then the default verify path (the files
+// `cmd/experiments -run e7` counts, this loader among them) and the
+// bytes of the tables.
 //
-// Four bundle versions exist:
+// There is one bundle format, RSLT4. In order it holds:
 //
-//	RSLT1: the three policy DFAs, CRC-checked (the seed format).
-//	RSLT2: the fused product automaton (states, start, tag bytes,
-//	       transition table, CRC) followed by the complete v1-layout
-//	       component DFAs, so one bundle carries both the fast path
-//	       and the reference engine.
-//	RSLT3: RSLT2 plus a stride section between the fused automaton and
-//	       the component DFAs: the byte-class map and compacted
-//	       states×classes table, and (optionally) the two-stride pair
-//	       tables, under their own CRC. The stride section is pure
-//	       acceleration data — the loader cross-checks the class map
-//	       against its own recomputation and ensureStride semantically
-//	       verifies the pair tables before first use, so a corrupt or
-//	       stale section can cost speed but never change a verdict.
-//	RSLT4: a CRC-checked policy-parameter block (bundle size, mask
-//	       length, aligned-calls flag, guard cutoff, policy name)
-//	       followed by the full v3 body. This is the format for
-//	       non-default compiled policies (cmd/dfagen -spec), whose
-//	       engine parameters must travel with their tables; v1–v3
-//	       bundles always describe the default NaCl policy.
+//	magic   "RSLT4\x00".
+//	params  the policy parameters (bundle size, mask length, flags,
+//	        guard cutoff, policy name) under their own CRC.
+//	fused   the fused product automaton: state count, start state, tag
+//	        bytes, transition rows, CRC.
+//	stride  the byte-class map and compacted states×classes table, and
+//	        (optionally) the pair-class tables the SWAR stepper walks,
+//	        under their own CRC. The section is pure acceleration data:
+//	        the loader cross-checks the class map against its own
+//	        recomputation and ensureStride semantically verifies the
+//	        pair tables before first use, so a corrupt or stale section
+//	        can cost speed but never change a verdict.
+//	DFAs    the three component DFAs the reference engine walks, each
+//	        under its own CRC.
 //
-// Loading a v1 bundle reconstructs the fused automaton from the
-// component tables; loading a v2/v3 bundle is pure deserialization,
-// which is what makes NewChecker on the embedded bundle a
-// sub-millisecond operation. Fused sections from any version are
+// Loading is pure deserialization, which is what makes NewChecker on
+// the embedded bundle a sub-millisecond operation. The fused section is
 // renumbered into the current class-band state order on load
-// (reorderByClass), so bundles written by older builds keep loading.
+// (reorderByClass). Every size prefix is distrusted: sections are read
+// into buffers that grow only as their bytes arrive, so a bundle that
+// declares more than it holds costs about what it holds.
 
-// tableMagicV1..V4 identify serialized DFA bundles. RSLT4 is RSLT3
-// prefixed by a CRC-checked policy-parameter block (bundle size, mask
-// length, guard cutoff, aligned-calls flag, policy name), so one bundle
-// carries everything a non-default compiled policy needs; the default
-// NaCl policy keeps shipping as RSLT3 (parameters implied), which is
-// what holds the embedded bundle byte-stable across the policy-compiler
-// refactor.
-const (
-	tableMagicV1 = "RSLT1\x00"
-	tableMagicV2 = "RSLT2\x00"
-	tableMagicV3 = "RSLT3\x00"
-	tableMagicV4 = "RSLT4\x00"
-	magicLen     = len(tableMagicV1)
-)
+// tableMagic identifies a serialized DFA bundle. Bundles written by
+// older builds (RSLT1–RSLT3) are refused, with a pointer to cmd/dfagen.
+const tableMagic = "RSLT4\x00"
 
-// WriteTables serializes the three policy DFAs in the v1 format.
-func (s *DFASet) WriteTables(w io.Writer) error {
-	if _, err := io.WriteString(w, tableMagicV1); err != nil {
-		return err
-	}
-	return s.writeBody(w)
-}
-
-func (s *DFASet) writeBody(w io.Writer) error {
-	for _, d := range []*grammar.DFA{s.MaskedJump, s.NoControlFlow, s.DirectJump} {
-		if err := writeDFA(w, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteTablesV2 serializes the fused product automaton of the set
-// followed by the three component DFAs — the v2 bundle format.
-func (s *DFASet) WriteTablesV2(w io.Writer) error {
-	fused, err := fuseDFAs(s)
-	if err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, tableMagicV2); err != nil {
-		return err
-	}
-	if err := writeFused(w, fused); err != nil {
-		return err
-	}
-	return s.writeBody(w)
-}
-
-// WriteTablesV3 serializes the v3 bundle: the fused automaton, the
-// byte-class/two-stride acceleration section, and the component DFAs.
-// The stride pair tables are built here (offline, where the cost
-// belongs); an automaton whose pair partition overflows the packed
-// encoding simply gets none and loaders fall back to single-stride.
-func (s *DFASet) WriteTablesV3(w io.Writer) error {
+// WriteTables serializes the set as an RSLT4 bundle carrying the
+// policy's engine parameters. The stride pair tables are built here
+// (offline, where the cost belongs); an automaton whose pair partition
+// overflows the packed encoding simply gets none, and its checkers stay
+// on the single-stride lanes.
+func (s *DFASet) WriteTables(w io.Writer, info PolicyInfo, alignedCalls bool) error {
 	fused, err := fuseDFAs(s)
 	if err != nil {
 		return err
@@ -108,7 +59,10 @@ func (s *DFASet) WriteTablesV3(w io.Writer) error {
 	if st, err := fused.buildStride(); err == nil {
 		fused.stride = st
 	}
-	if _, err := io.WriteString(w, tableMagicV3); err != nil {
+	if _, err := io.WriteString(w, tableMagic); err != nil {
+		return err
+	}
+	if err := writeParams(w, info, alignedCalls); err != nil {
 		return err
 	}
 	if err := writeFused(w, fused); err != nil {
@@ -117,31 +71,103 @@ func (s *DFASet) WriteTablesV3(w io.Writer) error {
 	if err := writeStride(w, fused); err != nil {
 		return err
 	}
-	return s.writeBody(w)
+	for _, d := range []*grammar.DFA{s.MaskedJump, s.NoControlFlow, s.DirectJump} {
+		if err := writeDFA(w, d); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// WriteTablesV4 serializes the v4 bundle: the policy-parameter block,
-// then the full v3 body (fused automaton, stride section, component
-// DFAs). This is the format for non-default compiled policies, whose
-// engine parameters must travel with the tables.
-func (s *DFASet) WriteTablesV4(w io.Writer, info PolicyInfo, alignedCalls bool) error {
-	if _, err := io.WriteString(w, tableMagicV4); err != nil {
-		return err
+// NewCheckerFromTables builds a checker directly from a serialized
+// RSLT4 bundle, bypassing grammar compilation entirely: the fused
+// automaton, its acceleration tables, the component DFAs and the
+// compiled policy's engine parameters are all deserialized. Every load
+// is CRC- and bounds-checked: a corrupted bundle fails closed at this
+// boundary, never at verification time.
+func NewCheckerFromTables(r io.Reader) (*Checker, error) {
+	magic := make([]byte, len(tableMagic))
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return nil, fmt.Errorf("core: reading table magic: %w", err)
 	}
-	if err := writeParams(w, info, alignedCalls); err != nil {
-		return err
+	if string(magic) != tableMagic {
+		return nil, fmt.Errorf("core: unsupported table bundle version %q (this build reads only %q): regenerate the bundle with cmd/dfagen",
+			magic, tableMagic)
 	}
-	var body bytes.Buffer
-	if err := s.WriteTablesV3(&body); err != nil {
-		return err
+	params, alignedCalls, err := readParams(r)
+	if err != nil {
+		return nil, err
 	}
-	_, err := w.Write(body.Bytes()[magicLen:])
-	return err
+	fused, err := readFused(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := readStride(r, fused); err != nil {
+		return nil, err
+	}
+	var dfas [3]*grammar.DFA
+	for i := range dfas {
+		if dfas[i], err = readDFA(r); err != nil {
+			return nil, err
+		}
+	}
+	return &Checker{
+		masked:       newDFA(dfas[0]),
+		noCF:         newDFA(dfas[1]),
+		direct:       newDFA(dfas[2]),
+		fused:        fused,
+		params:       params,
+		bundle:       "RSLT4",
+		AlignedCalls: alignedCalls,
+	}, nil
 }
 
-// writeParams serializes the v4 policy-parameter block: bundle size,
-// mask length, flags (bit 0 = aligned calls), guard cutoff, the policy
-// name, and a CRC over all of it.
+// readSection reads the n bytes of a section whose size the bundle
+// declared. The buffer starts at 32 KiB at most and at most doubles,
+// each time only after the bytes so far arrived, so a truncated bundle
+// cannot make the loader allocate much more than it holds.
+func readSection(r io.Reader, n int, what string) ([]byte, error) {
+	b := make([]byte, min(n, 32<<10))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, b[got:])
+		if err != nil {
+			return nil, fmt.Errorf("core: reading %s: %w", what, err)
+		}
+		if got += k; got == n {
+			return b, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, b)
+		b = grown
+	}
+}
+
+// readRows decodes n transition rows of 256 little-endian uint16s.
+func readRows(b []byte, n int) [][256]uint16 {
+	rows := make([][256]uint16, n)
+	for s := range rows {
+		for i := range rows[s] {
+			rows[s][i] = binary.LittleEndian.Uint16(b[s*512+i*2:])
+		}
+	}
+	return rows
+}
+
+// checkSum reads a section's trailing CRC and compares it with sum.
+func checkSum(r io.Reader, sum uint32, what string) error {
+	var want uint32
+	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
+		return fmt.Errorf("core: reading %s checksum: %w", what, err)
+	}
+	if want != sum {
+		return fmt.Errorf("core: %s checksum mismatch", what)
+	}
+	return nil
+}
+
+// writeParams serializes the policy-parameter block: bundle size, mask
+// length, flags (bit 0 = aligned calls), guard cutoff, the policy name,
+// and a CRC over all of it.
 func writeParams(w io.Writer, info PolicyInfo, alignedCalls bool) error {
 	name := info.Name
 	if len(name) > maxPolicyNameLen {
@@ -167,7 +193,7 @@ func writeParams(w io.Writer, info PolicyInfo, alignedCalls bool) error {
 // maxPolicyNameLen bounds the serialized policy name.
 const maxPolicyNameLen = 64
 
-// readParams deserializes and validates a v4 policy-parameter block.
+// readParams deserializes and validates a policy-parameter block.
 func readParams(r io.Reader) (params policyParams, alignedCalls bool, err error) {
 	head := make([]byte, 10)
 	if _, e := io.ReadFull(r, head); e != nil {
@@ -188,12 +214,8 @@ func readParams(r io.Reader) (params policyParams, alignedCalls bool, err error)
 		return params, false, fmt.Errorf("core: reading policy name: %w", e)
 	}
 	crc.Write(name)
-	var sum uint32
-	if e := binary.Read(r, binary.LittleEndian, &sum); e != nil {
+	if e := checkSum(r, crc.Sum32(), "policy parameter"); e != nil {
 		return params, false, e
-	}
-	if sum != crc.Sum32() {
-		return params, false, fmt.Errorf("core: policy parameter checksum mismatch")
 	}
 	if bundle < 16 || bundle > 4096 || bundle&(bundle-1) != 0 {
 		return params, false, fmt.Errorf("core: implausible policy bundle size %d", bundle)
@@ -210,121 +232,6 @@ func readParams(r io.Reader) (params policyParams, alignedCalls bool, err error)
 		maskLen: mlen,
 		guard:   guard,
 	}, flags&1 != 0, nil
-}
-
-// sniffVersion consumes the magic and returns the bundle version, or an
-// error naming the unknown version so CLI users know a re-generation
-// (or a different tool) is needed.
-func sniffVersion(r io.Reader) (int, error) {
-	magic := make([]byte, magicLen)
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return 0, fmt.Errorf("core: reading table magic: %w", err)
-	}
-	switch string(magic) {
-	case tableMagicV1:
-		return 1, nil
-	case tableMagicV2:
-		return 2, nil
-	case tableMagicV3:
-		return 3, nil
-	case tableMagicV4:
-		return 4, nil
-	}
-	return 0, fmt.Errorf("core: unknown table bundle version %q (want %q, %q, %q or %q)",
-		string(magic), tableMagicV1, tableMagicV2, tableMagicV3, tableMagicV4)
-}
-
-// ReadTables deserializes the component DFA set from a bundle of any
-// version (for v2/v3 the fused and stride sections are read and
-// discarded; use NewCheckerFromTables to keep them).
-func ReadTables(r io.Reader) (*DFASet, error) {
-	version, err := sniffVersion(r)
-	if err != nil {
-		return nil, err
-	}
-	if version >= 4 {
-		if _, _, err := readParams(r); err != nil {
-			return nil, err
-		}
-	}
-	if version >= 2 {
-		f, err := readFused(r)
-		if err != nil {
-			return nil, err
-		}
-		if version >= 3 {
-			if err := readStride(r, f); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return readSet(r)
-}
-
-func readSet(r io.Reader) (*DFASet, error) {
-	var out [3]*grammar.DFA
-	for i := range out {
-		d, err := readDFA(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return &DFASet{MaskedJump: out[0], NoControlFlow: out[1], DirectJump: out[2]}, nil
-}
-
-// NewCheckerFromTables builds a checker directly from a serialized
-// bundle, bypassing grammar compilation entirely. v1 bundles carry only
-// the component DFAs, so the fused automaton is reconstructed (a few
-// milliseconds of product construction); v2+ bundles deserialize both,
-// and v4 bundles additionally restore the compiled policy's engine
-// parameters (v1–v3 imply the default NaCl parameters). Every load is
-// CRC- and bounds-checked: a corrupted bundle fails closed at this
-// boundary, never at verification time.
-func NewCheckerFromTables(r io.Reader) (*Checker, error) {
-	version, err := sniffVersion(r)
-	if err != nil {
-		return nil, err
-	}
-	params, alignedCalls := naclParams, false
-	if version >= 4 {
-		if params, alignedCalls, err = readParams(r); err != nil {
-			return nil, err
-		}
-	}
-	if version == 1 {
-		set, err := readSet(r)
-		if err != nil {
-			return nil, err
-		}
-		c, err := newCheckerFromSet(set)
-		if err == nil {
-			c.bundle = "RSLT1"
-		}
-		return c, err
-	}
-	fused, err := readFused(r)
-	if err != nil {
-		return nil, err
-	}
-	if version >= 3 {
-		if err := readStride(r, fused); err != nil {
-			return nil, err
-		}
-	}
-	set, err := readSet(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Checker{
-		masked:       newDFA(set.MaskedJump),
-		noCF:         newDFA(set.NoControlFlow),
-		direct:       newDFA(set.DirectJump),
-		fused:        fused,
-		params:       params,
-		bundle:       fmt.Sprintf("RSLT%d", version),
-		AlignedCalls: alignedCalls,
-	}, nil
 }
 
 // writeFused serializes the fused automaton: state count, start state,
@@ -368,66 +275,52 @@ func readFused(r io.Reader) (*fusedDFA, error) {
 	if err := binary.Read(r, binary.LittleEndian, &start); err != nil {
 		return nil, err
 	}
-	f := &fusedDFA{
-		start: int(start),
-		tags:  make([]uint8, n),
-		table: make([][256]uint16, n),
+	tags, err := readSection(r, int(n), "fused tags")
+	if err != nil {
+		return nil, err
 	}
-	if _, err := io.ReadFull(r, f.tags); err != nil {
+	rows, err := readSection(r, int(n)*512, "fused transitions")
+	if err != nil {
 		return nil, err
 	}
 	crc := crc32.NewIEEE()
-	crc.Write(f.tags)
-	buf := make([]byte, 512)
-	for s := range f.table {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		crc.Write(buf)
-		for i := 0; i < 256; i++ {
-			f.table[s][i] = binary.LittleEndian.Uint16(buf[i*2:])
-		}
-	}
-	var sum uint32
-	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
+	crc.Write(tags)
+	crc.Write(rows)
+	if err := checkSum(r, crc.Sum32(), "fused table"); err != nil {
 		return nil, err
 	}
-	if sum != crc.Sum32() {
-		return nil, fmt.Errorf("core: fused table checksum mismatch")
-	}
 	// Bounds pre-check, then renumber into the current class-band state
-	// order. Freshly written bundles are already in it (the permutation
-	// is the identity); bundles from builds with an older band layout are
-	// permuted into place, so they keep loading. validate then recomputes
-	// the band boundaries and derives the fast-path structures.
+	// order (the identity on freshly written bundles). validate then
+	// recomputes the band boundaries and derives the fast-path
+	// structures.
 	if int(start) >= int(n) {
 		return nil, fmt.Errorf("core: fused start state out of range")
 	}
-	for s := range f.table {
+	table := readRows(rows, int(n))
+	for s := range table {
 		for b := 0; b < 256; b++ {
-			if uint32(f.table[s][b]) >= n {
+			if uint32(table[s][b]) >= n {
 				return nil, fmt.Errorf("core: fused transition out of range")
 			}
 		}
 	}
-	for i, g := range f.tags {
+	for i, g := range tags {
 		if g&^uint8(tagMask) != 0 {
 			return nil, fmt.Errorf("core: fused state %d has undefined tag bits %#x", i, g)
 		}
 	}
-	f = reorderByClass(f.start, f.tags, f.table)
+	f := reorderByClass(int(start), tags, table)
 	if err := f.validate(); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// writeStride serializes the v3 acceleration section: the byte-class
-// map and compacted table, the optional two-stride pair tables, and a
-// CRC over all of it. The byte classes are recomputed from the fused
-// automaton's restart-closed table (computeFast has run by
-// construction), so the section is always consistent with the fused
-// section it follows.
+// writeStride serializes the acceleration section: the byte-class map
+// and compacted table, the optional pair tables, and a CRC over all of
+// it. The byte classes are recomputed from the fused automaton's
+// restart-closed table (computeFast has run by construction), so the
+// section is always consistent with the fused section it follows.
 func writeStride(w io.Writer, f *fusedDFA) error {
 	var buf []byte
 	le16 := func(v uint16) { buf = append(buf, byte(v), byte(v>>8)) }
@@ -453,31 +346,22 @@ func writeStride(w io.Writer, f *fusedDFA) error {
 	return binary.Write(w, binary.LittleEndian, crc32.ChecksumIEEE(buf))
 }
 
-// readStride deserializes and cross-checks a v3 acceleration section
+// readStride deserializes and cross-checks the acceleration section
 // against the already-loaded (and renumbered) fused automaton f. The
 // class map must equal the loader's own recomputation and the compacted
 // table must verify against the closed table (grammar.VerifyByteClasses);
 // pair tables get structural checks here and full semantic verification
-// in ensureStride before the strided walk ever consumes them. Any
-// mismatch rejects the bundle: acceleration data that disagrees with
-// the automaton it ships with means the bundle is corrupt or
-// mis-generated, and refusing it loudly beats silently dropping to a
-// slower path.
+// in ensureStride before the SWAR stepper ever consumes them, and are
+// refused unread for an automaton too large to walk them. Any mismatch
+// rejects the bundle: acceleration data that disagrees with the
+// automaton it ships with means the bundle is corrupt or mis-generated,
+// and refusing it loudly beats silently dropping to a slower path.
 func readStride(r io.Reader, f *fusedDFA) error {
 	n := len(f.table)
 	crc := crc32.NewIEEE()
-	var ncls uint16
-	head := make([]byte, 2+256)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return fmt.Errorf("core: reading stride section: %w", err)
-	}
-	crc.Write(head)
-	ncls = binary.LittleEndian.Uint16(head)
-	if ncls < 1 || ncls > 256 {
-		return fmt.Errorf("core: implausible byte-class count %d", ncls)
-	}
-	var cls [256]uint8
-	copy(cls[:], head[2:])
+	// Every count here is bounded by what already arrived: the compacted
+	// table by the fused rows, and the pair tables, once the state
+	// count is checked, to about 1 MiB.
 	readU16s := func(count int) ([]uint16, error) {
 		b := make([]byte, 2*count)
 		if _, err := io.ReadFull(r, b); err != nil {
@@ -490,7 +374,18 @@ func readStride(r io.Reader, f *fusedDFA) error {
 		}
 		return out, nil
 	}
-	compact, err := readU16s(n * int(ncls))
+	head := make([]byte, 2+256)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return fmt.Errorf("core: reading stride section: %w", err)
+	}
+	crc.Write(head)
+	ncls := int(binary.LittleEndian.Uint16(head))
+	if ncls < 1 || ncls > 256 {
+		return fmt.Errorf("core: implausible byte-class count %d", ncls)
+	}
+	var cls [256]uint8
+	copy(cls[:], head[2:])
+	compact, err := readU16s(n * ncls)
 	if err != nil {
 		return err
 	}
@@ -504,6 +399,9 @@ func readStride(r io.Reader, f *fusedDFA) error {
 		if npcls > stridePairCap {
 			return fmt.Errorf("core: implausible pair-class count %d", npcls)
 		}
+		if n > flatStates {
+			return fmt.Errorf("core: bundle carries pair tables for %d fused states; they support at most %d", n, flatStates)
+		}
 		if pcls, err = readU16s(1 << 16); err != nil {
 			return err
 		}
@@ -511,17 +409,13 @@ func readStride(r io.Reader, f *fusedDFA) error {
 			return err
 		}
 	}
-	var sum uint32
-	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
+	if err := checkSum(r, crc.Sum32(), "stride section"); err != nil {
 		return err
 	}
-	if sum != crc.Sum32() {
-		return fmt.Errorf("core: stride section checksum mismatch")
-	}
-	if cls != f.cls || int(ncls) != f.ncls {
+	if cls != f.cls || ncls != f.ncls {
 		return fmt.Errorf("core: bundled byte-class map disagrees with the fused automaton")
 	}
-	if !grammar.VerifyByteClasses(f.closed, cls, int(ncls), compact) {
+	if !grammar.VerifyByteClasses(f.closed, cls, ncls, compact) {
 		return fmt.Errorf("core: bundled byte-class tables fail verification")
 	}
 	if npcls > 0 {
@@ -532,7 +426,7 @@ func readStride(r io.Reader, f *fusedDFA) error {
 		}
 		for _, v := range dense {
 			if v != strideEventful && (v&0xFF >= uint16(n) || v>>8 >= uint16(n)) {
-				return fmt.Errorf("core: strided transition out of range")
+				return fmt.Errorf("core: pair-table transition out of range")
 			}
 		}
 		f.stride = &strideTables{npcls: npcls, pcls: pcls, dense: dense}
@@ -590,17 +484,14 @@ func readDFA(r io.Reader) (*grammar.DFA, error) {
 	if uint32(start) >= n {
 		return nil, fmt.Errorf("core: start state out of range")
 	}
-	status := make([]uint8, n)
-	if _, err := io.ReadFull(r, status); err != nil {
+	status, err := readSection(r, int(n), "DFA states")
+	if err != nil {
 		return nil, err
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(status)
 	d := &grammar.DFA{
 		Start:   int(start),
 		Accepts: make([]bool, n),
 		Rejects: make([]bool, n),
-		Table:   make([][256]uint16, n),
 	}
 	for i, st := range status {
 		switch st {
@@ -613,26 +504,23 @@ func readDFA(r io.Reader) (*grammar.DFA, error) {
 			return nil, fmt.Errorf("core: bad state status %d", st)
 		}
 	}
-	buf := make([]byte, 512)
+	rows, err := readSection(r, int(n)*512, "DFA transitions")
+	if err != nil {
+		return nil, err
+	}
+	crc := crc32.NewIEEE()
+	crc.Write(status)
+	crc.Write(rows)
+	if err := checkSum(r, crc.Sum32(), "table"); err != nil {
+		return nil, err
+	}
+	d.Table = readRows(rows, int(n))
 	for s := range d.Table {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		crc.Write(buf)
-		for i := 0; i < 256; i++ {
-			v := binary.LittleEndian.Uint16(buf[i*2:])
+		for _, v := range d.Table[s] {
 			if uint32(v) >= n {
 				return nil, fmt.Errorf("core: transition out of range")
 			}
-			d.Table[s][i] = v
 		}
-	}
-	var sum uint32
-	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
-		return nil, err
-	}
-	if sum != crc.Sum32() {
-		return nil, fmt.Errorf("core: table checksum mismatch")
 	}
 	return d, nil
 }

@@ -6,19 +6,19 @@ import (
 	"sync"
 )
 
-// The pregenerated v3 table bundle, regenerated with
+// The pregenerated table bundle, regenerated with
 //
-//	go run ./cmd/dfagen -o internal/core/rocksalt_tables_v3.bin
+//	go run ./cmd/dfagen -o internal/core/rocksalt_tables.bin
 //
 // whenever the policy grammars change. CI's regeneration guard (and
-// TestEmbeddedBundleFresh) byte-compare a fresh generation against this
-// file, so a stale bundle fails loudly instead of silently diverging
-// from the grammars.
+// TestRuntimeDefaultMatchesEmbedded) byte-compare a fresh generation
+// against this file, so a stale bundle fails loudly instead of silently
+// diverging from the grammars.
 //
-//go:embed rocksalt_tables_v3.bin
+//go:embed rocksalt_tables.bin
 var embeddedTables []byte
 
-// EmbeddedTableBytes returns (a copy of) the embedded v3 bundle — the
+// EmbeddedTableBytes returns (a copy of) the embedded bundle — the
 // regeneration guard and the benchmark suite read it to measure and
 // cross-check the table-load path.
 func EmbeddedTableBytes() []byte {
@@ -48,5 +48,7 @@ func newCheckerFromEmbedded() (*Checker, error) {
 		fused:  embChecker.fused,
 		params: embChecker.params,
 		bundle: embChecker.bundle,
+		// The bundle's flag; false for the shipped NaCl policy.
+		AlignedCalls: embChecker.AlignedCalls,
 	}, nil
 }

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -35,157 +37,143 @@ func agreeOnCorpus(t *testing.T, loaded, fresh *core.Checker, what string) {
 	}
 }
 
+// bundleLayout locates the sections of an RSLT4 bundle written for
+// set: the fused automaton follows the policy-parameter block, and the
+// stride section sits between it and the three component DFAs.
+func bundleLayout(t *testing.T, b []byte, set *core.DFASet) (fusedStart, strideStart, strideEnd int) {
+	t.Helper()
+	nameLen := int(binary.LittleEndian.Uint16(b[14:]))
+	fusedStart = 6 + 10 + nameLen + 4
+	n := int(binary.LittleEndian.Uint32(b[fusedStart:]))
+	strideStart = fusedStart + 4 + 2 + n*513 + 4
+	strideEnd = len(b)
+	for _, d := range []int{set.MaskedJump.NumStates(), set.NoControlFlow.NumStates(), set.DirectJump.NumStates()} {
+		strideEnd -= 4 + 2 + d*513 + 4
+	}
+	if !(fusedStart < strideStart && strideStart < strideEnd && strideEnd < len(b)) {
+		t.Fatalf("bad bundle layout: fused %d, stride [%d,%d), %d bytes", fusedStart, strideStart, strideEnd, len(b))
+	}
+	return fusedStart, strideStart, strideEnd
+}
+
 func TestTableRoundTrip(t *testing.T) {
 	set, err := core.BuildDFAs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := checker(t)
-
-	var v1 bytes.Buffer
-	if err := set.WriteTables(&v1); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("serialized v1 tables: %d bytes", v1.Len())
-	loaded, err := core.NewCheckerFromTables(bytes.NewReader(v1.Bytes()))
+	fresh, err := core.NewCheckerFromGrammars()
 	if err != nil {
 		t.Fatal(err)
 	}
-	agreeOnCorpus(t, loaded, fresh, "v1 table-loaded")
-
-	var v2 bytes.Buffer
-	if err := set.WriteTablesV2(&v2); err != nil {
+	var buf bytes.Buffer
+	if err := set.WriteTables(&buf, fresh.PolicyInfo(), fresh.AlignedCalls); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("serialized v2 tables: %d bytes", v2.Len())
-	loaded2, err := core.NewCheckerFromTables(bytes.NewReader(v2.Bytes()))
+	loaded, err := core.NewCheckerFromTables(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agreeOnCorpus(t, loaded2, fresh, "v2 table-loaded")
-
-	var v3 bytes.Buffer
-	if err := set.WriteTablesV3(&v3); err != nil {
-		t.Fatal(err)
+	if loaded.TableBundle() != "RSLT4" || loaded.PolicyInfo() != fresh.PolicyInfo() {
+		t.Fatalf("loaded %s checker with %+v, want RSLT4 with %+v", loaded.TableBundle(), loaded.PolicyInfo(), fresh.PolicyInfo())
 	}
-	t.Logf("serialized v3 tables: %d bytes", v3.Len())
-	loaded3, err := core.NewCheckerFromTables(bytes.NewReader(v3.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	agreeOnCorpus(t, loaded3, fresh, "v3 table-loaded")
-
-	// ReadTables must recover the component set from every version.
-	for _, buf := range [][]byte{v1.Bytes(), v2.Bytes(), v3.Bytes()} {
-		got, err := core.ReadTables(bytes.NewReader(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.MaskedJump.NumStates() != set.MaskedJump.NumStates() ||
-			got.NoControlFlow.NumStates() != set.NoControlFlow.NumStates() ||
-			got.DirectJump.NumStates() != set.DirectJump.NumStates() {
-			t.Fatal("ReadTables state counts differ from the generated set")
-		}
-	}
+	agreeOnCorpus(t, loaded, fresh, "table-loaded")
 }
 
-// TestEmbeddedBundleFresh is the regeneration guard: the bundle
-// embedded in the binary must be byte-identical to what the current
-// grammars generate, and the checker it produces must agree with the
-// grammar-compiled one. A failure means someone changed the grammars
-// (or the fusion/serialization) without re-running
-//
-//	go run ./cmd/dfagen -o internal/core/rocksalt_tables_v3.bin
+// TestEmbeddedBundleFresh: the checker the embedded bundle produces
+// must agree with the grammar-compiled one. The bundle's bytes are
+// pinned to the grammars by TestRuntimeDefaultMatchesEmbedded, the
+// regeneration guard.
 func TestEmbeddedBundleFresh(t *testing.T) {
-	set, err := core.BuildDFAs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := set.WriteTablesV3(&want); err != nil {
-		t.Fatal(err)
-	}
-	got := core.EmbeddedTableBytes()
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("embedded table bundle is stale (%d bytes vs %d freshly generated): re-run 'go run ./cmd/dfagen -o internal/core/rocksalt_tables_v3.bin'",
-			len(got), want.Len())
-	}
-
-	emb, err := core.NewChecker()
-	if err != nil {
-		t.Fatal(err)
-	}
 	fromGrammars, err := core.NewCheckerFromGrammars()
 	if err != nil {
 		t.Fatal(err)
+	}
+	emb := checker(t)
+	if emb.TableBundle() != "RSLT4" {
+		t.Fatalf("embedded checker reports bundle %q, want RSLT4", emb.TableBundle())
 	}
 	agreeOnCorpus(t, emb, fromGrammars, "embedded-bundle")
 }
 
 // TestNewCheckerFromTablesErrorPaths: every malformed table bundle must
-// fail with a descriptive error, never a panic.
+// fail with a descriptive error, never a panic. The faults run on the
+// bundle NewChecker ships; bundles in the formats older builds wrote
+// are refused with a pointer to cmd/dfagen. Unprefixed cases corrupt
+// the magic, the header or the component DFAs under their checksums.
+// A v2 or v3 prefix keeps the name of the format version a case first
+// ran on, the ones that introduced the fused automaton and the stride
+// section; all of them now run on the one RSLT4 layout.
 func TestNewCheckerFromTablesErrorPaths(t *testing.T) {
 	set, err := core.BuildDFAs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := set.WriteTables(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	var buf2 bytes.Buffer
-	if err := set.WriteTablesV2(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	goodV2 := buf2.Bytes()
-	var buf3 bytes.Buffer
-	if err := set.WriteTablesV3(&buf3); err != nil {
-		t.Fatal(err)
-	}
-	goodV3 := buf3.Bytes()
+	good := core.EmbeddedTableBytes()
+	fusedStart, strideStart, strideEnd := bundleLayout(t, good, set)
 
-	mutate := func(src []byte, f func(b []byte) []byte) []byte {
-		return f(append([]byte{}, src...))
+	mutate := func(f func(b []byte) []byte) []byte {
+		return f(append([]byte{}, good...))
 	}
+	const regen = "regenerate the bundle with cmd/dfagen"
 	cases := []struct {
 		name    string
 		input   []byte
 		wantSub string
 	}{
 		{"empty input", nil, "magic"},
-		{"truncated magic", mutate(good, func(b []byte) []byte { return b[:3] }), "magic"},
-		{"unknown version", mutate(good, func(b []byte) []byte { b[4] = '9'; return b }), "unknown table bundle version"},
-		{"not a bundle at all", []byte("GARBAGE BYTES"), "unknown table bundle version"},
-		{"v1 body behind v2 magic", mutate(good, func(b []byte) []byte { b[4] = '2'; return b }), ""},
-		{"truncated header", mutate(good, func(b []byte) []byte { return b[:8] }), ""},
-		{"truncated bundle", mutate(good, func(b []byte) []byte { return b[:len(b)/3] }), ""},
-		{"truncated final checksum", mutate(good, func(b []byte) []byte { return b[:len(b)-2] }), ""},
-		{"corrupted table byte", mutate(good, func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }), ""},
-		{"corrupted status byte", mutate(good, func(b []byte) []byte { b[16] ^= 0x04; return b }), ""},
-		{"zero-state DFA", mutate(good, func(b []byte) []byte {
-			copy(b[6:10], []byte{0, 0, 0, 0}) // first DFA's state count
+		{"truncated magic", mutate(func(b []byte) []byte { return b[:3] }), "magic"},
+		{"unknown version", mutate(func(b []byte) []byte { b[4] = '9'; return b }), regen},
+		{"not a bundle at all", []byte("GARBAGE BYTES"), regen},
+		{"RSLT1 magic", mutate(func(b []byte) []byte { b[4] = '1'; return b }), regen},
+		{"RSLT3 magic", mutate(func(b []byte) []byte { b[4] = '3'; return b }), regen},
+		{"v1 body behind v2 magic", append([]byte("RSLT2\x00"), good[strideEnd:]...), regen},
+		{"truncated header", mutate(func(b []byte) []byte { return b[:8] }), ""},
+		{"truncated bundle", mutate(func(b []byte) []byte { return b[:len(b)/3] }), ""},
+		{"truncated final checksum", mutate(func(b []byte) []byte { return b[:len(b)-2] }), ""},
+		{"corrupted table byte", mutate(func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }), ""},
+		{"zero-state DFA", mutate(func(b []byte) []byte {
+			copy(b[strideEnd:strideEnd+4], []byte{0, 0, 0, 0}) // first DFA's state count
 			return b
 		}), "implausible"},
-		{"v2 zero-state fused", mutate(goodV2, func(b []byte) []byte {
-			copy(b[6:10], []byte{0, 0, 0, 0}) // fused state count
+		{"corrupted status byte", mutate(func(b []byte) []byte { b[strideEnd+10] ^= 0x04; return b }), ""},
+		{"corrupted component table", mutate(func(b []byte) []byte { b[len(b)-100] ^= 0x01; return b }), ""},
+		{"v2 zero-state fused", mutate(func(b []byte) []byte {
+			copy(b[fusedStart:fusedStart+4], []byte{0, 0, 0, 0}) // fused state count
 			return b
 		}), "implausible"},
-		{"v2 corrupted tag byte", mutate(goodV2, func(b []byte) []byte { b[13] ^= 0x01; return b }), ""},
-		{"v2 corrupted fused table", mutate(goodV2, func(b []byte) []byte { b[2048] ^= 0x80; return b }), ""},
-		{"v2 truncated fused section", mutate(goodV2, func(b []byte) []byte { return b[:1024] }), ""},
-		{"v2 corrupted component table", mutate(goodV2, func(b []byte) []byte { b[len(b)-100] ^= 0x01; return b }), ""},
-		{"v3 zero-state fused", mutate(goodV3, func(b []byte) []byte {
-			copy(b[6:10], []byte{0, 0, 0, 0}) // fused state count
+		{"v2 corrupted tag byte", mutate(func(b []byte) []byte { b[fusedStart+7] ^= 0x01; return b }), ""},
+		{"v2 corrupted fused table", mutate(func(b []byte) []byte { b[fusedStart+2048] ^= 0x80; return b }), ""},
+		{"v2 truncated fused section", mutate(func(b []byte) []byte { return b[:fusedStart+1024] }), ""},
+		// A component-DFA edit behind a recomputed CRC passes the
+		// checksum; the transition range check catches it.
+		{"v2 corrupted component table", mutate(func(b []byte) []byte {
+			n := set.DirectJump.NumStates()
+			rows := len(b) - 4 - n*512
+			binary.LittleEndian.PutUint16(b[rows:], 0xFFFF) // last DFA, state 0, byte 0x00
+			binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[rows-n:len(b)-4]))
 			return b
-		}), "implausible"},
-		{"v3 corrupted fused table", mutate(goodV3, func(b []byte) []byte { b[2048] ^= 0x80; return b }), ""},
-		{"v3 truncated mid-stride", mutate(goodV3, func(b []byte) []byte { return b[:len(goodV2)+500] }), ""},
-		{"v3 corrupted stride interior", mutate(goodV3, func(b []byte) []byte {
-			b[len(goodV2)+(len(b)-len(goodV2))/2] ^= 0x01 // middle of the stride section
+		}), "core: transition out of range"},
+		// An empty fused section written consistently (count, start and
+		// the CRC of no bytes) in front of an intact stride section.
+		{"v3 zero-state fused", append(append(append([]byte{}, good[:fusedStart]...), make([]byte, 4+2+4)...), good[strideStart:]...), "implausible"},
+		{"v3 truncated mid-stride", mutate(func(b []byte) []byte { return b[:strideStart+500] }), ""},
+		{"v3 corrupted stride interior", mutate(func(b []byte) []byte {
+			b[(strideStart+strideEnd)/2] ^= 0x01
 			return b
 		}), ""},
-		{"v3 corrupted component table", mutate(goodV3, func(b []byte) []byte { b[len(b)-100] ^= 0x01; return b }), ""},
+		// A fused-table edit behind a recomputed CRC passes the fused
+		// section's own checks; the stride section's byte-class
+		// cross-check catches it.
+		{"v3 corrupted fused table", mutate(func(b []byte) []byte {
+			n := int(binary.LittleEndian.Uint32(b[fusedStart:]))
+			b[fusedStart+6+n+2*0x90] ^= 0x01 // state 0, byte 0x90
+			binary.LittleEndian.PutUint32(b[strideStart-4:], crc32.ChecksumIEEE(b[fusedStart+6:strideStart-4]))
+			return b
+		}), "byte-class"},
+		{"v3 corrupted component table", mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[strideEnd+4:], 0xFFFF) // first DFA's start state
+			return b
+		}), "core: start state out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -204,40 +192,19 @@ func TestNewCheckerFromTablesErrorPaths(t *testing.T) {
 }
 
 func TestTableCorruptionDetected(t *testing.T) {
-	set, err := core.BuildDFAs()
-	if err != nil {
-		t.Fatal(err)
+	good := core.EmbeddedTableBytes()
+	flip := func(i int, mask byte) []byte {
+		b := append([]byte{}, good...)
+		b[i] ^= mask
+		return b
 	}
-	for _, version := range []int{1, 2, 3} {
-		var buf bytes.Buffer
-		switch version {
-		case 1:
-			err = set.WriteTables(&buf)
-		case 2:
-			err = set.WriteTablesV2(&buf)
-		default:
-			err = set.WriteTablesV3(&buf)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		good := buf.Bytes()
-
-		// Bad magic.
-		bad := append([]byte{}, good...)
-		bad[0] ^= 0xff
-		if _, err := core.NewCheckerFromTables(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("v%d: bad magic must be rejected", version)
-		}
-		// Flipped table byte (checksum).
-		bad = append([]byte{}, good...)
-		bad[len(bad)/2] ^= 0x01
-		if _, err := core.NewCheckerFromTables(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("v%d: corrupted table must be rejected", version)
-		}
-		// Truncation.
-		if _, err := core.NewCheckerFromTables(bytes.NewReader(good[:len(good)/3])); err == nil {
-			t.Fatalf("v%d: truncated bundle must be rejected", version)
+	for name, b := range map[string][]byte{
+		"bad magic":       flip(0, 0xff),
+		"corrupted table": flip(len(good)/2, 0x01),
+		"truncated":       good[:len(good)/3],
+	} {
+		if _, err := core.NewCheckerFromTables(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s bundle must be rejected", name)
 		}
 	}
 }

@@ -23,10 +23,10 @@ type Checker struct {
 	// mask-instruction length and guard cutoff. Every constructor sets
 	// them (to naclParams unless a spec says otherwise).
 	params policyParams
-	// bundle names the table provenance: the bundle version for
-	// checkers loaded from a serialized bundle ("RSLT1".."RSLT4"),
-	// "compiled" for tables built at runtime from grammars or a policy
-	// spec. Surfaced by TableBundle and the rocksalt_build_info gauge.
+	// bundle names the table provenance: "RSLT4" for checkers loaded
+	// from a serialized bundle, "compiled" for tables built at runtime
+	// from grammars or a policy spec. Surfaced by TableBundle and the
+	// rocksalt_build_info gauge.
 	bundle string
 	// Entries is the set of permitted out-of-image direct-jump targets
 	// (the NaCl runtime's trampoline entry points).
@@ -84,8 +84,8 @@ func (c *Checker) PolicyInfo() PolicyInfo {
 }
 
 // TableBundle reports the checker's table provenance: the serialized
-// bundle version it was loaded from ("RSLT1".."RSLT4") or "compiled"
-// for tables built at runtime.
+// bundle version it was loaded from ("RSLT4") or "compiled" for tables
+// built at runtime.
 func (c *Checker) TableBundle() string { return c.bundle }
 
 // Fingerprint returns the hex content key of the checker's full
@@ -120,19 +120,13 @@ func NewCheckerFromGrammars() (*Checker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCheckerFromSet(set)
+	return newCheckerFromSet(set, naclParams, false)
 }
 
 // newCheckerFromSet builds the runtime checker — component DFAs plus
-// the fused product — from a compiled or deserialized DFA set, under
-// the default NaCl engine parameters.
-func newCheckerFromSet(set *DFASet) (*Checker, error) {
-	return newCheckerFromSetParams(set, naclParams, false)
-}
-
-// newCheckerFromSetParams is newCheckerFromSet with explicit engine
-// parameters (for non-default policies and RSLT4 bundles).
-func newCheckerFromSetParams(set *DFASet, params policyParams, alignedCalls bool) (*Checker, error) {
+// the fused product — from a compiled DFA set under the given engine
+// parameters.
+func newCheckerFromSet(set *DFASet, params policyParams, alignedCalls bool) (*Checker, error) {
 	fused, err := fuseDFAs(set)
 	if err != nil {
 		return nil, err
@@ -149,25 +143,25 @@ func newCheckerFromSetParams(set *DFASet, params policyParams, alignedCalls bool
 }
 
 // NewCheckerFromPolicy builds a checker from a runtime-compiled policy:
-// the compiled component DFAs are fused, compacted and strided through
-// exactly the pipeline the embedded bundle was generated with, and the
-// engine takes its bundle size, mask length and guard cutoff from the
-// spec. The stride/SWAR tables are built eagerly here — a few
-// milliseconds folded into the one-time compile cost — so runtime
-// policies (16-byte bundles included) verify on the SWAR fast path
-// from their first image, exactly like the embedded bundle whose
-// tables ship precomputed. A table build failure is not an error: the
-// checker simply stays on the single-stride lanes (swarAuto rejects
-// what ensureStride could not ready). Compiling the default NaCl spec
-// yields a checker byte-identical in behaviour (and in serialized
-// tables) to NewChecker.
+// the compiled component DFAs are fused and compacted, and their pair
+// tables built, through exactly the pipeline the embedded bundle was
+// generated with, and the engine takes its bundle size, mask length and
+// guard cutoff from the spec. The pair tables are built eagerly here —
+// a few milliseconds folded into the one-time compile cost — so runtime
+// policies (16-byte bundles included) verify on the SWAR fast path from
+// their first image, exactly like the embedded bundle whose tables ship
+// precomputed. A table build failure is not an error: the checker
+// simply stays on the single-stride lanes (swarAuto rejects what
+// ensureStride could not ready). Compiling the default NaCl spec yields
+// a checker byte-identical in behaviour (and in serialized tables) to
+// NewChecker.
 func NewCheckerFromPolicy(com *policy.Compiled) (*Checker, error) {
 	set := &DFASet{
 		MaskedJump:    com.MaskedJump,
 		NoControlFlow: com.NoControlFlow,
 		DirectJump:    com.DirectJump,
 	}
-	c, err := newCheckerFromSetParams(set, specParams(com.Spec), com.Spec.AlignedCalls)
+	c, err := newCheckerFromSet(set, specParams(com.Spec), com.Spec.AlignedCalls)
 	if err == nil && c.fused != nil {
 		_ = c.fused.ensureStride()
 	}

@@ -189,26 +189,18 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// TestTableCorruptionFailsClosed: corrupting the serialized DFA bundle
-// can never yield a checker that silently disagrees with the pristine
-// one — the loader's magic/shape/CRC checks reject essentially all
-// corruptions, and anything that loads must verify identically.
+// TestTableCorruptionFailsClosed: corrupting the DFA bundle NewChecker
+// ships can never yield a checker that silently disagrees with the
+// pristine one — the loader's magic/shape/CRC checks reject essentially
+// all corruptions, and anything that loads must verify identically.
 func TestTableCorruptionFailsClosed(t *testing.T) {
-	set, err := core.BuildDFAs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := set.WriteTables(&buf); err != nil {
-		t.Fatal(err)
-	}
 	probes := corpus(t, 2, 30)
 	probes = append(probes, nacl.Unsafe(nacl.BareIndirectJump), nacl.Unsafe(nacl.StraddlingBoundary))
 	n := 600
 	if testing.Short() {
 		n = 60
 	}
-	rejected, clean, err := faultinject.CheckTables(buf.Bytes(), probes, checker(t), n, 5)
+	rejected, clean, err := faultinject.CheckTables(core.EmbeddedTableBytes(), probes, checker(t), n, 5)
 	if err != nil {
 		t.Fatalf("fail-open table load: %v", err)
 	}

@@ -112,7 +112,6 @@ const (
 	EngineNone Engine = iota
 	EngineLanes
 	EngineSWAR
-	EngineStrided
 	EngineScalar
 	EngineReference
 	EngineCache
@@ -121,7 +120,7 @@ const (
 )
 
 var engineNames = [numEngines]string{
-	"", "lanes", "swar", "strided", "fused-scalar", "reference", "cache",
+	"", "lanes", "swar", "fused-scalar", "reference", "cache",
 }
 
 func (e Engine) String() string {

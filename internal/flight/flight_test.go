@@ -162,7 +162,7 @@ func TestWritePostmortem(t *testing.T) {
 		Reason:            "rejected",
 		Detail:            "illegal instruction at 0x40",
 		PolicyFingerprint: "deadbeef",
-		TableBundle:       "RSLT3",
+		TableBundle:       "RSLT4",
 		Spans: []Event{
 			{Kind: SpanShard, Engine: EngineSWAR, Shard: 0, Start: 10, Dur: 20},
 			{Kind: SpanShard, Engine: EngineScalar, Shard: 1, Start: 30, Dur: 40},
@@ -184,7 +184,7 @@ func TestWritePostmortem(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatalf("bundle is not valid JSON: %v", err)
 	}
-	if got["reason"] != "rejected" || got["policy_fingerprint"] != "deadbeef" || got["table_bundle"] != "RSLT3" {
+	if got["reason"] != "rejected" || got["policy_fingerprint"] != "deadbeef" || got["table_bundle"] != "RSLT4" {
 		t.Errorf("bundle identity fields wrong: %v", got)
 	}
 	census, _ := got["engine_census"].(map[string]any)

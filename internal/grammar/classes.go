@@ -7,8 +7,8 @@ package grammar
 // successor; the x86 policy grammars distinguish far fewer than 256
 // byte columns, so the induced states×classes table is several times
 // smaller than the raw states×256 table and fits comfortably in L1.
-// The class map also underpins the two-stride (byte-pair) construction
-// in internal/core, which needs a compact domain to enumerate.
+// The class map also underpins the byte-pair tables of the SWAR
+// stepper in internal/core, which need a compact domain to enumerate.
 
 // ByteClasses partitions the byte alphabet of a byte-transition table
 // into equivalence classes: cls[b1] == cls[b2] iff table[s][b1] ==

@@ -18,7 +18,7 @@ import (
 // Tag bits of a fused state. Accept bits are set exactly on the state
 // entered by the byte that completes a component's first match, so a
 // walk observes each accept bit at most once; live bits are set while
-// the component can still reach an accept. Serialized in RSLT2+
+// the component can still reach an accept. Serialized in table
 // bundles, so the layout is part of the table format.
 const (
 	TagAccMasked  = 1 << 0

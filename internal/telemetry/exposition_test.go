@@ -33,7 +33,7 @@ func TestGaugeStoreBypassesGate(t *testing.T) {
 func TestLabeledGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	g := r.NewLabeledGauge("test_build_info", "identity",
-		"bundle", "RSLT3",
+		"bundle", "RSLT4",
 		"policy", `sha"with\quirks`+"\n",
 		"go", "go1.24")
 	g.Store(1)
@@ -42,11 +42,11 @@ func TestLabeledGaugeExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := sb.String()
-	want := `test_build_info{bundle="RSLT3",policy="sha\"with\\quirks\n",go="go1.24"} 1`
+	want := `test_build_info{bundle="RSLT4",policy="sha\"with\\quirks\n",go="go1.24"} 1`
 	if !strings.Contains(text, want) {
 		t.Errorf("exposition missing %q:\n%s", want, text)
 	}
-	if v, ok := r.Value(`test_build_info{bundle="RSLT3",policy="sha\"with\\quirks\n",go="go1.24"}`); !ok || v != 1 {
+	if v, ok := r.Value(`test_build_info{bundle="RSLT4",policy="sha\"with\\quirks\n",go="go1.24"}`); !ok || v != 1 {
 		t.Errorf("Value lookup = %d,%v, want 1,true", v, ok)
 	}
 }
@@ -156,7 +156,7 @@ func TestExpvarSnapshotShapes(t *testing.T) {
 func TestHandlerServesLabeledFamilies(t *testing.T) {
 	withEnabled(t)
 	r := NewRegistry()
-	r.NewLabeledGauge("test_srv_info", "identity", "bundle", "RSLT3").Store(1)
+	r.NewLabeledGauge("test_srv_info", "identity", "bundle", "RSLT4").Store(1)
 	r.NewLabeledHistogram("test_srv_ns", "latency", "engine", "swar").Observe(42)
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
@@ -180,7 +180,7 @@ func TestHandlerServesLabeledFamilies(t *testing.T) {
 	}
 	body := sb.String()
 	for _, want := range []string{
-		`test_srv_info{bundle="RSLT3"} 1`,
+		`test_srv_info{bundle="RSLT4"} 1`,
 		`test_srv_ns_count{engine="swar"} 1`,
 	} {
 		if !strings.Contains(body, want) {
