@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
@@ -202,11 +203,12 @@ func (c *Checker) verifyCached(ctx context.Context, code []byte, opts VerifyOpti
 	}
 	if v, ok := opts.Cache.Get(whole); ok {
 		rep := *(v.(*Report))
+		rep.Violations = cloneViolations(rep.Violations)
 		st := &rep.Stats
 		// The cached Report carries the originating run's Stats; a serve
 		// scanned no byte with no engine, so the census must say so
 		// instead of replaying the stale parse-mode split and timings.
-		st.Engine = "cache"
+		st.Engine = flight.EngineCache.String()
 		st.LaneBatches, st.SWARBatches, st.ScalarFallbacks, st.Restarts = 0, 0, 0, 0
 		st.CacheWholeHits = 1
 		st.CacheChunkHits, st.CacheChunkMisses = 0, 0
@@ -232,6 +234,7 @@ func (c *Checker) verifyCached(ctx context.Context, code []byte, opts VerifyOpti
 	rep.CacheKey = whole.String()
 	if !rep.Interrupted() {
 		stored := *rep
+		stored.Violations = cloneViolations(rep.Violations)
 		var t0 int64
 		fr := flight.Active()
 		if fr != nil {
@@ -247,6 +250,17 @@ func (c *Checker) verifyCached(ctx context.Context, code []byte, opts VerifyOpti
 	return rep
 }
 
+// cloneViolations copies vs down to the Window bytes, so the Report the
+// cache holds shares no memory with the reports handed to callers and
+// an edit to one cannot change what a later hit serves.
+func cloneViolations(vs []Violation) []Violation {
+	vs = slices.Clone(vs)
+	for i := range vs {
+		vs[i].Window = slices.Clone(vs[i].Window)
+	}
+	return vs
+}
+
 // reportSize approximates a Report's retained bytes for the cache's
 // capacity accounting.
 func reportSize(r *Report) int {
@@ -257,17 +271,19 @@ func reportSize(r *Report) int {
 	return n
 }
 
-// probeChunks runs before stage 1: for every cacheable chunk with a
-// resident entry it restores the chunk's parse artifacts, counts each
-// restored shard's instructions, and marks its shards to be skipped.
-// The returned slice is indexed by shard (nil when nothing was
-// restored).
-func (c *Checker) probeChunks(cc *cacheCtx, sc *scratch, st *Stats) []bool {
-	var skip []bool
+// probeChunks runs before stage 1: it restores the parse artifacts of
+// every cacheable chunk with a resident entry, counting each restored
+// shard's instructions, and returns the shards left to parse — those of
+// every missed chunk and of the uncacheable tail, in order.
+func (c *Checker) probeChunks(cc *cacheCtx, sc *scratch, st *Stats) []int {
+	list := make([]int, 0, len(sc.results))
 	wvalid, wpair := sc.valid.Words(), sc.pairJmp.Words()
 	for i, key := range cc.keys {
 		v, ok := cc.cache.Get(key)
 		if !ok {
+			for s := i * chunkShards; s < (i+1)*chunkShards; s++ {
+				list = append(list, s)
+			}
 			if st != nil {
 				st.CacheChunkMisses++
 			}
@@ -284,11 +300,7 @@ func (c *Checker) probeChunks(cc *cacheCtx, sc *scratch, st *Stats) []bool {
 		res := &sc.results[i*chunkShards]
 		res.targets = append(res.targets, e.targets...)
 		res.bad = append(res.bad, e.bad...)
-		if skip == nil {
-			skip = make([]bool, len(sc.results))
-		}
 		for s := i * chunkShards; s < (i+1)*chunkShards; s++ {
-			skip[s] = true
 			sc.results[s].insns = int32(sc.valid.CountRange(s*ShardBytes, (s+1)*ShardBytes))
 		}
 		if st != nil {
@@ -300,56 +312,67 @@ func (c *Checker) probeChunks(cc *cacheCtx, sc *scratch, st *Stats) []bool {
 				Shard: uint32(i * chunkShards), Run: cc.frun, Start: cc.fr.Now(), Bytes: chunkBytes})
 		}
 	}
-	return skip
+	for s := len(cc.keys) * chunkShards; s < len(sc.results); s++ {
+		list = append(list, s)
+	}
+	return list
 }
 
-// storeChunks runs after a completed stage 1: every cacheable chunk
-// that was parsed this run (not restored) and is violation-free is
-// stored for the next run. Chunks whose shards found violations are
-// never cached, so replay can only ever reproduce clean parses.
-func (c *Checker) storeChunks(cc *cacheCtx, sc *scratch, skip []bool) {
+// storeChunks runs after a completed stage 1 and banks every cacheable
+// chunk this run parsed — its first shard is in list — that chunkClean
+// passes.
+func (c *Checker) storeChunks(cc *cacheCtx, sc *scratch, list []int) {
 	var ft0 int64
 	if cc.fr != nil {
 		ft0 = cc.fr.Now()
 	}
 	var storedBytes int64
-	wvalid, wpair := sc.valid.Words(), sc.pairJmp.Words()
-	for i, key := range cc.keys {
-		if skip != nil && skip[i*chunkShards] {
-			continue // restored from cache this run
+	for _, s := range list {
+		if i := s / chunkShards; s%chunkShards == 0 && i < len(cc.keys) && chunkClean(sc, i) {
+			storeChunk(cc.cache, cc.keys[i], sc, i)
+			storedBytes += chunkBytes
 		}
-		clean := true
-		var ntargets, nbad int
-		for s := 0; s < chunkShards; s++ {
-			res := &sc.results[i*chunkShards+s]
-			if len(res.violations) > 0 {
-				clean = false
-				break
-			}
-			ntargets += len(res.targets)
-			nbad += len(res.bad)
-		}
-		if !clean {
-			continue
-		}
-		w0 := i * chunkBytes / 64
-		e := &chunkEntry{
-			valid:   append([]uint64(nil), wvalid[w0:w0+chunkBytes/64]...),
-			pairJmp: append([]uint64(nil), wpair[w0:w0+chunkBytes/64]...),
-			targets: make([]int32, 0, ntargets),
-		}
-		if nbad > 0 {
-			e.bad = make([]int32, 0, nbad)
-		}
-		for s := 0; s < chunkShards; s++ {
-			e.targets = append(e.targets, sc.results[i*chunkShards+s].targets...)
-			e.bad = append(e.bad, sc.results[i*chunkShards+s].bad...)
-		}
-		cc.cache.Put(key, e, e.size())
-		storedBytes += chunkBytes
 	}
 	if cc.fr != nil {
 		cc.fr.Record(flight.Event{Kind: flight.SpanCacheStore, Engine: flight.EngineCache,
 			Run: cc.frun, Start: ft0, Dur: cc.fr.Now() - ft0, Bytes: storedBytes})
 	}
+}
+
+// chunkClean reports whether chunk i of sc parsed without a shard-local
+// violation. It is the one reuse rule: the cache stores only clean
+// chunks and a delta round replays only clean ones, so a violating
+// chunk is re-parsed every time it is verified and no verdict is ever
+// assembled from stale violations.
+func chunkClean(sc *scratch, i int) bool {
+	for s := i * chunkShards; s < (i+1)*chunkShards && s < len(sc.results); s++ {
+		if len(sc.results[s].violations) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// storeChunk banks whole chunk i of sc in cache under key: its bitmap
+// words, the cross-shard targets its shards collected and the in-shard
+// targets they proved bad.
+func storeChunk(cache *vcache.Cache, key vcache.Key, sc *scratch, i int) {
+	rs := sc.results[i*chunkShards : (i+1)*chunkShards]
+	var ntargets, nbad int
+	for s := range rs {
+		ntargets += len(rs[s].targets)
+		nbad += len(rs[s].bad)
+	}
+	w0, w1 := i*chunkBytes/64, (i+1)*chunkBytes/64
+	e := &chunkEntry{
+		valid:   append([]uint64(nil), sc.valid.Words()[w0:w1]...),
+		pairJmp: append([]uint64(nil), sc.pairJmp.Words()[w0:w1]...),
+		targets: make([]int32, 0, ntargets),
+		bad:     make([]int32, 0, nbad),
+	}
+	for s := range rs {
+		e.targets = append(e.targets, rs[s].targets...)
+		e.bad = append(e.bad, rs[s].bad...)
+	}
+	cache.Put(key, e, e.size())
 }

@@ -38,41 +38,73 @@ func sameVerdict(t *testing.T, got, want *core.Report, what string) {
 	}
 }
 
+// TestCacheWholeImageHit: a whole-image hit serves the cold run's
+// verdict, through the content key and through a caller-held key, on
+// a safe image and on a rejected one. The cache shares no memory with
+// the reports it hands out: editing the cold report, or a served one,
+// in place never changes what a later hit returns.
 func TestCacheWholeImageHit(t *testing.T) {
 	c := checker(t)
-	img := cacheImage(t, 1, 60000)
-	cache := vcache.New(64 << 20)
-	opts := core.VerifyOptions{Workers: 1, Cache: cache}
+	safe := cacheImage(t, 1, 60000)
+	// A bare RET at a bundle start in chunk 1 is an illegal instruction.
+	rejected := append([]byte(nil), safe...)
+	rejected[64<<10+4*core.BundleSize] = 0xc3
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{{"safe", safe}, {"rejected", rejected}} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := tc.img
+			cache := vcache.New(64 << 20)
+			opts := core.VerifyOptions{Workers: 1, Cache: cache}
 
-	want := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
-	first := c.VerifyWith(img, opts)
-	sameVerdict(t, first, want, "first cached run")
-	if first.Stats.CacheWholeHits != 0 {
-		t.Fatal("cold run reported a whole-image hit")
-	}
-	if first.CacheKey == "" {
-		t.Fatal("cached run did not report its content key")
-	}
+			want := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
+			if want.Safe != (tc.name == "safe") {
+				t.Fatalf("cold uncached run: %v", want.Outcome)
+			}
+			first := c.VerifyWith(img, opts)
+			sameVerdict(t, first, want, "first cached run")
+			if first.Stats.CacheWholeHits != 0 {
+				t.Fatal("cold run reported a whole-image hit")
+			}
+			if first.CacheKey == "" {
+				t.Fatal("cached run did not report its content key")
+			}
+			scribble(first)
 
-	second := c.VerifyWith(img, opts)
-	sameVerdict(t, second, want, "warm run")
-	if second.Stats.CacheWholeHits != 1 {
-		t.Fatalf("warm run stats %+v: expected a whole-image hit", second.Stats)
-	}
-	if second.Stats.CacheBytesSaved != int64(len(img)) {
-		t.Fatalf("whole hit saved %d bytes, want %d", second.Stats.CacheBytesSaved, len(img))
-	}
+			second := c.VerifyWith(img, opts)
+			sameVerdict(t, second, want, "warm run")
+			if second.Stats.CacheWholeHits != 1 {
+				t.Fatalf("warm run stats %+v: expected a whole-image hit", second.Stats)
+			}
+			if second.Stats.CacheBytesSaved != int64(len(img)) {
+				t.Fatalf("whole hit saved %d bytes, want %d", second.Stats.CacheBytesSaved, len(img))
+			}
+			scribble(second)
 
-	// The keyed path: hand the reported key back and hit without any
-	// hashing pass over the content.
-	key, err := vcache.ParseKey(first.CacheKey)
-	if err != nil {
-		t.Fatal(err)
+			// The keyed path: hand the reported key back and hit without any
+			// hashing pass over the content.
+			key, err := vcache.ParseKey(first.CacheKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyed := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Cache: cache, CacheKey: &key})
+			sameVerdict(t, keyed, want, "keyed warm run")
+			if keyed.Stats.CacheWholeHits != 1 {
+				t.Fatal("keyed run missed")
+			}
+		})
 	}
-	keyed := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Cache: cache, CacheKey: &key})
-	sameVerdict(t, keyed, want, "keyed warm run")
-	if keyed.Stats.CacheWholeHits != 1 {
-		t.Fatal("keyed run missed")
+}
+
+// scribble edits a report's violations in place, as the caller that
+// owns the report may.
+func scribble(rep *core.Report) {
+	for i := range rep.Violations {
+		rep.Violations[i].Offset = -1
+		if len(rep.Violations[i].Window) > 0 {
+			rep.Violations[i].Window[0] ^= 0xff
+		}
 	}
 }
 

@@ -93,13 +93,11 @@ type DeltaState struct {
 	size     int
 	overhang int
 	sc       scratch
-	// chunkClean[i] records that chunk i's latest parse found no
-	// shard-local violation, licensing replay next round. Every chunk
-	// of the image is tracked, the final one included. Violating chunks
-	// are re-parsed every round (mirroring the chunk cache's
-	// never-store-violations rule), so a verdict can never be assembled
-	// from stale violations.
-	chunkClean []bool
+	// clean[i] records that chunk i's latest parse passed chunkClean,
+	// licensing replay next round — the rule that also decides what the
+	// chunk cache may store. Every chunk of the image is tracked, the
+	// final one included.
+	clean []bool
 	// dirty (per chunk) and reparse (shard indices) are the current
 	// round's dirty set, reused across rounds.
 	dirty   []bool
@@ -146,7 +144,6 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 		}
 	}
 	size := len(code)
-	shards := shardCount(size)
 	nc := (size + chunkBytes - 1) / chunkBytes
 	cfg := c.configKey()
 	overhang := c.fused.lookahead()
@@ -154,17 +151,12 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 	st := prev
 	fresh := st == nil || st.cfg != cfg
 	if fresh {
-		st = &DeltaState{cfg: cfg, overhang: overhang}
+		// reparse starts non-nil: a nil stage-1 plan means every shard.
+		st = &DeltaState{cfg: cfg, overhang: overhang, reparse: []int{}}
 	}
-	var t0 time.Time
-	stats := Stats{
-		BytesScanned: int64(size),
-		Bundles:      int64((size + c.params.bundle - 1) / c.params.bundle),
-		Shards:       int64(shards),
-	}
-	t0 = time.Now()
-	engine := c.resolveEngine(opts)
-	stats.Engine = engineName(engine)
+	var stats Stats
+	k := c.begin(size, opts, &stats)
+	shards := k.shards
 
 	// The dirty set: chunks whose retained artifacts cannot be trusted
 	// this round. The final chunk is tracked like any other: its parse
@@ -184,14 +176,16 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 		}
 	} else {
 		for i := range dirty {
-			if i >= len(st.chunkClean) || !st.chunkClean[i] {
+			if i >= len(st.clean) || !st.clean[i] {
 				dirty[i] = true
 			}
 		}
 		for _, r := range changed {
-			lo, hi := r.Off, r.Off+r.Len
-			if hi > size {
-				hi = size
+			// Clamp to the image without computing Off+Len, which
+			// overflows for a range meant to run to the end.
+			lo, hi := r.Off, size
+			if r.Len < size-lo {
+				hi = lo + r.Len
 			}
 			if hi <= lo {
 				continue
@@ -297,9 +291,7 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 	stats.DeltaChunksReplayed = int64(nc - dirtyChunks)
 	stats.DeltaBytesReparsed = reparsedBytes
 
-	fr := flight.Active()
-	frun, frt0 := flightBegin(fr)
-	if fr != nil {
+	if k.fr != nil {
 		// One replay event per maximal run of replayed chunks, so a round's
 		// trace grows with the edit, not with the image.
 		for i := 0; i < nc; {
@@ -311,54 +303,32 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 			for j < nc && !dirty[j] {
 				j++
 			}
-			fr.Record(flight.Event{Kind: flight.EventChunkReplay, Engine: flight.EngineCache,
-				Shard: uint32(i * chunkShards), Run: frun, Start: fr.Now(),
+			k.fr.Record(flight.Event{Kind: flight.EventChunkReplay, Engine: flight.EngineCache,
+				Shard: uint32(i * chunkShards), Run: k.span.Run, Start: k.fr.Now(),
 				Bytes: int64(min(j*chunkBytes, size) - i*chunkBytes)})
 			i = j
 		}
 	}
+	k.span.Kind, k.span.Engine, k.span.Bytes = flight.SpanDelta, flight.EngineNone, reparsedBytes
 
-	workers := clampWorkers(opts.Workers, len(reparse))
+	k.workers = clampWorkers(opts.Workers, len(reparse))
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-	stage1{c: c, code: code, sc: &st.sc, engine: engine, fr: fr, frun: frun}.dispatch(ctx, workers, len(reparse), reparse, nil)
+	stage1{c: c, code: code, sc: &st.sc, engine: k.engine, fr: k.fr, frun: k.span.Run}.dispatch(ctx, k.workers, reparse)
 	endStage1()
-	stats.Stage1Wall = time.Since(t0)
+	stats.Stage1Wall = time.Since(k.t0)
 
-	// chunkClean tracks the new geometry from here on; an interrupted
-	// round distrusts the whole dirty set.
-	if len(st.chunkClean) < nc {
-		st.chunkClean = append(st.chunkClean, make([]bool, nc-len(st.chunkClean))...)
+	// The clean bits track the new geometry from here on; an interrupted
+	// round distrusts its whole dirty set.
+	if len(st.clean) < nc {
+		st.clean = append(st.clean, make([]bool, nc-len(st.clean))...)
 	}
-	st.chunkClean = st.chunkClean[:nc]
+	st.clean = st.clean[:nc]
 	st.size = size
-	if err := ctx.Err(); err != nil {
-		for i := range dirty {
-			if dirty[i] {
-				st.chunkClean[i] = false
-			}
-		}
-		stats.Wall = time.Since(t0)
-		publishStats(&stats, true, false)
-		if fr != nil {
-			fr.Record(flight.Event{Kind: flight.SpanDelta, Run: frun,
-				Start: frt0, Dur: fr.Now() - frt0, Bytes: reparsedBytes})
-		}
-		rep := c.report(runResult{shards: shards, workers: workers, ctxErr: err}, size)
-		rep.Stats = stats
-		return rep, st, nil
-	}
+	err := ctx.Err()
 	for i := range dirty {
-		if !dirty[i] {
-			continue
+		if dirty[i] {
+			st.clean[i] = err == nil && chunkClean(&st.sc, i)
 		}
-		clean := true
-		for s := i * chunkShards; s < (i+1)*chunkShards && s < shards; s++ {
-			if len(st.sc.results[s].violations) > 0 {
-				clean = false
-				break
-			}
-		}
-		st.chunkClean[i] = clean
 	}
 
 	// Satellite of the chunk cache: bank the refreshed chunks so a delta
@@ -367,71 +337,27 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 	// only the cacheable prefix: the cache never holds the final chunk.
 	if opts.Cache != nil {
 		var ft0 int64
-		if fr != nil {
-			ft0 = fr.Now()
+		if k.fr != nil {
+			ft0 = k.fr.Now()
 		}
 		var storedBytes int64
-		wvalid, wpair := st.sc.valid.Words(), st.sc.pairJmp.Words()
 		for i := range dirty[:cacheableChunks(size)] {
-			if !dirty[i] || !st.chunkClean[i] {
-				continue
+			if dirty[i] && st.clean[i] {
+				storeChunk(opts.Cache, c.chunkSum(cfg, code, i, overhang), &st.sc, i)
+				storedBytes += chunkBytes
 			}
-			w0 := i * chunkBytes / 64
-			e := &chunkEntry{
-				valid:   append([]uint64(nil), wvalid[w0:w0+chunkBytes/64]...),
-				pairJmp: append([]uint64(nil), wpair[w0:w0+chunkBytes/64]...),
-			}
-			for s := i * chunkShards; s < (i+1)*chunkShards; s++ {
-				e.targets = append(e.targets, st.sc.results[s].targets...)
-				e.bad = append(e.bad, st.sc.results[s].bad...)
-			}
-			opts.Cache.Put(c.chunkSum(cfg, code, i, overhang), e, e.size())
-			storedBytes += chunkBytes
 		}
-		if fr != nil && storedBytes > 0 {
-			fr.Record(flight.Event{Kind: flight.SpanCacheStore, Engine: flight.EngineCache,
-				Run: frun, Start: ft0, Dur: fr.Now() - ft0, Bytes: storedBytes})
+		if k.fr != nil && storedBytes > 0 {
+			k.fr.Record(flight.Event{Kind: flight.SpanCacheStore, Engine: flight.EngineCache,
+				Run: k.span.Run, Start: ft0, Dur: k.fr.Now() - ft0, Bytes: storedBytes})
 		}
 	}
 
-	t1 := time.Now()
-	var frt1 int64
-	if fr != nil {
-		frt1 = fr.Now()
+	out := c.finish(ctx, &k, err, code, &st.sc, reparse, &stats)
+	if err == nil {
+		publishDeltaStats(&stats)
 	}
-	endReconcile := telemetry.Region(ctx, "rocksalt.stage2.reconcile")
-	violations, total := c.reconcile(ctx, code, &st.sc, &stats, fr, frun)
-	endReconcile()
-	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanReconcile, Run: frun,
-			Start: frt1, Dur: fr.Now() - frt1, Bytes: int64(total)})
-	}
-	// Parse-mode counters cover only the shards this round actually
-	// parsed, mirroring how cached runs count only non-restored shards.
-	for _, s := range reparse {
-		r := &st.sc.results[s]
-		if r.lane || r.swar {
-			stats.LaneBatches++
-		}
-		if r.swar {
-			stats.SWARBatches++
-		}
-		if r.scalar {
-			stats.ScalarFallbacks++
-		}
-		if r.restart {
-			stats.Restarts++
-		}
-	}
-	stats.Stage2Wall = time.Since(t1)
-	stats.Wall = time.Since(t0)
-	publishStats(&stats, false, total > 0)
-	publishDeltaStats(&stats)
-	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanDelta, Run: frun,
-			Start: frt0, Dur: fr.Now() - frt0, Bytes: reparsedBytes})
-	}
-	rep := c.report(runResult{violations: violations, total: total, shards: shards, workers: workers}, size)
+	rep := c.report(out, size)
 	rep.Stats = stats
 	return rep, st, nil
 }

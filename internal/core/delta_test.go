@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"rocksalt/internal/core"
@@ -311,7 +312,9 @@ func TestDeltaInterrupted(t *testing.T) {
 }
 
 // TestDeltaRejectsNegativeRange: malformed ranges error out without
-// corrupting the state.
+// corrupting the state, and a range meant to run to the end of the
+// image (Len math.MaxInt, whose end overflows) is clamped rather than
+// skipped as empty.
 func TestDeltaRejectsNegativeRange(t *testing.T) {
 	c := checker(t)
 	img, err := nacl.NewGenerator(9).Random(100)
@@ -329,4 +332,13 @@ func TestDeltaRejectsNegativeRange(t *testing.T) {
 		t.Fatal("negative length accepted")
 	}
 	deltaRound(t, c, img, nil, state, "round after rejected ranges")
+
+	nops := bytes.Repeat([]byte{0x90}, 4*deltaChunk)
+	_, state = deltaRound(t, c, nops, nil, nil, "NOP image")
+	nops[100] = 0xcc
+	rep, _ := deltaRound(t, c, nops, []core.Range{{Off: 100, Len: math.MaxInt}}, state, "range to the image end")
+	if rep.Safe || rep.Stats.DeltaChunksReparsed == 0 {
+		t.Fatalf("edit under a range to the image end: safe=%v with %d chunks re-parsed",
+			rep.Safe, rep.Stats.DeltaChunksReparsed)
+	}
 }

@@ -70,22 +70,6 @@ const (
 	EngineSWAR
 )
 
-// engineName is the human-readable engine census value recorded in
-// Stats.Engine for a resolved engine (see resolveEngine), so "what
-// actually ran" is visible in -stats/-json output.
-func engineName(e EngineKind) string {
-	switch e {
-	case EngineReference:
-		return "reference"
-	case EngineFusedScalar:
-		return "fused-scalar"
-	case EngineSWAR:
-		return "swar"
-	default:
-		return "lanes"
-	}
-}
-
 // VerifyOptions configures a verification run.
 type VerifyOptions struct {
 	// Workers is the number of goroutines parsing stage-1 shards: 1 (or
@@ -327,7 +311,7 @@ func shardCount(size int) int {
 // in production.
 var testShardHook func(shard int)
 
-// runResult is what run hands to the report builders: the reconciled,
+// runResult is what finish hands to the report builders: the reconciled,
 // sorted, capped violation list (nil for a safe completed run), the
 // uncapped total, the clamped worker count, and the context error for
 // an interrupted run.
@@ -370,127 +354,143 @@ func (c *Checker) report(out runResult, size int) *Report {
 	}
 }
 
-// run executes stage 1 over the shard decomposition and stage 2 over
-// the merged results, writing all per-run state into sc. Shard workers
-// poll ctx between shards and panics inside a shard parse are converted
-// to InternalFault violations, so a hostile image (or a bug behind it)
-// can stop the run early or fail it closed, but can neither hang the
-// pool nor crash the process.
-//
-// st, when non-nil, receives the per-run Stats: the size/shard facts
-// up front, wall times at each stage boundary, and at the end the
-// per-shard parse-mode flags and instruction counts merged during
-// reconciliation. Everything written to st is stack- or scratch-
-// resident, so collecting it never allocates.
-func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *scratch, st *Stats, cc *cacheCtx) runResult {
-	size := len(code)
-	shards := shardCount(size)
-	workers := clampWorkers(opts.Workers, shards)
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-		st.BytesScanned = int64(size)
-		st.Bundles = int64((size + c.params.bundle - 1) / c.params.bundle)
-		st.Shards = int64(shards)
-	}
-	// The effective engine is resolved once per run and is uniform across
-	// shards, so reports stay deterministic.
-	engine := c.resolveEngine(opts)
-	if st != nil {
-		st.Engine = engineName(engine)
-	}
-	// Flight recorder: one atomic pointer load decides whether this run
-	// records spans — with no recorder installed that load is the whole
-	// cost, which is what keeps Verify at 0 allocs/op recorder-off.
-	fr := flight.Active()
-	frun, frt0 := flightBegin(fr)
-	// Chunk-cache probe: restore the parse artifacts of every resident
-	// chunk and mark its shards skipped. Skipped shards set none of the
-	// lane/scalar/restart flags, so Stats' parse-mode counts cover only
-	// the shards actually parsed this run.
-	var skip []bool
-	if cc != nil && len(cc.keys) > 0 {
-		cc.fr, cc.frun = fr, frun
-		skip = c.probeChunks(cc, sc, st)
-	}
-	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-	stage1{c: c, code: code, sc: sc, engine: engine, fr: fr, frun: frun}.dispatch(ctx, workers, shards, nil, skip)
-	endStage1()
-	if st != nil {
-		st.Stage1Wall = time.Since(t0)
-	}
-	if err := ctx.Err(); err != nil {
-		if st != nil {
-			st.Wall = time.Since(t0)
-			publishStats(st, true, false)
-		}
-		if fr != nil {
-			fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine),
-				Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
-		}
-		return runResult{shards: shards, workers: workers, ctxErr: err}
-	}
-	if cc != nil && len(cc.keys) > 0 {
-		// The run completed, so every freshly-parsed clean chunk's
-		// artifacts are final; bank them for the next run.
-		c.storeChunks(cc, sc, skip)
-	}
-	var t1 time.Time
-	if st != nil {
-		t1 = time.Now()
-	}
-	var frt1 int64
-	if fr != nil {
-		frt1 = fr.Now()
-	}
-	endReconcile := telemetry.Region(ctx, "rocksalt.stage2.reconcile")
-	violations, total := c.reconcile(ctx, code, sc, st, fr, frun)
-	endReconcile()
-	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanReconcile, Run: frun,
-			Start: frt1, Dur: fr.Now() - frt1, Bytes: int64(total)})
-	}
-	if st != nil {
-		for i := range sc.results {
-			r := &sc.results[i]
-			// SWAR-proven shards are lane batches too (the same 4-lane
-			// two-pass parser, a different inner stepper); SWARBatches is
-			// the sub-census.
-			if r.lane || r.swar {
-				st.LaneBatches++
-			}
-			if r.swar {
-				st.SWARBatches++
-			}
-			if r.scalar {
-				st.ScalarFallbacks++
-			}
-			if r.restart {
-				st.Restarts++
-			}
-		}
-		st.Stage2Wall = time.Since(t1)
-		st.Wall = time.Since(t0)
-		publishStats(st, false, total > 0)
-	}
-	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine),
-			Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
-	}
-	return runResult{violations: violations, total: total, shards: shards, workers: workers}
+// call is one verification call from begin to finish: the skeleton
+// Verify (run), VerifyDelta and VerifyReader share, each supplying only
+// its own stage-1 plan in between. It holds no *Stats on purpose:
+// escape analysis is field-insensitive, so a Stats pointer stored
+// beside the recorder that reaches the worker pool would move the lean
+// path's stack Stats to the heap.
+type call struct {
+	shards, workers int
+	engine          EngineKind
+	fr              *flight.Recorder
+	t0              time.Time
+	// span is the call's closing flight span as begin opens it: SpanRun
+	// over the image, which a delta round turns into SpanDelta over the
+	// bytes it re-parses. span.Run is the call's flight run id.
+	span flight.Event
 }
 
-// flightBegin opens a flight-recorder run, returning its run id and
-// start timestamp (zeros with no recorder installed).
-func flightBegin(fr *flight.Recorder) (frun uint32, frt0 int64) {
-	if fr == nil {
-		return 0, 0
+// begin opens a call over an image of size bytes: the Stats size facts,
+// the engine, resolved once so that every shard uses it and reports
+// stay deterministic, and the flight run. One atomic load decides
+// whether the call records spans; with no recorder installed that load
+// is the recorder's whole cost, which keeps Verify at 0 allocs/op.
+func (c *Checker) begin(size int, opts VerifyOptions, st *Stats) call {
+	k := call{shards: shardCount(size), fr: flight.Active()}
+	if st != nil {
+		k.t0 = time.Now()
 	}
-	return fr.BeginRun(), fr.Now()
+	k.engine = c.resolveEngine(opts)
+	k.span = flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(k.engine), Bytes: int64(size)}
+	if st != nil {
+		st.BytesScanned = int64(size)
+		st.Bundles = int64((size + c.params.bundle - 1) / c.params.bundle)
+		st.Shards = int64(k.shards)
+		st.Engine = k.span.Engine.String()
+	}
+	if k.fr != nil {
+		k.span.Run, k.span.Start = k.fr.BeginRun(), k.fr.Now()
+	}
+	return k
+}
+
+// finish closes a call once its stage-1 plan is done; err is ctx.Err()
+// as the plan saw it after its last dispatch. An interrupted plan may
+// have left shards unparsed, so none of it reaches stage 2 and the
+// result reports Canceled or Deadline. A completed plan runs stage 2
+// over sc, and the parse-mode census counts the shards this call
+// parsed (list, or every shard of sc when list is nil, as in
+// dispatch), never those restored from the chunk cache or retained by
+// a delta state. Either way finish records the wall time, publishes the
+// Stats and closes the call's flight span.
+func (c *Checker) finish(ctx context.Context, k *call, err error, code []byte, sc *scratch, list []int, st *Stats) runResult {
+	out := runResult{shards: k.shards, workers: k.workers, ctxErr: err}
+	if err == nil {
+		var t1 time.Time
+		if st != nil {
+			t1 = time.Now()
+		}
+		var frt1 int64
+		if k.fr != nil {
+			frt1 = k.fr.Now()
+		}
+		endReconcile := telemetry.Region(ctx, "rocksalt.stage2.reconcile")
+		out.violations, out.total = c.reconcile(ctx, code, sc, st, k.fr, k.span.Run)
+		endReconcile()
+		if k.fr != nil {
+			k.fr.Record(flight.Event{Kind: flight.SpanReconcile, Run: k.span.Run,
+				Start: frt1, Dur: k.fr.Now() - frt1, Bytes: int64(out.total)})
+		}
+		if st != nil {
+			for i := 0; i < planLen(list, sc); i++ {
+				r := &sc.results[pick(i, list)]
+				// SWAR-proven shards are lane batches too (the same 4-lane
+				// two-pass parser, a different inner stepper); SWARBatches is
+				// the sub-census.
+				if r.lane || r.swar {
+					st.LaneBatches++
+				}
+				if r.swar {
+					st.SWARBatches++
+				}
+				if r.scalar {
+					st.ScalarFallbacks++
+				}
+				if r.restart {
+					st.Restarts++
+				}
+			}
+			st.Stage2Wall = time.Since(t1)
+		}
+	}
+	if st != nil {
+		st.Wall = time.Since(k.t0)
+		publishStats(st, err != nil, out.total > 0)
+	}
+	if k.fr != nil {
+		k.span.Dur = k.fr.Now() - k.span.Start
+		k.fr.Record(k.span)
+	}
+	return out
+}
+
+// run is Verify's stage-1 plan: every shard of the image, less those
+// the chunk cache restores. Shard workers poll ctx between shards and
+// panics inside a shard parse are converted to InternalFault
+// violations, so a hostile image (or a bug behind it) can stop the run
+// early or fail it closed, but can neither hang the pool nor crash the
+// process. st, when non-nil, receives the per-run Stats; everything
+// written to it is stack- or scratch-resident, so collecting it never
+// allocates.
+func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *scratch, st *Stats, cc *cacheCtx) runResult {
+	k := c.begin(len(code), opts, st)
+	k.workers = clampWorkers(opts.Workers, k.shards)
+	cached := cc != nil && len(cc.keys) > 0
+	var list []int
+	if cached {
+		cc.fr, cc.frun = k.fr, k.span.Run
+		list = c.probeChunks(cc, sc, st)
+	}
+	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
+	stage1{c: c, code: code, sc: sc, engine: k.engine, fr: k.fr, frun: k.span.Run}.dispatch(ctx, k.workers, list)
+	endStage1()
+	if st != nil {
+		st.Stage1Wall = time.Since(k.t0)
+	}
+	err := ctx.Err()
+	if cached && err == nil {
+		// The run completed, so every freshly-parsed clean chunk's
+		// artifacts are final; bank them for the next run.
+		c.storeChunks(cc, sc, list)
+	}
+	return c.finish(ctx, &k, err, code, sc, list, st)
 }
 
 // runFlightEngine maps the run's resolved engine to the flight
-// recorder's enum — the run-level counterpart of engineName.
+// recorder's enum, whose name is also the run's Stats.Engine census
+// value, so "what actually ran" reads the same in -stats/-json output
+// and in traces.
 func runFlightEngine(e EngineKind) flight.Engine {
 	switch e {
 	case EngineReference:
@@ -567,11 +567,11 @@ func (p *stage1) parse(s, w int) {
 }
 
 // dispatch is stage 1's worker pool, the one loop Verify, VerifyDelta
-// and VerifyReader all parse through. It parses the local shards
-// list[:n] — or, with list nil, every s in [0, n) that skip does not
-// mark — on workers goroutines, and returns once they are done. One
-// worker parses in-line, with no goroutines or channel, so the lean
-// path stays allocation-free.
+// and VerifyReader all parse through. It parses the plan's local shards
+// — list, or every shard of p.sc when list is nil — on workers
+// goroutines, and returns once they are done. One worker parses
+// in-line, with no goroutines or channel, so the lean path stays
+// allocation-free.
 //
 // Workers write disjoint [start,end) bit ranges of the shared bitmaps
 // and disjoint result entries; ShardBytes is a multiple of 64, so the
@@ -581,17 +581,14 @@ func (p *stage1) parse(s, w int) {
 // happened-before a shard starts is always seen). A caller that finds
 // ctx done afterwards must treat the pass as interrupted: the shards
 // skipped after the cancel hold no artifacts.
-func (p stage1) dispatch(ctx context.Context, workers, n int, list []int, skip []bool) {
+func (p stage1) dispatch(ctx context.Context, workers int, list []int) {
+	n := planLen(list, p.sc)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			s, ok := pick(i, list, skip)
-			if !ok {
-				continue
-			}
 			if ctx.Err() != nil {
 				return
 			}
-			p.parse(s, 0)
+			p.parse(pick(i, list), 0)
 		}
 		return
 	}
@@ -601,21 +598,28 @@ func (p stage1) dispatch(ctx context.Context, workers, n int, list []int, skip [
 		go d.work(w)
 	}
 	for i := 0; i < n; i++ {
-		if s, ok := pick(i, list, skip); ok {
-			d.jobs <- s
-		}
+		d.jobs <- pick(i, list)
 	}
 	close(d.jobs)
 	d.wg.Wait()
 }
 
-// pick maps dispatch candidate i to its local shard, reporting false
-// for a shard skip marks.
-func pick(i int, list []int, skip []bool) (int, bool) {
+// planLen is the length of a stage-1 plan over sc: len(list), or every
+// shard of sc when list is nil.
+func planLen(list []int, sc *scratch) int {
 	if list != nil {
-		return list[i], true
+		return len(list)
 	}
-	return i, skip == nil || !skip[i]
+	return len(sc.results)
+}
+
+// pick is entry i of a stage-1 plan: list[i], or shard i itself when
+// list is nil.
+func pick(i int, list []int) int {
+	if list != nil {
+		return list[i]
+	}
+	return i
 }
 
 // shardPool is one multi-worker dispatch. The workers share it through

@@ -55,5 +55,5 @@ func (c *Checker) RecBoundaryForTest() int { return c.fused.rec }
 // ResolvedEngineForTest reports the engine-census name (Stats.Engine) a
 // run with opts would resolve to, without running a verification.
 func (c *Checker) ResolvedEngineForTest(opts VerifyOptions) string {
-	return engineName(c.resolveEngine(opts))
+	return runFlightEngine(c.resolveEngine(opts)).String()
 }

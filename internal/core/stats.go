@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"rocksalt/internal/flight"
 	"rocksalt/internal/telemetry"
 )
 
@@ -250,9 +251,11 @@ func init() {
 	coreMetrics.reconcileNanos = r.NewLabeledHistogram("rocksalt_stage_duration_ns", stageHelp, "stage", "reconcile")
 	coreMetrics.jumpsNanos = r.NewLabeledHistogram("rocksalt_stage_duration_ns", stageHelp, "stage", "jumps")
 	coreMetrics.engineNanos = map[string]*telemetry.Histogram{}
-	for _, e := range []string{"lanes", "swar", "fused-scalar", "reference", "cache"} {
-		coreMetrics.engineNanos[e] = r.NewLabeledHistogram("rocksalt_engine_duration_ns",
-			"wall time per verification run, by resolved engine", "engine", e)
+	engines := []flight.Engine{flight.EngineLanes, flight.EngineSWAR, flight.EngineScalar,
+		flight.EngineReference, flight.EngineCache}
+	for _, e := range engines {
+		coreMetrics.engineNanos[e.String()] = r.NewLabeledHistogram("rocksalt_engine_duration_ns",
+			"wall time per verification run, by resolved engine", "engine", e.String())
 	}
 }
 
@@ -319,7 +322,7 @@ func publishCacheStats(st *Stats) {
 	if st.CacheWholeHits > 0 {
 		m.cacheWholeHits.Add(st.CacheWholeHits)
 		m.cacheServes.Add(1)
-		if h := m.engineNanos["cache"]; h != nil {
+		if h := m.engineNanos[flight.EngineCache.String()]; h != nil {
 			h.Observe(int64(st.Wall))
 		}
 	}

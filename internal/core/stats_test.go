@@ -175,6 +175,10 @@ func TestContainedPanicMetric(t *testing.T) {
 // retention — so every path must report exactly what a cold VerifyWith
 // of the same bytes reports: on a safe image, a rejected one, and one
 // whose shard panicked (the contained panic fails the run closed).
+// The parse-mode census, by contrast, covers only the shards the call
+// itself parsed, each counted once as a lane batch, a scalar fallback
+// or a restart: every shard cold and streamed, none that the chunk
+// cache restored, and only the re-parsed ones in a delta round.
 func TestInstructionsParity(t *testing.T) {
 	c := checker(t)
 	safe := cacheImage(t, 13, 60000)
@@ -226,8 +230,24 @@ func TestInstructionsParity(t *testing.T) {
 					t.Errorf("%s: Instructions = %d, cold VerifyWith = %d", what, rep.Stats.Instructions, cold.Stats.Instructions)
 				}
 			}
+			// parsed checks the parse-mode census against the number of
+			// shards the call parsed. The panicking shard stops before its
+			// parse mode is set, so that case is not pinned.
+			parsed := func(what string, rep *core.Report, want int64) {
+				t.Helper()
+				s := rep.Stats
+				if got := s.LaneBatches + s.ScalarFallbacks + s.Restarts; !tc.panic && got != want {
+					t.Errorf("%s: parse-mode census %d (lanes %d, scalar %d, restarts %d), want %d shards parsed",
+						what, got, s.LaneBatches, s.ScalarFallbacks, s.Restarts, want)
+				}
+			}
+			deltaParsed := func(rep *core.Report) int64 {
+				return (rep.Stats.DeltaBytesReparsed + core.ShardBytes - 1) / core.ShardBytes
+			}
 
-			check("cold, 4 workers", tc.img, c.VerifyWith(tc.img, core.VerifyOptions{Workers: 4}))
+			cold := c.VerifyWith(tc.img, core.VerifyOptions{Workers: 4})
+			check("cold, 4 workers", tc.img, cold)
+			parsed("cold, 4 workers", cold, cold.Stats.Shards)
 
 			// Chunk-cache warm: prime with the image, then verify a copy
 			// whose final (never cached) bundle is rewritten as NOPs, so
@@ -244,12 +264,14 @@ func TestInstructionsParity(t *testing.T) {
 				t.Fatalf("warm run restored no chunks: %+v", warm.Stats)
 			}
 			check("chunk-cache warm", warmImg, warm)
+			parsed("chunk-cache warm", warm, warm.Stats.Shards-4*warm.Stats.CacheChunkHits)
 
 			srep, err := c.VerifyReader(bytes.NewReader(tc.img), core.VerifyOptions{StreamSize: int64(len(tc.img))})
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("VerifyReader", tc.img, srep)
+			parsed("VerifyReader", srep, srep.Stats.Shards)
 
 			img := append([]byte(nil), tc.img...)
 			rep, state, err := c.VerifyDeltaWith(img, nil, nil, one)
@@ -257,6 +279,7 @@ func TestInstructionsParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("delta round 0", img, rep)
+			parsed("delta round 0", rep, deltaParsed(rep))
 			rep, state, err = c.VerifyDeltaWith(img, nil, state, one)
 			if err != nil {
 				t.Fatal(err)
@@ -265,6 +288,12 @@ func TestInstructionsParity(t *testing.T) {
 				t.Fatal("no-edit delta round replayed nothing")
 			}
 			check("no-edit delta round", img, rep)
+			// A violating chunk is never replayed, so only the safe image
+			// re-parses nothing here.
+			if tc.safe && rep.Stats.DeltaBytesReparsed != 0 {
+				t.Errorf("no-edit delta round re-parsed %d bytes of a safe image", rep.Stats.DeltaBytesReparsed)
+			}
+			parsed("no-edit delta round", rep, deltaParsed(rep))
 			// NOP out a bundle in chunk 2: a compliance-preserving edit.
 			off := 2*deltaChunk + 8*core.BundleSize
 			for i := off; i < off+core.BundleSize; i++ {
@@ -275,6 +304,7 @@ func TestInstructionsParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("edited delta round", img, rep)
+			parsed("edited delta round", rep, deltaParsed(rep))
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"rocksalt/internal/flight"
 	"rocksalt/internal/telemetry"
 )
 
@@ -102,26 +101,17 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 		return nil, fmt.Errorf("core: automaton lookahead %d reaches past a window chunk; stream verification unavailable", c.fused.lookahead())
 	}
 	size := int(opts.StreamSize)
-	shards := shardCount(size)
-
 	var st Stats
-	t0 := time.Now()
-	st.BytesScanned = int64(size)
-	st.Bundles = int64((size + c.params.bundle - 1) / c.params.bundle)
-	st.Shards = int64(shards)
-	engine := c.resolveEngine(opts)
-	st.Engine = engineName(engine)
-	fr := flight.Active()
-	frun, frt0 := flightBegin(fr)
+	k := c.begin(size, opts, &st)
 
 	// ssc is the carry state (absolute coordinates, full image), from
 	// the ordinary pool; wsc is re-aimed at each window.
-	ssc := getScratch(size, shards)
+	ssc := getScratch(size, k.shards)
 	defer putScratch(ssc)
 	win := streamWinPool.Get().(*streamWin)
 	defer streamWinPool.Put(win)
 	window, wsc := win.buf[:], &win.sc
-	workers := clampWorkers(opts.Workers, min(shards, shardCount(streamWindow)))
+	k.workers = clampWorkers(opts.Workers, min(k.shards, shardCount(streamWindow)))
 
 	// harvest banks the final artifacts of window shard ws into the
 	// carry scratch as image shard gs. It runs on the worker that parsed
@@ -147,11 +137,11 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 			dst.bad = append(dst.bad, t+int32(base))
 		}
 	}
-	p := stage1{c: c, sc: wsc, engine: engine, fr: fr, frun: frun, after: harvest}
+	p := stage1{c: c, sc: wsc, engine: k.engine, fr: k.fr, frun: k.span.Run, after: harvest}
 
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
 	base, filled := 0, 0
-	interrupted := false
+	var ctxErr error
 	for {
 		// Top the window up, never reading past the declared size.
 		want := len(window) - filled
@@ -184,15 +174,11 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 		wsc.reset(filled, nshards)
 		wsc.base, wsc.imgSize = base, size
 		p.code, p.g0 = window[:filled], base/ShardBytes
-		p.dispatch(ctx, workers, nshards, nil, nil)
+		p.dispatch(ctx, k.workers, nil)
 		// The workers skip every shard after a cancel, so a done ctx
 		// leaves holes in the carry state, final window included: stop
 		// before any of it reaches reconcile.
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		if last {
+		if ctxErr = ctx.Err(); ctxErr != nil || last {
 			break
 		}
 		copy(window, window[span:filled])
@@ -200,8 +186,8 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 		filled -= span
 	}
 	endStage1()
-	st.Stage1Wall = time.Since(t0)
-	if !interrupted {
+	st.Stage1Wall = time.Since(k.t0)
+	if ctxErr == nil {
 		// A stream longer than declared would silently verify a prefix;
 		// probe one byte to reject it.
 		var one [1]byte
@@ -209,54 +195,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 			return nil, fmt.Errorf("core: stream continues past the declared %d bytes", size)
 		}
 	}
-	if interrupted {
-		err := ctx.Err()
-		st.Wall = time.Since(t0)
-		publishStats(&st, true, false)
-		if fr != nil {
-			fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine),
-				Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
-		}
-		rep := c.report(runResult{shards: shards, workers: workers, ctxErr: err}, size)
-		rep.Stats = st
-		return rep, nil
-	}
-
-	t1 := time.Now()
-	var frt1 int64
-	if fr != nil {
-		frt1 = fr.Now()
-	}
-	endReconcile := telemetry.Region(ctx, "rocksalt.stage2.reconcile")
-	violations, total := c.reconcile(ctx, nil, ssc, &st, fr, frun)
-	endReconcile()
-	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanReconcile, Run: frun,
-			Start: frt1, Dur: fr.Now() - frt1, Bytes: int64(total)})
-	}
-	for i := range ssc.results {
-		r := &ssc.results[i]
-		if r.lane || r.swar {
-			st.LaneBatches++
-		}
-		if r.swar {
-			st.SWARBatches++
-		}
-		if r.scalar {
-			st.ScalarFallbacks++
-		}
-		if r.restart {
-			st.Restarts++
-		}
-	}
-	st.Stage2Wall = time.Since(t1)
-	st.Wall = time.Since(t0)
-	publishStats(&st, false, total > 0)
-	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(engine),
-			Run: frun, Start: frt0, Dur: fr.Now() - frt0, Bytes: int64(size)})
-	}
-	rep := c.report(runResult{violations: violations, total: total, shards: shards, workers: workers}, size)
+	rep := c.report(c.finish(ctx, &k, ctxErr, nil, ssc, nil, &st), size)
 	rep.Stats = st
 	return rep, nil
 }
