@@ -9,12 +9,16 @@
 //
 //	go run ./cmd/dfagen -o internal/core/rocksalt_tables.bin
 //
-// Every bundle is RSLT4: it carries the policy's engine parameters
-// (bundle size, mask length, guard cutoff) alongside the tables, so the
-// default NaCl policy and compiled specs share one format.
+// Every bundle is RSLT5: the policy's engine parameters (bundle size,
+// mask length, guard cutoff), the fused product automaton and the three
+// component DFAs — nothing a loader can derive — so the default NaCl
+// policy and compiled specs share one format. Before writing a bundle,
+// dfagen loads it back through core.NewCheckerFromTables, so it never
+// emits one the loader's checks refuse.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -94,24 +98,28 @@ func main() {
 		n, n*512+n, time.Since(start))
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
 		info := core.PolicyInfo{
 			Name:        com.Spec.Name,
 			BundleSize:  com.Spec.BundleSize,
 			MaskLen:     com.Spec.MaskLen(),
 			GuardCutoff: com.Spec.GuardCutoff,
 		}
-		if err := dfas.WriteTables(f, info, com.Spec.AlignedCalls); err != nil {
+		var bundle bytes.Buffer
+		if err := dfas.WriteTables(&bundle, info, com.Spec.AlignedCalls); err != nil {
 			fail(err)
 		}
-		if err := f.Close(); err != nil {
+		loaded, err := core.NewCheckerFromTables(bytes.NewReader(bundle.Bytes()))
+		if err != nil {
+			fail(fmt.Errorf("the bundle does not load back: %w", err))
+		}
+		if err := os.WriteFile(*out, bundle.Bytes(), 0o644); err != nil {
 			fail(err)
 		}
-		st, _ := os.Stat(*out)
-		fmt.Printf("wrote %s (RSLT4, %d bytes)\n", *out, st.Size())
+		st, err := os.Stat(*out)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("wrote %s (%s, %d bytes)\n", *out, loaded.TableBundle(), st.Size())
 	}
 
 	if *emit {

@@ -477,9 +477,10 @@ func e6Agreement() {
 }
 
 // defaultPathFiles are the sources the default NewChecker + Verify path
-// executes: the embedded-bundle loader, the staged engine with its lane
-// and SWAR steppers, the fused automaton and its pair tables, the
-// report, and the packed bitmaps. All of it is trusted code.
+// executes: the embedded-bundle loader and the product check it runs
+// against the component DFAs, the staged engine with its lane and SWAR
+// steppers, the fused automaton and its pair tables, the report, and
+// the packed bitmaps. All of it is trusted code.
 var defaultPathFiles = []string{
 	"internal/core/verifier.go",
 	"internal/core/engine.go",
@@ -490,6 +491,7 @@ var defaultPathFiles = []string{
 	"internal/core/tables.go",
 	"internal/core/tables_embed.go",
 	"internal/core/report.go",
+	"internal/policy/product.go",
 	"internal/bitset/bitset.go",
 }
 

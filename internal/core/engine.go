@@ -63,10 +63,10 @@ const (
 	// bytes per iteration with one eventful-sentinel branch per chain
 	// half, and handing event-dense shards back to the single-stride
 	// lanes (the density backoff). EngineFused upgrades to it
-	// automatically when the tables are present and fit the footprint
-	// budget (swarAuto); forcing it builds them on demand. If the
-	// automaton cannot support it (too many states, or a table failure)
-	// the run degrades to the single-stride lanes.
+	// automatically when the checker has pair tables and they fit the
+	// footprint budget (swarAuto). If the automaton has none (too many
+	// states, or a pair partition past the capacity) the run degrades
+	// to the single-stride lanes.
 	EngineSWAR
 )
 
@@ -522,19 +522,19 @@ func shardFlightEngine(e EngineKind, res *shardResult) flight.Engine {
 
 // resolveEngine maps the requested engine to the one a run will
 // actually use: EngineFused resolves to EngineSWAR or EngineLanes, and
-// the other kinds to themselves. Forced EngineSWAR builds and
-// semantically verifies its tables on first use and degrades to the
-// single-stride lanes if they cannot be readied. EngineFused — the
-// default — upgrades to the SWAR stepper when the tables are already
-// present (shipped in the bundle, or built by NewCheckerFromPolicy or
-// an earlier forced run) and their hot footprint fits the budget.
+// the other kinds to themselves. Every constructor builds the pair
+// tables when the automaton supports them (newChecker), so one policy
+// resolves alike however its checker was made. Forced EngineSWAR runs
+// on them whenever they exist; EngineFused — the default — only when
+// their hot footprint also fits the budget (swarAuto). Without them
+// both run the single-stride lanes.
 func (c *Checker) resolveEngine(opts VerifyOptions) EngineKind {
 	e := opts.Engine
 	if e != EngineFused && e != EngineSWAR {
 		return e
 	}
 	f := c.fused
-	if f != nil && (e == EngineSWAR || f.swarAuto()) && f.ensureStride() == nil && f.swarReady() {
+	if f != nil && f.stride != nil && (e == EngineSWAR || f.swarAuto()) {
 		return EngineSWAR
 	}
 	return EngineLanes

@@ -14,8 +14,8 @@ import (
 // are present and fit the footprint budget (swarAuto; see
 // TestSWARAutoBudget), and otherwise runs the single-stride lanes.
 // Forced kinds resolve to themselves (or, for SWAR, degrade to lanes
-// when its tables cannot be readied, which the shipped automaton never
-// hits).
+// when the checker has no pair tables, which no preset hits; see
+// TestPairTablesRefusedForLargeAutomaton).
 func TestAutoEngineSelection(t *testing.T) {
 	c, err := core.NewChecker()
 	if err != nil {
@@ -76,9 +76,10 @@ func TestAutoEngineSelection(t *testing.T) {
 		t.Error("auto and lanes runs diverged on the generated image")
 	}
 
-	// Runtime-compiled policies build their tables eagerly
-	// (NewCheckerFromPolicy), so auto rides the SWAR stepper from the
-	// first image — including the 16-byte-bundle presets.
+	// Every constructor builds the pair tables, so auto rides the SWAR
+	// stepper from the first image whichever way the checker was made:
+	// runtime-compiled policies (the 16-byte-bundle presets included)
+	// and the default policy compiled from its grammars.
 	for _, spec := range []policy.Spec{policy.NaCl16(), policy.REINS()} {
 		com, err := policy.Compile(spec)
 		if err != nil {
@@ -91,5 +92,12 @@ func TestAutoEngineSelection(t *testing.T) {
 		if got := pc.ResolvedEngineForTest(core.VerifyOptions{}); got != "swar" {
 			t.Errorf("%s: auto resolved to %q, want swar", spec.Name, got)
 		}
+	}
+	gc, err := core.NewCheckerFromGrammars()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := gc.ResolvedEngineForTest(core.VerifyOptions{}); got != "swar" {
+		t.Errorf("NewCheckerFromGrammars: auto resolved to %q, want swar", got)
 	}
 }

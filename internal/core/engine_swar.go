@@ -78,11 +78,10 @@ const (
 // must discard the shard's bitmap/result writes and re-parse — with
 // the four-lane single-stride walk when dense is set (the density
 // backoff above fired), with the scalar loop otherwise. The caller
-// guarantees swarReady() (walk, pcls and flat materialized) and at
-// least laneCount bundles in the region.
+// guarantees at least laneCount bundles in the region.
 func (c *Checker) parseShardSWAR(code []byte, start, fullEnd int, sc *scratch, res *shardResult) (ok, dense bool) {
 	f := c.fused
-	if !f.swarReady() || f.nc == f.quiet {
+	if f.stride == nil || f.nc == f.quiet {
 		return false, false
 	}
 	flat := (*[flatStates * 256]uint16)(f.flat)

@@ -1,27 +1,19 @@
 package core
 
-import "errors"
-
 // SetShardHook installs (or, with nil, removes) the stage-1 shard hook.
 // Tests use it to inject cancellation and panics into shard workers
 // mid-run; see testShardHook.
 func SetShardHook(f func(shard int)) { testShardHook = f }
 
-// EnsureStrideForTest forces the pair tables ready (building and
-// semantically verifying them if needed); tests use it to assert the
-// construction succeeds for the shipped automaton.
-func (c *Checker) EnsureStrideForTest() error {
-	if c.fused == nil {
-		return errors.New("checker has no fused automaton")
-	}
-	return c.fused.ensureStride()
-}
-
 // StrideParamsForTest exposes the stride table shape: the number of
-// fused states, byte classes, and pair classes.
+// fused states, byte classes, and pair classes (0 for a checker the
+// constructor built no pair tables for).
 func (c *Checker) StrideParamsForTest() (states, ncls, npcls int) {
 	f := c.fused
-	return len(f.table), f.ncls, f.stride.npcls
+	if f.stride != nil {
+		npcls = f.stride.npcls
+	}
+	return len(f.table), f.ncls, npcls
 }
 
 // ByteClassForTest returns the byte-class id of b in the fused

@@ -87,15 +87,11 @@ type fusedDFA struct {
 	// construction works from; see fused_stride.go.
 	cls  [256]uint8
 	ncls int
-	// stride holds the optional pair tables the SWAR stepper walks
-	// (pair-class map + superstate transitions); nil when no bundle
-	// carried them and ensureStride has not built them. Guarded by
-	// strideOnce: the first SWAR run verifies (or builds) the tables and
-	// materializes the padded walk table; a sticky strideErr keeps later
-	// runs on the single-stride lanes. See fused_stride.go.
-	stride     *strideTables
-	strideOnce sync.Once
-	strideErr  error
+	// stride holds the pair tables the SWAR stepper walks (pair-class
+	// map + padded walk table), built by the checker constructor; nil
+	// when the automaton cannot support them, which leaves the checker
+	// on the single-stride lanes. See fused_stride.go.
+	stride *strideTables
 	// fp memoizes the content hash of (start, tags, table) — the
 	// automaton's identity in verdict-cache keys (see cache.go).
 	fpOnce sync.Once
@@ -173,11 +169,12 @@ func (f *fusedDFA) lookahead() int {
 // the scalar-fused path alone.
 const flatStates = 128
 
-// computeFast derives the never-serialized fast-path structures: the
-// single-byte noCF table (entering a state whose tag is exactly
-// tagAccNoCF means noCF just accepted and every component is resolved,
-// so the priority decision is "noCF, length 1") and the restart-closed
-// transition table.
+// computeFast derives the never-serialized fast-path structures from a
+// checked automaton: the single-byte noCF table (entering a state whose
+// tag is exactly tagAccNoCF means noCF just accepted and every
+// component is resolved, so the priority decision is "noCF, length
+// 1"), the restart-closed transition table, its byte classes and the
+// padded flat table.
 func (f *fusedDFA) computeFast() {
 	row := &f.table[f.start]
 	for b := 0; b < 256; b++ {
@@ -192,7 +189,6 @@ func (f *fusedDFA) computeFast() {
 		}
 	}
 	f.cls, f.ncls = grammar.ByteClasses(f.closed)
-	f.flat = nil
 	if len(f.table) <= flatStates {
 		f.flat = make([]uint16, flatStates*256)
 		for s := range f.closed {
@@ -243,8 +239,9 @@ func fuseDFAs(set *DFASet) (*fusedDFA, error) {
 // reorderByClass renumbers the minimized product so the stateClass
 // sequence is non-decreasing, preserving relative order within each
 // class — a deterministic permutation, so serialized bundles stay
-// reproducible. The boundaries themselves are not serialized; they are
-// recomputed from the tags on load (validate checks the partition).
+// reproducible. The boundaries themselves are not serialized; the
+// loader recomputes them from the tags (validate) and refuses a table
+// that is not in this order.
 func reorderByClass(start int, tags []uint8, table [][256]uint16) *fusedDFA {
 	n := len(tags)
 	perm := make([]int, n)
@@ -276,7 +273,6 @@ func reorderByClass(start int, tags []uint8, table [][256]uint16) *fusedDFA {
 			f.table[ni][b] = uint16(perm[int(table[i][b])])
 		}
 	}
-	f.computeFast()
 	return f
 }
 
@@ -320,35 +316,24 @@ func (f *fusedDFA) scan(code []byte, pos int) (lm, ln, ld int) {
 	return lm, ln, ld
 }
 
-// validate bounds-checks a deserialized fused automaton so a corrupt
-// bundle can never index out of range at verification time, and
-// recomputes the quiet boundary the hot loop depends on (rejecting
-// tables that are not quiet-first partitioned — the walk would silently
-// skip accepts in the quiet region otherwise).
+// validate bounds-checks a deserialized fused automaton as written, so
+// a corrupt bundle can never index out of range at verification time,
+// and recomputes the class boundaries the hot loops depend on. A table
+// that is not class-partitioned is refused — the walk would silently
+// misclassify states otherwise (a quiet-region accept state would never
+// be seen; an out-of-place eventful state would resolve as a plain noCF
+// instruction) — and cmd/dfagen never writes one.
 func (f *fusedDFA) validate() error {
 	n := len(f.table)
-	if n == 0 || n > 1<<16 {
-		return fmt.Errorf("core: implausible fused automaton size %d", n)
-	}
-	if len(f.tags) != n {
-		return fmt.Errorf("core: fused tag count %d does not match %d states", len(f.tags), n)
-	}
-	if f.start < 0 || f.start >= n {
+	if f.start >= n {
 		return fmt.Errorf("core: fused start state out of range")
 	}
+	prev := 0
+	q, nc, rec := n, n, n
 	for i, g := range f.tags {
 		if g&^uint8(tagMask) != 0 {
 			return fmt.Errorf("core: fused state %d has undefined tag bits %#x", i, g)
 		}
-	}
-	// Recompute the class boundaries the hot loops depend on, rejecting
-	// tables that are not class-partitioned — the walk would silently
-	// misclassify states otherwise (a quiet-region accept state would
-	// never be seen; an out-of-place eventful state would resolve as a
-	// plain noCF instruction).
-	prev := 0
-	q, nc, rec := n, n, n
-	for i, g := range f.tags {
 		cl := stateClass(g)
 		if cl < prev {
 			return fmt.Errorf("core: fused states are not class-partitioned (class %d state %d after class %d)", cl, i, prev)
@@ -366,12 +351,11 @@ func (f *fusedDFA) validate() error {
 	}
 	f.quiet, f.nc, f.rec = q, nc, rec
 	for s := range f.table {
-		for b := 0; b < 256; b++ {
-			if int(f.table[s][b]) >= n {
+		for _, t := range f.table[s] {
+			if int(t) >= n {
 				return fmt.Errorf("core: fused transition out of range")
 			}
 		}
 	}
-	f.computeFast()
 	return nil
 }

@@ -1,13 +1,16 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// This file builds the optional byte-pair tables the SWAR stepper
+// This file builds the byte-pair tables the SWAR stepper
 // (engine_swar.go) walks — the second classic regex-engine acceleration
 // after byte classes. Two byte pairs are equivalent iff from every
 // state the restart-closed two-step walk stores the same two states (or
 // is eventful either step); the pair-class map pcls collapses the 2^16
-// pair space onto those classes, and the dense pair table gives, per
+// pair space onto those classes, and the padded walk table gives, per
 // (state, pair class), the two state bytes the single-stride walk would
 // have stored — packed little-endian so one uint16 entry is exactly the
 // two-byte store into the state buffer. An entry is the sentinel
@@ -17,37 +20,25 @@ import "fmt"
 // single-stride stores, the state buffer — and everything derived from
 // it — is byte-identical between the SWAR stepper and the lanes.
 //
-// Pair classes factor through byte classes: encStride(s, b1, b2) only
-// reads closed-table columns, and two bytes in the same byte class have
+// Pair classes factor through byte classes: an entry only reads
+// closed-table columns, and two bytes in the same byte class have
 // identical columns by definition (cls is the column partition computed
-// in-process by computeFast). So the pair's class is a function of
-// (cls[b1], cls[b2]) alone. That fact powers three things here:
+// by computeFast). So the pair's class is a function of (cls[b1],
+// cls[b2]) alone, and buildStride computes one column per byte-class
+// pair (ncls², ~15k for the shipped automaton) instead of one per raw
+// pair (65,536). The SWAR stepper indexes pcls directly with the four
+// uint16 pair values sliced out of one 8-byte load, so the pair map
+// doubles as its translation table.
 //
-//   - buildStride computes one dense column per byte-class pair
-//     (ncls², ~15k for the shipped automaton) instead of one per raw
-//     pair (65,536), while numbering classes exactly as the historical
-//     per-pair construction did (first occurrence in ascending pair
-//     order, deduped by column signature) so serialized bundles stay
-//     byte-identical.
-//   - verifyStride checks each byte-class pair's column exhaustively
-//     against encStride once, and holds every other pair of the same
-//     class pair to that canonical column — the same acceptance set as
-//     the old 65,536×states check at a fraction of the cost.
-//   - the SWAR stepper (engine_swar.go) indexes pcls directly with the
-//     four uint16 pair values sliced out of one 8-byte load — the pair
-//     map doubles as the SWAR translation table, so nothing new is
-//     derived or serialized and no table format grew.
-//
-// The tables are big (pcls is 128 KiB; the dense pair table is
+// The tables are derived data, never serialized: every checker
+// constructor builds them from the automaton it has checked (newChecker
+// in verifier.go), or builds none and leaves the checker on the lanes.
+// They are big (pcls is 128 KiB; the walk rows in use are
 // states×pairClasses×2 bytes, ~455 KiB for the shipped 66-state
 // automaton), so the pair-indexed walk is L2-resident rather than L1;
 // swarAuto gates auto-selection on that hot footprint, and the density
 // backoff (engine_swar.go) hands event-dense shards back to the
-// L1-resident flat walk. EngineSWAR forces the tables regardless.
-// Bundles carry pcls/dense precomputed; they are fully semantically
-// verified against the in-process closed table before first use
-// (ensureStride), so a corrupt or stale bundle can disable the SWAR
-// stepper but never change a verdict.
+// L1-resident flat walk.
 
 const (
 	// strideShift is the pair-class capacity exponent: the padded walk
@@ -64,210 +55,131 @@ const (
 )
 
 // defaultSWARBudgetBytes is the auto-selection ceiling on the SWAR
-// stepper's hot table footprint (the 128 KiB pair map plus the dense
-// walk rows). The shipped automaton needs ~585 KiB, which stays
+// stepper's hot table footprint (the 128 KiB pair map plus the walk
+// rows in use). The shipped automaton needs ~585 KiB, which stays
 // L2-resident alongside the 16 KiB code shard on commodity cores; the
 // budget rejects pathological runtime-compiled automata whose pair
 // partition balloons.
 const defaultSWARBudgetBytes = 1 << 20
 
-// strideTables holds the pair-class machinery. pcls and dense are the
-// serialized form; walk is the padded runtime table derived by
-// ensureStride.
+// strideTables holds the pair-class machinery.
 type strideTables struct {
 	npcls int
 	pcls  []uint16 // 1<<16: byte pair (little-endian uint16) -> class
-	dense []uint16 // n*npcls: packed two-state entries, row-major by state
-	walk  []uint16 // flatStates<<strideShift, sentinel-padded
+	walk  []uint16 // flatStates<<strideShift: state<<strideShift | class -> packed entry, sentinel-padded
 }
 
-// encStride is the defining map: the packed entry for state s consuming
-// bytes b1 then b2 through the restart-closed table.
-func (f *fusedDFA) encStride(s uint16, b1, b2 byte) uint16 {
-	s1 := f.closed[s][b1]
-	if int(s1) >= f.rec {
-		return strideEventful
-	}
-	s2 := f.closed[s1][b2]
-	if int(s2) >= f.rec {
-		return strideEventful
-	}
-	return s1 | s2<<8
-}
-
-// buildStride constructs the pair-class map and dense pair table
-// from the closed table, deterministically (classes numbered by first
-// occurrence in ascending pair order, deduped by column signature —
-// the numbering the serialized bundles pin). The dense column is
-// computed once per byte-class pair and memoized; pairs in the same
-// class pair provably share it (closed columns are equal within a byte
-// class), so the output is byte-identical to the historical per-pair
-// construction at ~1/4 the cost. Fails if the automaton is too large
+// buildStride builds the pair tables from the closed table. The entry
+// for state s and pair b1 b2 is s1 | s2<<8, where s1 = closed[s][b1]
+// and s2 = closed[s1][b2], or strideEventful if s1 or s2 is not below
+// rec. Each byte-class pair's column — that entry for every state,
+// taking the two classes' least bytes — is computed once, packed four
+// entries to a word; columns are deduplicated exactly (a hash picks the
+// candidate, a compare decides), and a new column gets the next pair
+// class. Class pairs are visited c2-major: classes are numbered by first
+// occurrence, so that is the ascending order of the pairs b1|b2<<8 that
+// first reach each class pair, and pair classes come out numbered by
+// first occurrence in pair order. Fails if the automaton is too large
 // for the packed encoding or the pair partition exceeds the capacity.
 func (f *fusedDFA) buildStride() (*strideTables, error) {
-	n := len(f.table)
+	n, ncls := len(f.table), f.ncls
 	if n > flatStates {
 		return nil, fmt.Errorf("core: %d states exceed the %d the pair walk supports", n, flatStates)
 	}
-	ncls := f.ncls
-	sig := make([]byte, 2*n)
-	seen := make(map[string]uint16, stridePairCap)
+	var rep [256]byte // each class's least byte
+	for b := 255; b >= 0; b-- {
+		rep[f.cls[b]] = byte(b)
+	}
+	// A column is w words. The first step of state s on class c1 is
+	// first[c1*4*w+s]; the padding past n steps to state n, whose entry
+	// in second below stays 0.
+	w := (n + 3) / 4
+	first := make([]uint8, ncls*4*w)
+	for c := 0; c < ncls; c++ {
+		fc := first[c*4*w : (c+1)*4*w]
+		for s := range fc {
+			fc[s] = uint8(n)
+			if s < n {
+				fc[s] = uint8(f.closed[s][rep[c]])
+			}
+		}
+	}
+	ids := make([]uint16, ncls*ncls) // ids[c2*ncls+c1]: the pair class
+	cols := make([]uint64, 0, min(ncls*ncls, stridePairCap)*w)
+	const slots = 2 * stridePairCap // open addressing, load <= 1/2
+	var slotHash [slots]uint64
+	var slotID [slots]uint16 // pair class + 1; 0 is empty
+	var second [flatStates]uint16
+	col := make([]uint64, w)
+	for c2 := 0; c2 < ncls; c2++ {
+		// second[s1] is the entry for a walk whose first step reached s1.
+		for s1 := 0; s1 < n; s1++ {
+			second[s1] = strideEventful
+			if s2 := f.closed[s1][rep[c2]]; s1 < f.rec && int(s2) < f.rec {
+				second[s1] = uint16(s1) | s2<<8
+			}
+		}
+		for c1 := 0; c1 < ncls; c1++ {
+			fc := first[c1*4*w : (c1+1)*4*w]
+			h := uint64(0)
+			for i := range col {
+				q := fc[4*i : 4*i+4 : 4*i+4]
+				x := uint64(second[q[0]&(flatStates-1)]) | uint64(second[q[1]&(flatStates-1)])<<16 |
+					uint64(second[q[2]&(flatStates-1)])<<32 | uint64(second[q[3]&(flatStates-1)])<<48
+				col[i] = x
+				h = (h ^ x) * 0x9E3779B97F4A7C15
+			}
+			slot := h >> (64 - strideShift - 1) // the top log2(slots) bits
+			for {
+				id := int(slotID[slot]) - 1
+				if id < 0 {
+					id = len(cols) / w
+					if id == stridePairCap {
+						return nil, fmt.Errorf("core: pair-class count exceeds %d", stridePairCap)
+					}
+					slotHash[slot], slotID[slot] = h, uint16(id+1)
+					cols = append(cols, col...)
+				} else if slotHash[slot] != h || !slices.Equal(cols[id*w:(id+1)*w], col) {
+					slot = (slot + 1) % slots
+					continue
+				}
+				ids[c2*ncls+c1] = uint16(id)
+				break
+			}
+		}
+	}
+	// Transpose the columns into the sentinel-padded walk, one packed
+	// word (four state rows) at a time.
+	npcls := len(cols) / w
+	walk := make([]uint16, flatStates<<strideShift)
+	for i := range walk {
+		walk[i] = strideEventful
+	}
+	for i := 0; i < w; i++ {
+		for id := 0; id < npcls; id++ {
+			x := cols[id*w+i]
+			for s := 4 * i; s < min(4*i+4, n); s++ {
+				walk[s<<strideShift|id] = uint16(x)
+				x >>= 16
+			}
+		}
+	}
 	pcls := make([]uint16, 1<<16)
-	var cols [][]uint16
-	colbuf := make([]uint16, n)
-	memo := make([]int32, ncls*ncls) // byte-class pair -> id, -1 unseen
-	for i := range memo {
-		memo[i] = -1
+	for p := range pcls {
+		pcls[p] = ids[int(f.cls[p>>8])*ncls+int(f.cls[p&0xFF])]
 	}
-	for p := 0; p < 1<<16; p++ {
-		b1, b2 := byte(p), byte(p>>8) // pair index is the LE uint16 of [b1 b2]
-		key := int(f.cls[b1])*ncls + int(f.cls[b2])
-		if id := memo[key]; id >= 0 {
-			pcls[p] = uint16(id)
-			continue
-		}
-		for s := 0; s < n; s++ {
-			v := f.encStride(uint16(s), b1, b2)
-			colbuf[s] = v
-			sig[2*s] = byte(v)
-			sig[2*s+1] = byte(v >> 8)
-		}
-		// Dedup by column signature, not by class pair: two distinct
-		// class pairs with coincidentally equal columns share one id,
-		// exactly as the per-pair construction numbered them.
-		id, ok := seen[string(sig)]
-		if !ok {
-			if len(seen) >= stridePairCap {
-				return nil, fmt.Errorf("core: pair-class count exceeds %d", stridePairCap)
-			}
-			id = uint16(len(seen))
-			seen[string(sig)] = id
-			cols = append(cols, append([]uint16(nil), colbuf...))
-		}
-		memo[key] = int32(id)
-		pcls[p] = id
-	}
-	npcls := len(seen)
-	dense := make([]uint16, n*npcls)
-	for s := 0; s < n; s++ {
-		for p := 0; p < npcls; p++ {
-			dense[s*npcls+p] = cols[p][s]
-		}
-	}
-	return &strideTables{npcls: npcls, pcls: pcls, dense: dense}, nil
-}
-
-// verifyStride checks a deserialized stride section semantically
-// against the in-process closed table. The acceptance set is identical
-// to the historical exhaustive 65,536×states check, factored through
-// the byte classes: the first pair of each byte-class pair (the
-// canonical pair) has its dense column verified against encStride for
-// every state; any later pair of the same class pair provably demands
-// the same column (closed columns are equal within a byte class), so
-// it is held to the canonical pair's column — equal id passes outright,
-// a different id must carry an equal column. A bundle whose stride
-// tables passed the CRC but disagree semantically (a stale or
-// hand-edited bundle) is rejected here, before the SWAR stepper ever
-// consumes them.
-func (f *fusedDFA) verifyStride(st *strideTables) error {
-	n := len(f.table)
-	if n > flatStates {
-		return fmt.Errorf("core: %d states exceed the %d the pair walk supports", n, flatStates)
-	}
-	if st.npcls < 1 || st.npcls > stridePairCap {
-		return fmt.Errorf("core: implausible pair-class count %d", st.npcls)
-	}
-	if len(st.pcls) != 1<<16 || len(st.dense) != n*st.npcls {
-		return fmt.Errorf("core: stride table sizes do not match the automaton")
-	}
-	ncls := f.ncls
-	canon := make([]int32, ncls*ncls) // byte-class pair -> canonical id, -1 unseen
-	for i := range canon {
-		canon[i] = -1
-	}
-	for p := 0; p < 1<<16; p++ {
-		id := int(st.pcls[p])
-		if id >= st.npcls {
-			return fmt.Errorf("core: pair class out of range")
-		}
-		b1, b2 := byte(p), byte(p>>8)
-		key := int(f.cls[b1])*ncls + int(f.cls[b2])
-		switch cid := canon[key]; {
-		case cid < 0:
-			for s := 0; s < n; s++ {
-				if st.dense[s*st.npcls+id] != f.encStride(uint16(s), b1, b2) {
-					return fmt.Errorf("core: pair table disagrees with the closed walk at state %d pair %#04x", s, p)
-				}
-			}
-			canon[key] = int32(id)
-		case int32(id) != cid:
-			// A different id for an equivalent pair is legal only if its
-			// column is identical to the canonical (already verified) one.
-			for s := 0; s < n; s++ {
-				if st.dense[s*st.npcls+id] != st.dense[s*st.npcls+int(cid)] {
-					return fmt.Errorf("core: pair table disagrees with the closed walk at state %d pair %#04x", s, p)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// ensureStride makes f's stride tables ready for the walk, once:
-// bundle-shipped tables are semantically verified, otherwise they are
-// built from the closed table, and either way the padded walk table is
-// materialized. Runs once per automaton (a few milliseconds); the error
-// is sticky, and a failure leaves the engine on the single-stride lanes.
-func (f *fusedDFA) ensureStride() error {
-	f.strideOnce.Do(func() {
-		st := f.stride
-		if st != nil {
-			if err := f.verifyStride(st); err != nil {
-				f.stride = nil
-				f.strideErr = err
-				return
-			}
-		} else {
-			built, err := f.buildStride()
-			if err != nil {
-				f.strideErr = err
-				return
-			}
-			st = built
-			f.stride = st
-		}
-		walk := make([]uint16, flatStates<<strideShift)
-		for i := range walk {
-			walk[i] = strideEventful
-		}
-		n := len(f.table)
-		for s := 0; s < n; s++ {
-			copy(walk[s<<strideShift:s<<strideShift+st.npcls], st.dense[s*st.npcls:(s+1)*st.npcls])
-		}
-		st.walk = walk
-	})
-	return f.strideErr
-}
-
-// swarReady reports whether the SWAR stepper's tables — the padded walk
-// (verified by ensureStride), the pair map and the flat fallback table
-// — are materialized.
-func (f *fusedDFA) swarReady() bool {
-	return f.stride != nil && f.stride.walk != nil && f.flat != nil
+	return &strideTables{npcls: npcls, pcls: pcls, walk: walk}, nil
 }
 
 // swarAuto decides whether EngineFused should upgrade to the SWAR
-// stepper: the automaton must fit the packed encodings and the hot
-// table footprint — the 128 KiB pair map plus the dense walk rows
-// actually touched — must fit defaultSWARBudgetBytes, so pathological
-// runtime-compiled automata degrade gracefully to the single-stride
-// lanes instead of thrashing the cache.
+// stepper: the automaton must have pair tables and their hot footprint
+// — the 128 KiB pair map plus the walk rows actually touched — must fit
+// defaultSWARBudgetBytes, so pathological runtime-compiled automata
+// degrade gracefully to the single-stride lanes instead of thrashing
+// the cache.
 func (f *fusedDFA) swarAuto() bool {
-	if len(f.table) > flatStates {
-		return false
-	}
 	st := f.stride
-	if st == nil {
+	if st == nil || len(f.table) > flatStates {
 		return false
 	}
 	hot := 2*(1<<16) + 2*len(f.table)*st.npcls

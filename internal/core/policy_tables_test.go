@@ -96,10 +96,11 @@ func writeBundle(t *testing.T, com *policy.Compiled) []byte {
 	return buf.Bytes()
 }
 
-// TestTableRoundTripV4 holds a checker loaded from an RSLT4 bundle
-// identical to the runtime-compiled one it was serialized from: same
-// reported policy parameters, same verdicts over compliant images,
-// mutants and the unsafe corpus.
+// TestTableRoundTripV4 holds a checker loaded from a bundle identical
+// to the runtime-compiled one it was serialized from: same reported
+// policy parameters, same verdicts over compliant images, mutants and
+// the unsafe corpus. The V4 in its name is the format version that
+// introduced the parameter block; it runs on RSLT5.
 func TestTableRoundTripV4(t *testing.T) {
 	for _, spec := range []policy.Spec{policy.NaCl16(), policy.REINS()} {
 		fresh, com := compiledChecker(t, spec)
@@ -127,9 +128,9 @@ func TestTableRoundTripV4(t *testing.T) {
 	}
 }
 
-// TestV4ParamValidation: corrupted or implausible RSLT4 parameter
-// blocks must fail closed at the loader with a message naming the
-// problem.
+// TestV4ParamValidation: corrupted or implausible parameter blocks
+// (introduced by RSLT4, unchanged in RSLT5) must fail closed at the
+// loader with a message naming the problem.
 func TestV4ParamValidation(t *testing.T) {
 	com, err := policy.Compile(policy.NaCl16())
 	if err != nil {

@@ -1,10 +1,10 @@
 package core_test
 
 import (
-	"bytes"
 	"testing"
 
 	"rocksalt/internal/core"
+	"rocksalt/internal/policy"
 )
 
 // TestByteClassPartition pins the byte-class compaction invariants on
@@ -53,71 +53,67 @@ func TestByteClassPartition(t *testing.T) {
 }
 
 // TestStrideComposition is the defining equation of the pair tables,
-// checked exhaustively: for every (state, b1, b2), the pair-table
+// checked exhaustively on the shipped automaton and on the NaCl-16 and
+// REINS-16 compiled checkers: for every (state, b1, b2), the pair-table
 // entry equals two composed restart-closed single steps, or is the
 // eventful sentinel exactly when either step leaves the inline bands.
+// The pair-class counts are pinned, so a change to the construction
+// that changes the partition (and with it the footprint) shows here.
 func TestStrideComposition(t *testing.T) {
-	c := checker(t)
-	states, _, npcls := strideParams(t, c)
-	rec := c.RecBoundaryForTest()
-	if npcls < 1 || npcls > 4096 {
-		t.Fatalf("implausible pair-class count %d", npcls)
+	for _, tc := range []struct {
+		name  string
+		c     *core.Checker
+		npcls int
+	}{
+		{"shipped", checker(t), 3443},
+		{"nacl-16", mustCompiled(t, policy.NaCl16()), 3466},
+		{"reins-16", mustCompiled(t, policy.REINS()), 3304},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			states, _, npcls := strideParams(t, c)
+			if npcls != tc.npcls {
+				t.Fatalf("%d pair classes, want %d", npcls, tc.npcls)
+			}
+			rec := c.RecBoundaryForTest()
+			for s := 0; s < states; s++ {
+				for p := 0; p < 1<<16; p++ {
+					b1, b2 := byte(p), byte(p>>8)
+					w1 := c.ClosedStepForTest(s, b1)
+					w2 := 0
+					inline := w1 < rec
+					if inline {
+						w2 = c.ClosedStepForTest(w1, b2)
+						inline = w2 < rec
+					}
+					s1, s2, ok := c.StrideStepForTest(s, b1, b2)
+					if ok != inline {
+						t.Fatalf("state %d pair %02x %02x: stride valid=%v, composed inline=%v", s, b1, b2, ok, inline)
+					}
+					if ok && (s1 != w1 || s2 != w2) {
+						t.Fatalf("state %d pair %02x %02x: stride stores (%d,%d), composed steps give (%d,%d)",
+							s, b1, b2, s1, s2, w1, w2)
+					}
+				}
+			}
+			t.Logf("%d states x 65536 pairs verified against composed closed steps (%d pair classes)", states, npcls)
+		})
 	}
-	for s := 0; s < states; s++ {
-		for p := 0; p < 1<<16; p++ {
-			b1, b2 := byte(p), byte(p>>8)
-			w1 := c.ClosedStepForTest(s, b1)
-			w2 := 0
-			inline := w1 < rec
-			if inline {
-				w2 = c.ClosedStepForTest(w1, b2)
-				inline = w2 < rec
-			}
-			s1, s2, ok := c.StrideStepForTest(s, b1, b2)
-			if ok != inline {
-				t.Fatalf("state %d pair %02x %02x: stride valid=%v, composed inline=%v", s, b1, b2, ok, inline)
-			}
-			if ok && (s1 != w1 || s2 != w2) {
-				t.Fatalf("state %d pair %02x %02x: stride stores (%d,%d), composed steps give (%d,%d)",
-					s, b1, b2, s1, s2, w1, w2)
-			}
-		}
-	}
-	t.Logf("%d states x 65536 pairs verified against composed closed steps (%d pair classes)", states, npcls)
 }
 
+func mustCompiled(t *testing.T, spec policy.Spec) *core.Checker {
+	t.Helper()
+	c, _ := compiledChecker(t, spec)
+	return c
+}
+
+// strideParams returns the checker's stride table shape, failing the
+// test if the constructor built no pair tables.
 func strideParams(t *testing.T, c *core.Checker) (states, ncls, npcls int) {
 	t.Helper()
-	if err := c.EnsureStrideForTest(); err != nil {
-		t.Fatalf("stride tables unavailable for the shipped automaton: %v", err)
+	states, ncls, npcls = c.StrideParamsForTest()
+	if npcls == 0 {
+		t.Fatal("checker has no pair tables")
 	}
-	return c.StrideParamsForTest()
-}
-
-// TestStrideSectionCorruptionRejected flips bytes inside the stride
-// section of the bundle NewChecker ships: every flip must be caught
-// (the section CRC plus the structural and semantic cross-checks),
-// never silently accepted into a checker with different tables.
-func TestStrideSectionCorruptionRejected(t *testing.T) {
-	set, err := core.BuildDFAs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := core.EmbeddedTableBytes()
-	_, strideStart, strideEnd := bundleLayout(t, good, set)
-	offsets := []int{
-		strideStart,                               // ncls header
-		strideStart + 100,                         // cls map
-		strideStart + 400,                         // compact table
-		(strideStart + strideEnd) / 2,             // pcls / dense interior
-		strideEnd - 3,                             // section CRC itself
-		strideStart + (strideEnd-strideStart)/4*3, // dense interior
-	}
-	for _, off := range offsets {
-		bad := append([]byte(nil), good...)
-		bad[off] ^= 0x01
-		if _, err := core.NewCheckerFromTables(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("flip at stride-section offset %d (section [%d,%d)) was accepted", off, strideStart, strideEnd)
-		}
-	}
+	return states, ncls, npcls
 }

@@ -18,46 +18,41 @@ import (
 // `cmd/experiments -run e7` counts, this loader among them) and the
 // bytes of the tables.
 //
-// There is one bundle format, RSLT4. In order it holds:
+// There is one bundle format, RSLT5. It holds only what the loader
+// cannot derive, in order:
 //
-//	magic   "RSLT4\x00".
+//	magic   "RSLT5\x00".
 //	params  the policy parameters (bundle size, mask length, flags,
 //	        guard cutoff, policy name) under their own CRC.
-//	fused   the fused product automaton: state count, start state, tag
-//	        bytes, transition rows, CRC.
-//	stride  the byte-class map and compacted states×classes table, and
-//	        (optionally) the pair-class tables the SWAR stepper walks,
-//	        under their own CRC. The section is pure acceleration data:
-//	        the loader cross-checks the class map against its own
-//	        recomputation and ensureStride semantically verifies the
-//	        pair tables before first use, so a corrupt or stale section
-//	        can cost speed but never change a verdict.
+//	fused   the fused product automaton the default engines walk:
+//	        state count, start state, tag bytes, transition rows, CRC.
 //	DFAs    the three component DFAs the reference engine walks, each
 //	        under its own CRC.
 //
-// Loading is pure deserialization, which is what makes NewChecker on
-// the embedded bundle a sub-millisecond operation. The fused section is
-// renumbered into the current class-band state order on load
-// (reorderByClass). Every size prefix is distrusted: sections are read
-// into buffers that grow only as their bytes arrive, so a bundle that
-// declares more than it holds costs about what it holds.
+// The fused automaton is validated as written (bounds, tag bits,
+// class-band order) and then checked against the component DFAs
+// (policy.CheckProduct), so a fused table that disagrees with them
+// fails closed at load even behind consistent CRCs. The tables the
+// engines derive from it — restart-closed, flat, byte classes and the
+// SWAR stepper's pair tables — are built in-process by the one checker
+// constructor (newChecker). Every size prefix is distrusted: sections
+// are read into buffers that grow only as their bytes arrive, so a
+// bundle that declares more than it holds costs about what it holds.
 
-// tableMagic identifies a serialized DFA bundle. Bundles written by
-// older builds (RSLT1–RSLT3) are refused, with a pointer to cmd/dfagen.
-const tableMagic = "RSLT4\x00"
+// tableVersion names the bundle format, and tableMagic opens every
+// bundle. Bundles written by older builds (RSLT1–RSLT4) are refused,
+// with a pointer to cmd/dfagen.
+const (
+	tableVersion = "RSLT5"
+	tableMagic   = tableVersion + "\x00"
+)
 
-// WriteTables serializes the set as an RSLT4 bundle carrying the
-// policy's engine parameters. The stride pair tables are built here
-// (offline, where the cost belongs); an automaton whose pair partition
-// overflows the packed encoding simply gets none, and its checkers stay
-// on the single-stride lanes.
+// WriteTables serializes the set as an RSLT5 bundle carrying the
+// policy's engine parameters.
 func (s *DFASet) WriteTables(w io.Writer, info PolicyInfo, alignedCalls bool) error {
 	fused, err := fuseDFAs(s)
 	if err != nil {
 		return err
-	}
-	if st, err := fused.buildStride(); err == nil {
-		fused.stride = st
 	}
 	if _, err := io.WriteString(w, tableMagic); err != nil {
 		return err
@@ -66,9 +61,6 @@ func (s *DFASet) WriteTables(w io.Writer, info PolicyInfo, alignedCalls bool) er
 		return err
 	}
 	if err := writeFused(w, fused); err != nil {
-		return err
-	}
-	if err := writeStride(w, fused); err != nil {
 		return err
 	}
 	for _, d := range []*grammar.DFA{s.MaskedJump, s.NoControlFlow, s.DirectJump} {
@@ -80,11 +72,12 @@ func (s *DFASet) WriteTables(w io.Writer, info PolicyInfo, alignedCalls bool) er
 }
 
 // NewCheckerFromTables builds a checker directly from a serialized
-// RSLT4 bundle, bypassing grammar compilation entirely: the fused
-// automaton, its acceleration tables, the component DFAs and the
-// compiled policy's engine parameters are all deserialized. Every load
-// is CRC- and bounds-checked: a corrupted bundle fails closed at this
-// boundary, never at verification time.
+// RSLT5 bundle, bypassing grammar compilation entirely: the fused
+// automaton, the component DFAs and the compiled policy's engine
+// parameters are deserialized, and the fused automaton is checked
+// against the component DFAs before any table is derived from it. Every
+// load is CRC- and bounds-checked: a corrupted or forged bundle fails
+// closed at this boundary, never at verification time.
 func NewCheckerFromTables(r io.Reader) (*Checker, error) {
 	magic := make([]byte, len(tableMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -102,24 +95,14 @@ func NewCheckerFromTables(r io.Reader) (*Checker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := readStride(r, fused); err != nil {
-		return nil, err
-	}
 	var dfas [3]*grammar.DFA
 	for i := range dfas {
 		if dfas[i], err = readDFA(r); err != nil {
 			return nil, err
 		}
 	}
-	return &Checker{
-		masked:       newDFA(dfas[0]),
-		noCF:         newDFA(dfas[1]),
-		direct:       newDFA(dfas[2]),
-		fused:        fused,
-		params:       params,
-		bundle:       "RSLT4",
-		AlignedCalls: alignedCalls,
-	}, nil
+	set := &DFASet{MaskedJump: dfas[0], NoControlFlow: dfas[1], DirectJump: dfas[2]}
+	return newChecker(fused, set, params, tableVersion, alignedCalls)
 }
 
 // readSection reads the n bytes of a section whose size the bundle
@@ -262,7 +245,8 @@ func writeFused(w io.Writer, f *fusedDFA) error {
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
-// readFused deserializes and validates a fused automaton section.
+// readFused deserializes a fused automaton section, checks its CRC and
+// validates the table as written.
 func readFused(r io.Reader) (*fusedDFA, error) {
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
@@ -289,149 +273,11 @@ func readFused(r io.Reader) (*fusedDFA, error) {
 	if err := checkSum(r, crc.Sum32(), "fused table"); err != nil {
 		return nil, err
 	}
-	// Bounds pre-check, then renumber into the current class-band state
-	// order (the identity on freshly written bundles). validate then
-	// recomputes the band boundaries and derives the fast-path
-	// structures.
-	if int(start) >= int(n) {
-		return nil, fmt.Errorf("core: fused start state out of range")
-	}
-	table := readRows(rows, int(n))
-	for s := range table {
-		for b := 0; b < 256; b++ {
-			if uint32(table[s][b]) >= n {
-				return nil, fmt.Errorf("core: fused transition out of range")
-			}
-		}
-	}
-	for i, g := range tags {
-		if g&^uint8(tagMask) != 0 {
-			return nil, fmt.Errorf("core: fused state %d has undefined tag bits %#x", i, g)
-		}
-	}
-	f := reorderByClass(int(start), tags, table)
+	f := &fusedDFA{start: int(start), tags: tags, table: readRows(rows, int(n))}
 	if err := f.validate(); err != nil {
 		return nil, err
 	}
 	return f, nil
-}
-
-// writeStride serializes the acceleration section: the byte-class map
-// and compacted table, the optional pair tables, and a CRC over all of
-// it. The byte classes are recomputed from the fused automaton's
-// restart-closed table (computeFast has run by construction), so the
-// section is always consistent with the fused section it follows.
-func writeStride(w io.Writer, f *fusedDFA) error {
-	var buf []byte
-	le16 := func(v uint16) { buf = append(buf, byte(v), byte(v>>8)) }
-	le16(uint16(f.ncls))
-	buf = append(buf, f.cls[:]...)
-	for _, v := range grammar.CompactTable(f.closed, f.cls, f.ncls) {
-		le16(v)
-	}
-	if st := f.stride; st != nil {
-		le16(uint16(st.npcls))
-		for _, v := range st.pcls {
-			le16(v)
-		}
-		for _, v := range st.dense {
-			le16(v)
-		}
-	} else {
-		le16(0)
-	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, crc32.ChecksumIEEE(buf))
-}
-
-// readStride deserializes and cross-checks the acceleration section
-// against the already-loaded (and renumbered) fused automaton f. The
-// class map must equal the loader's own recomputation and the compacted
-// table must verify against the closed table (grammar.VerifyByteClasses);
-// pair tables get structural checks here and full semantic verification
-// in ensureStride before the SWAR stepper ever consumes them, and are
-// refused unread for an automaton too large to walk them. Any mismatch
-// rejects the bundle: acceleration data that disagrees with the
-// automaton it ships with means the bundle is corrupt or mis-generated,
-// and refusing it loudly beats silently dropping to a slower path.
-func readStride(r io.Reader, f *fusedDFA) error {
-	n := len(f.table)
-	crc := crc32.NewIEEE()
-	// Every count here is bounded by what already arrived: the compacted
-	// table by the fused rows, and the pair tables, once the state
-	// count is checked, to about 1 MiB.
-	readU16s := func(count int) ([]uint16, error) {
-		b := make([]byte, 2*count)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, fmt.Errorf("core: reading stride section: %w", err)
-		}
-		crc.Write(b)
-		out := make([]uint16, count)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint16(b[2*i:])
-		}
-		return out, nil
-	}
-	head := make([]byte, 2+256)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return fmt.Errorf("core: reading stride section: %w", err)
-	}
-	crc.Write(head)
-	ncls := int(binary.LittleEndian.Uint16(head))
-	if ncls < 1 || ncls > 256 {
-		return fmt.Errorf("core: implausible byte-class count %d", ncls)
-	}
-	var cls [256]uint8
-	copy(cls[:], head[2:])
-	compact, err := readU16s(n * ncls)
-	if err != nil {
-		return err
-	}
-	np, err := readU16s(1)
-	if err != nil {
-		return err
-	}
-	npcls := int(np[0])
-	var pcls, dense []uint16
-	if npcls > 0 {
-		if npcls > stridePairCap {
-			return fmt.Errorf("core: implausible pair-class count %d", npcls)
-		}
-		if n > flatStates {
-			return fmt.Errorf("core: bundle carries pair tables for %d fused states; they support at most %d", n, flatStates)
-		}
-		if pcls, err = readU16s(1 << 16); err != nil {
-			return err
-		}
-		if dense, err = readU16s(n * npcls); err != nil {
-			return err
-		}
-	}
-	if err := checkSum(r, crc.Sum32(), "stride section"); err != nil {
-		return err
-	}
-	if cls != f.cls || ncls != f.ncls {
-		return fmt.Errorf("core: bundled byte-class map disagrees with the fused automaton")
-	}
-	if !grammar.VerifyByteClasses(f.closed, cls, ncls, compact) {
-		return fmt.Errorf("core: bundled byte-class tables fail verification")
-	}
-	if npcls > 0 {
-		for _, v := range pcls {
-			if int(v) >= npcls {
-				return fmt.Errorf("core: pair class out of range")
-			}
-		}
-		for _, v := range dense {
-			if v != strideEventful && (v&0xFF >= uint16(n) || v>>8 >= uint16(n)) {
-				return fmt.Errorf("core: pair-table transition out of range")
-			}
-		}
-		f.stride = &strideTables{npcls: npcls, pcls: pcls, dense: dense}
-	}
-	return nil
 }
 
 func writeDFA(w io.Writer, d *grammar.DFA) error {

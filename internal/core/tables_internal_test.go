@@ -3,15 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
+	"rocksalt/internal/grammar"
 	"rocksalt/internal/policy"
 )
 
 // TestSWARAutoBudget pins the footprint gate on the default engine's
-// SWAR upgrade: the 128 KiB pair map plus the dense rows must fit
+// SWAR upgrade: the 128 KiB pair map plus the walk rows in use must fit
 // defaultSWARBudgetBytes, exactly at the boundary, and the shipped and
 // runtime-compiled preset automata all fit it.
 func TestSWARAutoBudget(t *testing.T) {
@@ -90,22 +91,55 @@ func TestTruncatedBundleAllocation(t *testing.T) {
 	}
 }
 
+// chainDFA accepts exactly the string of k copies of byte b: states
+// 0..k-1 walk the chain, k accepts, and k+1 is the reject sink.
+func chainDFA(b byte, k int) *grammar.DFA {
+	d := &grammar.DFA{
+		Accepts: make([]bool, k+2),
+		Rejects: make([]bool, k+2),
+		Table:   make([][256]uint16, k+2),
+	}
+	d.Accepts[k], d.Rejects[k+1] = true, true
+	for s := range d.Table {
+		for c := range d.Table[s] {
+			d.Table[s][c] = uint16(k + 1)
+		}
+		if s < k {
+			d.Table[s][b] = uint16(s + 1)
+		}
+	}
+	return d
+}
+
 // TestPairTablesRefusedForLargeAutomaton: pair tables are walkable only
-// for automata of at most flatStates states, so a bundle that carries
-// them for a larger one is refused before they are read, by name.
+// for automata of at most flatStates states. A bundle whose fused
+// product is larger — here a 200-byte noCF chain — still loads, but the
+// constructor builds no pair tables for it, and both the default and
+// the forced SWAR engine run the single-stride lanes, with the verdicts
+// of the reference engine.
 func TestPairTablesRefusedForLargeAutomaton(t *testing.T) {
-	const n = flatStates + 1
-	f := &fusedDFA{tags: make([]uint8, n), table: make([][256]uint16, n)}
-	b := bundleHead(t)
-	if err := writeFused(b, f); err != nil {
+	set := &DFASet{MaskedJump: chainDFA(0xff, 1), NoControlFlow: chainDFA(0x00, 200), DirectJump: chainDFA(0xfe, 1)}
+	var b bytes.Buffer
+	if err := set.WriteTables(&b, PolicyInfo{Name: "chain", BundleSize: 256, MaskLen: 3}, false); err != nil {
 		t.Fatal(err)
 	}
-	binary.Write(b, binary.LittleEndian, uint16(1)) // byte classes
-	b.Write(make([]byte, 256))                      // class map
-	b.Write(make([]byte, 2*n))                      // compacted table
-	binary.Write(b, binary.LittleEndian, uint16(stridePairCap))
-	_, err := NewCheckerFromTables(bytes.NewReader(b.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "129 fused states") {
-		t.Fatalf("pair tables for %d states: got %v, want an error naming the state count", n, err)
+	c, err := NewCheckerFromTables(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.fused.table); n <= flatStates || c.fused.stride != nil {
+		t.Fatalf("%d fused states: pair tables %v, want a product over %d states and none", n, c.fused.stride != nil, flatStates)
+	}
+	for _, e := range []EngineKind{EngineFused, EngineSWAR} {
+		if got := c.resolveEngine(VerifyOptions{Engine: e}); got != EngineLanes {
+			t.Errorf("engine %d resolved to %d, want the lanes", e, got)
+		}
+	}
+	img := make([]byte, 1024)
+	for _, code := range [][]byte{img[:200], img[:256], img[:1000]} {
+		ref := c.VerifyWith(code, VerifyOptions{Workers: 1, Engine: EngineReference})
+		if got := c.VerifyWith(code, VerifyOptions{Workers: 1}); got.Safe != ref.Safe || !reflect.DeepEqual(got.Violations, ref.Violations) {
+			t.Errorf("%d zero bytes: default engine Safe=%v, reference Safe=%v", len(code), got.Safe, ref.Safe)
+		}
 	}
 }

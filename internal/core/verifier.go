@@ -23,7 +23,7 @@ type Checker struct {
 	// mask-instruction length and guard cutoff. Every constructor sets
 	// them (to naclParams unless a spec says otherwise).
 	params policyParams
-	// bundle names the table provenance: "RSLT4" for checkers loaded
+	// bundle names the table provenance: "RSLT5" for checkers loaded
 	// from a serialized bundle, "compiled" for tables built at runtime
 	// from grammars or a policy spec. Surfaced by TableBundle and the
 	// rocksalt_build_info gauge.
@@ -41,7 +41,7 @@ type Checker struct {
 
 // policyParams are the non-table engine parameters of a compiled
 // policy. They are part of the verdict-cache configuration key
-// (cache.go) and of the RSLT4 bundle format (tables.go).
+// (cache.go) and of the RSLT5 bundle format (tables.go).
 type policyParams struct {
 	// name labels the policy in PolicyInfo; it has no engine effect.
 	name string
@@ -84,7 +84,7 @@ func (c *Checker) PolicyInfo() PolicyInfo {
 }
 
 // TableBundle reports the checker's table provenance: the serialized
-// bundle version it was loaded from ("RSLT4") or "compiled" for tables
+// bundle version it was loaded from ("RSLT5") or "compiled" for tables
 // built at runtime.
 func (c *Checker) TableBundle() string { return c.bundle }
 
@@ -101,10 +101,12 @@ func (c *Checker) Fingerprint() string {
 }
 
 // NewChecker returns a checker backed by the pregenerated table bundle
-// embedded in the binary (parsed once, behind a sync.Once). This is the
-// paper's deployment story — tables generated offline, shipped beside
-// the tiny trusted loop — and it makes construction a microsecond
-// operation instead of the ~170 ms grammar compilation.
+// embedded in the binary (loaded once per process, behind a sync.Once).
+// This is the paper's deployment story — tables generated offline,
+// shipped beside the tiny trusted loop — and it makes the first
+// construction a few milliseconds of loading, checking and deriving
+// tables instead of the ~170 ms grammar compilation, and every later
+// one a microsecond.
 // NewCheckerFromGrammars recompiles from the grammars and is the
 // cross-check path; the embedded-bundle regeneration test holds the two
 // identical.
@@ -131,41 +133,49 @@ func newCheckerFromSet(set *DFASet, params policyParams, alignedCalls bool) (*Ch
 	if err != nil {
 		return nil, err
 	}
+	return newChecker(fused, set, params, "compiled", alignedCalls)
+}
+
+// newChecker is the one checker constructor, shared by the table
+// loader and the compiled paths. It checks the fused automaton against
+// the component DFAs it must be the product of (policy.CheckProduct),
+// then derives the fast-path tables from the checked automaton: the
+// restart-closed and flat tables, and the pair tables the SWAR stepper
+// walks. An automaton the pair tables cannot be built for (too many
+// states, or a pair partition past the capacity) gets none, and its
+// checker runs on the single-stride lanes.
+func newChecker(fused *fusedDFA, set *DFASet, params policyParams, bundle string, alignedCalls bool) (*Checker, error) {
+	if err := policy.CheckProduct(fused.start, fused.tags, fused.table, set.MaskedJump, set.NoControlFlow, set.DirectJump); err != nil {
+		return nil, err
+	}
+	fused.computeFast()
+	fused.stride, _ = fused.buildStride() // nil on failure: the lanes need none
 	return &Checker{
 		masked:       newDFA(set.MaskedJump),
 		noCF:         newDFA(set.NoControlFlow),
 		direct:       newDFA(set.DirectJump),
 		fused:        fused,
 		params:       params,
-		bundle:       "compiled",
+		bundle:       bundle,
 		AlignedCalls: alignedCalls,
 	}, nil
 }
 
 // NewCheckerFromPolicy builds a checker from a runtime-compiled policy:
-// the compiled component DFAs are fused and compacted, and their pair
-// tables built, through exactly the pipeline the embedded bundle was
-// generated with, and the engine takes its bundle size, mask length and
-// guard cutoff from the spec. The pair tables are built eagerly here —
-// a few milliseconds folded into the one-time compile cost — so runtime
-// policies (16-byte bundles included) verify on the SWAR fast path from
-// their first image, exactly like the embedded bundle whose tables ship
-// precomputed. A table build failure is not an error: the checker
-// simply stays on the single-stride lanes (swarAuto rejects what
-// ensureStride could not ready). Compiling the default NaCl spec yields
-// a checker byte-identical in behaviour (and in serialized tables) to
-// NewChecker.
+// the compiled component DFAs are fused and the fast-path tables
+// derived through the same constructor the embedded bundle loads
+// through, and the engine takes its bundle size, mask length and guard
+// cutoff from the spec. Runtime policies (16-byte bundles included)
+// therefore verify on the SWAR fast path from their first image, like
+// the embedded bundle. Compiling the default NaCl spec yields a checker
+// byte-identical in behaviour (and in serialized tables) to NewChecker.
 func NewCheckerFromPolicy(com *policy.Compiled) (*Checker, error) {
 	set := &DFASet{
 		MaskedJump:    com.MaskedJump,
 		NoControlFlow: com.NoControlFlow,
 		DirectJump:    com.DirectJump,
 	}
-	c, err := newCheckerFromSet(set, specParams(com.Spec), com.Spec.AlignedCalls)
-	if err == nil && c.fused != nil {
-		_ = c.fused.ensureStride()
-	}
-	return c, err
+	return newCheckerFromSet(set, specParams(com.Spec), com.Spec.AlignedCalls)
 }
 
 // specParams extracts the engine parameters from a normalized spec.

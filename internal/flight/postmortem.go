@@ -30,7 +30,7 @@ type Postmortem struct {
 	// Time is the wall-clock write time (RFC 3339; filled by
 	// WritePostmortem when empty).
 	Time string `json:"time"`
-	// TableBundle is the checker's table-bundle version ("RSLT4", or
+	// TableBundle is the checker's table-bundle version ("RSLT5", or
 	// "compiled" for runtime-compiled tables).
 	TableBundle string `json:"table_bundle,omitempty"`
 	// PolicyFingerprint is the checker's configuration content key —

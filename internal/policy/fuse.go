@@ -13,59 +13,7 @@ import (
 // part of the grammar→tables pipeline; the engine-facing renumbering
 // into class bands (and everything the hot loops consume) stays in
 // internal/core, which layers on top of the raw product this file
-// emits.
-
-// Tag bits of a fused state. Accept bits are set exactly on the state
-// entered by the byte that completes a component's first match, so a
-// walk observes each accept bit at most once; live bits are set while
-// the component can still reach an accept. Serialized in table
-// bundles, so the layout is part of the table format.
-const (
-	TagAccMasked  = 1 << 0
-	TagAccNoCF    = 1 << 1
-	TagAccDirect  = 1 << 2
-	TagLiveMasked = 1 << 3
-	TagLiveNoCF   = 1 << 4
-	TagLiveDirect = 1 << 5
-
-	TagAccAny  = TagAccMasked | TagAccNoCF | TagAccDirect
-	TagLiveAny = TagLiveMasked | TagLiveNoCF | TagLiveDirect
-
-	// TagMask covers every defined bit; loaders reject tags outside it.
-	TagMask = TagAccAny | TagLiveAny
-)
-
-// Normalized component states for the product construction: non-negative
-// values are live states of the component DFA (never accepting or
-// rejecting), the rest are the three collapsed states. Each component
-// only matters up to its *first* accepting state (the Figure-6 match
-// stops there), so an accepting component collapses to a one-shot
-// "accept now" state and then to a done sink; rejecting states are
-// already sinks. With both collapses the product of the policy DFAs
-// stays in the low hundreds of states before minimization.
-const (
-	compAccept = -1 // entered by the byte completing the first match
-	compDone   = -2 // post-accept sink
-	compReject = -3 // reject sink (the component's Void derivative)
-)
-
-// compStep advances one normalized component by one byte.
-func compStep(d *grammar.DFA, s int, b int) int {
-	switch s {
-	case compAccept, compDone:
-		return compDone
-	case compReject:
-		return compReject
-	}
-	t := int(d.Table[s][b])
-	switch {
-	case d.Accepts[t]:
-		return compAccept
-	case d.Rejects[t]:
-		return compReject
-	}
-	return t
-}
+// emits. The step and the tags it follows are defined in product.go.
 
 // FuseProduct builds the minimized fused product automaton of the three
 // policy DFAs, returning its start state, per-state tag bytes, and
@@ -85,22 +33,6 @@ func FuseProduct(masked, noCF, direct *grammar.DFA) (start int, tags []uint8, ta
 		}
 	}
 
-	type triple [3]int
-	tag := func(t triple) uint8 {
-		var g uint8
-		accBits := [3]uint8{TagAccMasked, TagAccNoCF, TagAccDirect}
-		liveBits := [3]uint8{TagLiveMasked, TagLiveNoCF, TagLiveDirect}
-		for i, s := range t {
-			switch {
-			case s == compAccept:
-				g |= accBits[i]
-			case s >= 0:
-				g |= liveBits[i]
-			}
-		}
-		return g
-	}
-
 	first := triple{comps[0].Start, comps[1].Start, comps[2].Start}
 	index := map[triple]int{first: 0}
 	states := []triple{first}
@@ -108,14 +40,12 @@ func FuseProduct(masked, noCF, direct *grammar.DFA) (start int, tags []uint8, ta
 		var row [256]uint16
 		cur := states[i]
 		for b := 0; b < 256; b++ {
-			nxt := triple{compStep(comps[0], cur[0], b),
-				compStep(comps[1], cur[1], b),
-				compStep(comps[2], cur[2], b)}
+			nxt := step(&comps, cur, b)
 			j, ok := index[nxt]
 			if !ok {
 				j = len(states)
-				if j >= 1<<16 {
-					return 0, nil, nil, fmt.Errorf("policy: fused product exceeds %d states", 1<<16)
+				if j >= maxProduct {
+					return 0, nil, nil, fmt.Errorf("policy: fused product exceeds %d states", maxProduct)
 				}
 				index[nxt] = j
 				states = append(states, nxt)
@@ -126,7 +56,7 @@ func FuseProduct(masked, noCF, direct *grammar.DFA) (start int, tags []uint8, ta
 	}
 	tags = make([]uint8, len(states))
 	for i, t := range states {
-		tags[i] = tag(t)
+		tags[i] = t.tag()
 	}
 
 	mStart, mTags, mTable := grammar.MinimizeTaggedDFA(0, tags, table)
