@@ -13,14 +13,16 @@ import (
 	"rocksalt/internal/policy"
 )
 
-// benchPolicy measures the runtime policy compiler: cold compile time
-// per spec (grammars → derivative DFAs → fuse → compact), memoized
-// re-compile time, and verify throughput per compiled policy on a
-// policy-compliant image. It prints the table, writes
-// BENCH_policy.json (host-stamped), and — the CI smoke — exits nonzero
-// under -quick if any policy fails to verify its own corpus, if the
-// runtime-compiled default diverges from the embedded bundle, or if
-// the lean Verify path on a compiled policy allocates.
+// benchPolicy measures the runtime policy compiler: the per-process
+// classification of the decoder's instruction forms that every spec
+// shares, cold compile time per spec after it (grammars → derivative
+// DFAs → fuse → compact), memoized re-compile time, and verify
+// throughput per compiled policy on a policy-compliant image. It
+// prints the table, writes BENCH_policy.json (host-stamped), and — the
+// CI smoke — exits nonzero under -quick if any policy fails to verify
+// its own corpus, if the runtime-compiled default diverges from the
+// embedded bundle, or if the lean Verify path on a compiled policy
+// allocates.
 func benchPolicy() {
 	header("policy", "runtime policy compiler (extension)",
 		"beyond the paper: the grammar→DFA pipeline as a library, driven by declarative policy specs")
@@ -59,6 +61,19 @@ func benchPolicy() {
 		ScalarMBPerS float64 `json:"scalar_mb_per_s"`
 		VsScalar     float64 `json:"vs_scalar"`
 	}
+	// The instruction forms are classified once per process and shared
+	// by every spec, so time that on its own: the cold compiles below
+	// then all measure the same work, not first-spec-pays-all.
+	norm, err := policy.NaCl().Normalize()
+	if err != nil {
+		panic(err)
+	}
+	start := time.Now()
+	policy.NoControlFlowGrammar(norm)
+	classify := time.Since(start)
+	fmt.Printf("   %-10s classify instruction forms %8.1f ms (once per process, shared by every spec)\n",
+		"shared", float64(classify.Nanoseconds())/1e6)
+
 	var rows []row
 	allVerified, nonDefaultFast := true, true
 	var defaultMatchesEmbedded bool
@@ -152,6 +167,7 @@ func benchPolicy() {
 		Host                   hostMeta `json:"host"`
 		Bytes                  int      `json:"bytes"`
 		Rounds                 int      `json:"rounds"`
+		ClassifyNs             float64  `json:"classify_ns"`
 		Rows                   []row    `json:"results"`
 		DefaultMatchesEmbedded bool     `json:"default_matches_embedded"`
 		LeanAllocsPerOp        float64  `json:"lean_allocs_per_op"`
@@ -161,6 +177,7 @@ func benchPolicy() {
 		Host:                   hostInfo(),
 		Bytes:                  n,
 		Rounds:                 rounds,
+		ClassifyNs:             float64(classify.Nanoseconds()),
 		Rows:                   rows,
 		DefaultMatchesEmbedded: defaultMatchesEmbedded,
 		LeanAllocsPerOp:        leanAllocs,

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,6 +57,29 @@ func TestRuntimeDefaultMatchesEmbedded(t *testing.T) {
 	}
 	if !bytes.Equal(writeBundle(t, com), core.EmbeddedTableBytes()) {
 		t.Fatal("embedded table bundle is stale: re-run 'go run ./cmd/dfagen -o internal/core/rocksalt_tables.bin'")
+	}
+}
+
+// TestRuntimeSixteenByteTablesPinned holds the 16-byte presets' runtime
+// tables byte for byte, as TestRuntimeDefaultMatchesEmbedded holds the
+// default's: a change to hash-consing, Strip or the decoder grammar can
+// leave their state and class counts unchanged and still move a
+// transition. The digests are the SHA-256 of the serialized bundle.
+func TestRuntimeSixteenByteTablesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec policy.Spec
+		want string
+	}{
+		{policy.NaCl16(), "0f06fb4837a98c100baedec1c868b9f95a5b82f5518a81019b9224510b8efe2e"},
+		{policy.REINS(), "39684a386e7c287851dd3d6ca6da198c0700b1de62789ae5c587e57d89559733"},
+	} {
+		com, err := policy.Compile(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(writeBundle(t, com))); got != tc.want {
+			t.Errorf("%s: table bundle digest %s, want %s", tc.spec.Name, got, tc.want)
+		}
 	}
 }
 

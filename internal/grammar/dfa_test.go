@@ -32,6 +32,36 @@ func TestStripAndNormalize(t *testing.T) {
 	}
 }
 
+// TestInternHitAllocatesNothing: re-interning a node that already
+// exists builds its key in the Ctx's buffer and its kids in the Ctx's
+// scratch, so it allocates nothing. Nodes interned earlier must own
+// their kids: later calls reuse that scratch.
+func TestInternHitAllocatesNothing(t *testing.T) {
+	c := NewCtx()
+	cat := c.Cat(c.R0, c.R1, c.Dot)
+	alt := c.Alt(c.Dot, c.R1, cat)
+	star := c.Star(alt)
+	want := star.String()
+	for name, f := range map[string]func() *Regex{
+		"cat":  func() *Regex { return c.Cat(c.R0, c.Cat(c.R1, c.Dot)) },
+		"alt":  func() *Regex { return c.Alt(c.R1, c.Alt(cat, c.Dot), c.Void) },
+		"star": func() *Regex { return c.Star(alt) },
+	} {
+		var got *Regex
+		if n := testing.AllocsPerRun(100, func() { got = f() }); n != 0 {
+			t.Errorf("re-interning an existing %s: %v allocs, want 0", name, n)
+		}
+		if got != cat && got != alt && got != star {
+			t.Errorf("re-interning an existing %s built a new node %v", name, got)
+		}
+	}
+	c.Cat(c.Dot, c.Dot, c.Dot, c.Dot)
+	c.Alt(c.R0, c.Star(c.R0), c.Eps)
+	if got := star.String(); got != want {
+		t.Fatalf("interned nodes changed under later calls: %s, was %s", got, want)
+	}
+}
+
 func TestRegexDeriv(t *testing.T) {
 	c := NewCtx()
 	r := c.Strip(Bits("10"))

@@ -150,7 +150,12 @@ func Map(g *Grammar, f func(Value) Value) *Grammar {
 }
 
 // Named attaches a diagnostic label to a grammar (visible in String).
+// Like every constructor it builds no node over Void, so a grammar is
+// empty exactly when it is Void.
 func Named(name string, g *Grammar) *Grammar {
+	if g.op == opVoid {
+		return voidG
+	}
 	return &Grammar{op: opMap, l: g, f: func(v Value) Value { return v }, name: name, nullable: g.nullable}
 }
 

@@ -295,6 +295,9 @@ func TestSmartConstructors(t *testing.T) {
 	if Map(Void(), func(v Value) Value { return v }).op != opVoid {
 		t.Fatal("Map over Void is Void")
 	}
+	if Named("x", Void()) != Void() {
+		t.Fatal("Named over Void is Void")
+	}
 }
 
 func TestNamedString(t *testing.T) {

@@ -1,8 +1,9 @@
 package grammar
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -43,6 +44,14 @@ type Ctx struct {
 	table map[string]*Regex
 	next  int
 
+	// Scratch reused by every constructor call: almost every call is a
+	// table hit, so a node and its kid slice are allocated only on a
+	// miss. No interned node points into kids.
+	key  []byte
+	kids []*Regex
+
+	stripped map[*Grammar]*Regex // Strip's memo
+
 	Void *Regex
 	Eps  *Regex
 	R0   *Regex // Char 0
@@ -52,39 +61,39 @@ type Ctx struct {
 
 // NewCtx creates an interning context with the shared leaves pre-made.
 func NewCtx() *Ctx {
-	c := &Ctx{table: make(map[string]*Regex)}
-	c.Void = c.intern(&Regex{op: rVoid})
-	c.Eps = c.intern(&Regex{op: rEps, nullable: true})
-	c.R0 = c.intern(&Regex{op: rChar, bit: false})
-	c.R1 = c.intern(&Regex{op: rChar, bit: true})
-	c.Dot = c.intern(&Regex{op: rAny})
+	c := &Ctx{table: make(map[string]*Regex), stripped: make(map[*Grammar]*Regex)}
+	c.Void = c.intern(rVoid, false, nil, false)
+	c.Eps = c.intern(rEps, false, nil, true)
+	c.R0 = c.intern(rChar, false, nil, false)
+	c.R1 = c.intern(rChar, true, nil, false)
+	c.Dot = c.intern(rAny, false, nil, false)
 	return c
 }
 
-func (c *Ctx) key(r *Regex) string {
-	var sb strings.Builder
-	sb.WriteByte(byte('0' + r.op))
-	if r.op == rChar {
-		if r.bit {
-			sb.WriteByte('1')
+// intern returns the unique node for (op, bit, kids), creating it on a
+// miss. The key is the op digit, the bit for a Char, then ",id" per kid:
+// an injective encoding built in the reused key buffer, and looked up
+// without converting it to a string.
+func (c *Ctx) intern(op rop, bit bool, kids []*Regex, nullable bool) *Regex {
+	key := append(c.key[:0], byte('0'+op))
+	if op == rChar {
+		if bit {
+			key = append(key, '1')
 		} else {
-			sb.WriteByte('0')
+			key = append(key, '0')
 		}
 	}
-	for _, k := range r.kids {
-		fmt.Fprintf(&sb, ",%d", k.id)
+	for _, k := range kids {
+		key = append(key, ',')
+		key = strconv.AppendInt(key, int64(k.id), 10)
 	}
-	return sb.String()
-}
-
-func (c *Ctx) intern(r *Regex) *Regex {
-	k := c.key(r)
-	if got, ok := c.table[k]; ok {
+	c.key = key
+	if got, ok := c.table[string(key)]; ok {
 		return got
 	}
-	r.id = c.next
+	r := &Regex{id: c.next, op: op, bit: bit, kids: slices.Clone(kids), nullable: nullable}
 	c.next++
-	c.table[k] = r
+	c.table[string(key)] = r
 	return r
 }
 
@@ -101,20 +110,27 @@ func (c *Ctx) Char(b bool) *Regex {
 
 // Cat builds normalized concatenation: flattens nested Cats, drops Eps,
 // and annihilates on Void.
-func (c *Ctx) Cat(rs ...*Regex) *Regex {
-	var kids []*Regex
-	for _, r := range rs {
+func (c *Ctx) Cat(rs ...*Regex) *Regex { return c.cat(c.Eps, rs) }
+
+// cat is Cat(head, tail...) without building that argument list.
+func (c *Ctx) cat(head *Regex, tail []*Regex) *Regex {
+	kids := c.kids[:0]
+	for i := -1; i < len(tail); i++ {
+		r := head // i == -1
+		if i >= 0 {
+			r = tail[i]
+		}
 		switch r.op {
 		case rVoid:
 			return c.Void
 		case rEps:
-			continue
 		case rCat:
 			kids = append(kids, r.kids...)
 		default:
 			kids = append(kids, r)
 		}
 	}
+	c.kids = kids
 	switch len(kids) {
 	case 0:
 		return c.Eps
@@ -125,37 +141,27 @@ func (c *Ctx) Cat(rs ...*Regex) *Regex {
 	for _, k := range kids {
 		nullable = nullable && k.nullable
 	}
-	return c.intern(&Regex{op: rCat, kids: kids, nullable: nullable})
+	return c.intern(rCat, false, kids, nullable)
 }
 
 // Alt builds normalized alternation: flattens, removes Void, sorts by id
 // and deduplicates (the ACI laws, including the paper's Alt g g → g).
+// An interned Alt's kids are already flat and free of Void, so one level
+// of flattening suffices.
 func (c *Ctx) Alt(rs ...*Regex) *Regex {
-	var kids []*Regex
-	var add func(r *Regex)
-	add = func(r *Regex) {
-		if r.op == rVoid {
-			return
-		}
-		if r.op == rAlt {
-			for _, k := range r.kids {
-				add(k)
-			}
-			return
-		}
-		kids = append(kids, r)
-	}
+	kids := c.kids[:0]
 	for _, r := range rs {
-		add(r)
-	}
-	sort.Slice(kids, func(i, j int) bool { return kids[i].id < kids[j].id })
-	out := kids[:0]
-	for i, k := range kids {
-		if i == 0 || kids[i-1] != k {
-			out = append(out, k)
+		switch r.op {
+		case rVoid:
+		case rAlt:
+			kids = append(kids, r.kids...)
+		default:
+			kids = append(kids, r)
 		}
 	}
-	kids = out
+	slices.SortFunc(kids, func(a, b *Regex) int { return cmp.Compare(a.id, b.id) })
+	kids = slices.Compact(kids)
+	c.kids = kids
 	switch len(kids) {
 	case 0:
 		return c.Void
@@ -166,9 +172,7 @@ func (c *Ctx) Alt(rs ...*Regex) *Regex {
 	for _, k := range kids {
 		nullable = nullable || k.nullable
 	}
-	cp := make([]*Regex, len(kids))
-	copy(cp, kids)
-	return c.intern(&Regex{op: rAlt, kids: cp, nullable: nullable})
+	return c.intern(rAlt, false, kids, nullable)
 }
 
 // Star builds normalized iteration: Star Star g → Star g; Star of
@@ -180,7 +184,8 @@ func (c *Ctx) Star(r *Regex) *Regex {
 	case rVoid, rEps:
 		return c.Eps
 	}
-	return c.intern(&Regex{op: rStar, kids: []*Regex{r}, nullable: true})
+	c.kids = append(c.kids[:0], r)
+	return c.intern(rStar, false, c.kids, true)
 }
 
 // Nullable reports whether the regex accepts the empty string.
@@ -215,11 +220,9 @@ func (c *Ctx) Deriv(r *Regex, b bool) *Regex {
 		d = c.Eps
 	case rCat:
 		// d(r1 r2 … rn) = d(r1) r2…rn | [r1 nullable] d(r2 r3…rn)
-		head := c.Deriv(r.kids[0], b)
-		rest := c.Cat(r.kids[1:]...)
-		d = c.Cat(append([]*Regex{head}, r.kids[1:]...)...)
+		d = c.cat(c.Deriv(r.kids[0], b), r.kids[1:])
 		if r.kids[0].nullable {
-			d = c.Alt(d, c.Deriv(rest, b))
+			d = c.Alt(d, c.Deriv(c.Cat(r.kids[1:]...), b))
 		}
 	case rAlt:
 		parts := make([]*Regex, len(r.kids))
@@ -246,28 +249,35 @@ func (c *Ctx) DerivByte(r *Regex, by byte) *Regex {
 }
 
 // Strip converts a grammar into its action-stripped regex, the first step
-// of DFA compilation in §3.2.
+// of DFA compilation in §3.2. Results are memoized per grammar node, so a
+// subgrammar shared by many instruction forms is stripped once per Ctx.
 func (c *Ctx) Strip(g *Grammar) *Regex {
+	if r, ok := c.stripped[g]; ok {
+		return r
+	}
+	var r *Regex
 	switch g.op {
 	case opVoid:
-		return c.Void
+		r = c.Void
 	case opEps:
-		return c.Eps
+		r = c.Eps
 	case opChar:
-		return c.Char(g.bit)
+		r = c.Char(g.bit)
 	case opAny:
-		return c.Dot
+		r = c.Dot
 	case opCat:
-		return c.Cat(c.Strip(g.l), c.Strip(g.r))
+		r = c.Cat(c.Strip(g.l), c.Strip(g.r))
 	case opAlt:
-		return c.Alt(c.Strip(g.l), c.Strip(g.r))
+		r = c.Alt(c.Strip(g.l), c.Strip(g.r))
 	case opStar:
-		return c.Star(c.Strip(g.l))
+		r = c.Star(c.Strip(g.l))
 	case opMap:
-		return c.Strip(g.l)
+		r = c.Strip(g.l)
 	default:
 		panic("grammar: unknown op in Strip")
 	}
+	c.stripped[g] = r
+	return r
 }
 
 // String renders the regex.

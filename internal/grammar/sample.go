@@ -10,65 +10,29 @@ import "math/rand"
 
 // Sampler draws random members of a grammar's denotation.
 type Sampler struct {
-	rng        *rand.Rand
-	productive map[*Grammar]bool
-	alts       map[*Grammar][]*Grammar
+	rng  *rand.Rand
+	alts map[*Grammar][]*Grammar
 }
 
 // NewSampler creates a sampler using the given random source.
 func NewSampler(rng *rand.Rand) *Sampler {
-	return &Sampler{
-		rng:        rng,
-		productive: make(map[*Grammar]bool),
-		alts:       make(map[*Grammar][]*Grammar),
-	}
+	return &Sampler{rng: rng, alts: make(map[*Grammar][]*Grammar)}
 }
 
-// flatAlts returns the productive leaves of a maximal Alt chain, memoized.
+// flatAlts returns the leaves of a maximal Alt chain, memoized. Alt
+// drops Void branches, so every leaf is productive.
 func (s *Sampler) flatAlts(g *Grammar) []*Grammar {
 	if v, ok := s.alts[g]; ok {
 		return v
 	}
-	var out []*Grammar
-	var walk func(*Grammar)
-	walk = func(n *Grammar) {
-		if n.op == opAlt {
-			walk(n.l)
-			walk(n.r)
-			return
-		}
-		if s.Productive(n) {
-			out = append(out, n)
-		}
-	}
-	walk(g)
+	out := flattenAlt(g, nil)
 	s.alts[g] = out
 	return out
 }
 
-// Productive reports whether g's language is non-empty.
-func (s *Sampler) Productive(g *Grammar) bool {
-	if v, ok := s.productive[g]; ok {
-		return v
-	}
-	// Grammars are finite trees (no recursion except Star, which is always
-	// productive), so a plain recursive walk terminates.
-	var v bool
-	switch g.op {
-	case opVoid:
-		v = false
-	case opEps, opChar, opAny, opStar:
-		v = true
-	case opCat:
-		v = s.Productive(g.l) && s.Productive(g.r)
-	case opAlt:
-		v = s.Productive(g.l) || s.Productive(g.r)
-	case opMap:
-		v = s.Productive(g.l)
-	}
-	s.productive[g] = v
-	return v
-}
+// Productive reports whether g's language is non-empty. No constructor
+// builds a node over Void, so only Void itself is empty.
+func (s *Sampler) Productive(g *Grammar) bool { return g.op != opVoid }
 
 // Sample draws one (bit string, value) pair uniformly-ish from [[g]]. The
 // second return is false when the language is empty.

@@ -1,10 +1,13 @@
 package nacl_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"rocksalt/internal/core"
 	"rocksalt/internal/nacl"
+	"rocksalt/internal/policy"
 	"rocksalt/internal/x86"
 )
 
@@ -95,6 +98,50 @@ func TestGeneratorDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("generator must be deterministic per seed")
+		}
+	}
+
+	// Per preset, the SHA-256 of three successive Random(n) outputs of
+	// a seed-1 generator built the way the benchmark builds its pools.
+	// Any change to the sampled grammars' Alt order or to the sampler's
+	// draws moves these digests.
+	for _, tc := range []struct {
+		spec policy.Spec
+		want [3]string // Random(50), Random(400), Random(1500)
+	}{
+		{policy.NaCl(), [3]string{
+			"bb950a172a697f85c50556e82d273a086f922e44f97b5a2fc42c981be55c2fb8",
+			"f38a2fe1dc611e9988cdc147a4fc831c6292fc3c185564411759ce2aba5f0242",
+			"9bcc87165aa6040aa4618e9315fbbc9c08ad2908744c8c06605518acdd9e4c1b",
+		}},
+		{policy.NaCl16(), [3]string{
+			"c97bc3f113f8322e9489c1e7320f286de0b688866d862af00c357743eee7e9ac",
+			"b15e1938a934068228222b2773aded054fcf8482130cc6877c3932ed7a5b0d86",
+			"dd998b1ab5fcd99cba08f9bd703357ae3d2ec2366d089068afa94840d3045978",
+		}},
+		{policy.REINS(), [3]string{
+			"e009097e903c2b986cdc48b8f151e50097e08f5e44110637158a84e8e6f99053",
+			"1d936978c1218f532455d406459bf7f9237b18bb257a6403ebe192670704d79f",
+			"e621baf725f6f026052f8c90b78c2cb6f511ed0983201700fcde71afcd86cabb",
+		}},
+	} {
+		norm, err := tc.spec.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := nacl.ProfileForSpec(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := nacl.NewGeneratorFor(1, prof, policy.NoControlFlowGrammar(norm))
+		for i, n := range []int{50, 400, 1500} {
+			img, err := g.Random(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != tc.want[i] {
+				t.Errorf("%s: Random(%d) digest %s, want %s", norm.Name, n, got, tc.want[i])
+			}
 		}
 	}
 }

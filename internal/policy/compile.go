@@ -29,10 +29,10 @@ type Compiled struct {
 	Fingerprint vcache.Key
 }
 
-// compileMemo caches Compiled values by spec fingerprint: DFA
-// compilation costs ~100ms+, the results are immutable, and callers
-// (benchmarks, servers holding one checker per tenant policy) routinely
-// re-compile the same handful of specs.
+// compileMemo caches Compiled values by spec fingerprint: a cold
+// compile costs tens of milliseconds, the results are immutable, and
+// callers (benchmarks, servers holding one checker per tenant policy)
+// routinely re-compile the same handful of specs.
 var compileMemo sync.Map // vcache.Key -> *Compiled
 
 // Compile runs the full pipeline for a spec: normalize, build the three

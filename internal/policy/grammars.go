@@ -127,7 +127,9 @@ func isStringOp(op x86.Op) bool {
 // classified memoizes classifyForms per operand-size mode: the sampling
 // pass over every instruction form is the expensive part of grammar
 // construction and is identical on every call (the sampler is reseeded
-// deterministically), so compiling several specs pays it once.
+// deterministically), so compiling several specs pays it once. The
+// memo keeps the forms alive for the life of the process; they share
+// the decoder's ModRM tails, so that is about 1 MiB.
 var classified [2]struct {
 	once          sync.Once
 	safe, strings []*grammar.Grammar

@@ -72,6 +72,13 @@ func rm16MemDisp(disp *g) *g {
 	return grammar.Alt(alts...)
 }
 
+// The 16-bit r/m tails, shared like their 32-bit counterparts.
+var (
+	rm16Tail00     = rm16Mem00()
+	rm16TailDisp8  = rm16MemDisp(disp8x16())
+	rm16TailDisp16 = rm16MemDisp(disp16())
+)
+
 // modrm16WithReg is the 16-bit analogue of modrmWithReg.
 func modrm16WithReg(regG *g, memOnly bool) *g {
 	regVal := func(vs []val) uint64 {
@@ -87,13 +94,13 @@ func modrm16WithReg(regG *g, memOnly bool) *g {
 		return modrmVal{reg: regVal(vs), op: op}
 	}
 	alts := []*g{
-		act(chain(grammar.Bits("00"), regG, rm16Mem00()), func(vs []val) val {
+		act(chain(grammar.Bits("00"), regG, rm16Tail00), func(vs []val) val {
 			return mk(vs[:len(vs)-1], vs[len(vs)-1].(x86.MemOp))
 		}),
-		act(chain(grammar.Bits("01"), regG, rm16MemDisp(disp8x16())), func(vs []val) val {
+		act(chain(grammar.Bits("01"), regG, rm16TailDisp8), func(vs []val) val {
 			return mk(vs[:len(vs)-1], vs[len(vs)-1].(x86.MemOp))
 		}),
-		act(chain(grammar.Bits("10"), regG, rm16MemDisp(disp16())), func(vs []val) val {
+		act(chain(grammar.Bits("10"), regG, rm16TailDisp16), func(vs []val) val {
 			return mk(vs[:len(vs)-1], vs[len(vs)-1].(x86.MemOp))
 		}),
 	}
