@@ -118,7 +118,8 @@ func BenchmarkEngineAblation(b *testing.B) {
 // derive the fast-path tables) and one VerifyWith of a 32-byte NOP
 // bundle. NewChecker itself loads the bundle once per process and then
 // hands out copies, so it would measure only the copy. Compiling the
-// grammars from scratch (NewCheckerFromGrammars) takes ~170ms.
+// grammars from scratch (NewCheckerFromGrammars) takes tens of
+// milliseconds.
 func BenchmarkNewChecker(b *testing.B) {
 	tables := core.EmbeddedTableBytes()
 	nops := bytes.Repeat([]byte{0x90}, core.BundleSize)

@@ -478,16 +478,14 @@ func e6Agreement() {
 
 // defaultPathFiles are the sources the default NewChecker + Verify path
 // executes: the embedded-bundle loader and the product check it runs
-// against the component DFAs, the staged engine with its lane and SWAR
-// steppers, the fused automaton and its pair tables, the report, and
-// the packed bitmaps. All of it is trusted code.
+// against the component DFAs, the staged engine with its lane walk, the
+// fused automaton and its derived tables, the report, and the packed
+// bitmaps. All of it is trusted code.
 var defaultPathFiles = []string{
 	"internal/core/verifier.go",
 	"internal/core/engine.go",
 	"internal/core/engine_lanes.go",
-	"internal/core/engine_swar.go",
 	"internal/core/fused.go",
-	"internal/core/fused_stride.go",
 	"internal/core/tables.go",
 	"internal/core/tables_embed.go",
 	"internal/core/report.go",

@@ -55,7 +55,7 @@ func benchPolicy() {
 		VerifyNs      float64 `json:"verify_ns"`
 		MBPerS        float64 `json:"mb_per_s"`
 		// ScalarMBPerS is the same-run forced byte-at-a-time walk — the
-		// throughput non-32 bundles were stuck at before the lane/SWAR
+		// throughput non-32 bundles were stuck at before the lane
 		// region split was generalized to 16-byte bundles; VsScalar is
 		// the speedup the generalization buys.
 		ScalarMBPerS float64 `json:"scalar_mb_per_s"`
@@ -134,7 +134,7 @@ func benchPolicy() {
 		if i > 0 && r.VsScalar < 1.5 {
 			// The non-default (16-byte-bundle) policies must clear their
 			// old scalar-fallback throughput by a wide margin now that
-			// the lane/SWAR engines cover non-32 bundles.
+			// the lane engine covers non-32 bundles.
 			nonDefaultFast = false
 		}
 

@@ -42,7 +42,6 @@ type trendMetric struct {
 // the repo promises not to silently lose.
 var trackedMetrics = []trendMetric{
 	{"fused_mb_per_s", true},
-	{"swar_mb_per_s", true},
 	{"warm_cache_speedup", true},
 	{"telemetry_overhead_pct", false},
 	{"recorder_overhead_pct", false},
@@ -143,11 +142,8 @@ func parseBench(path, name string, data []byte) (benchPoint, error) {
 				if !ok {
 					continue
 				}
-				switch rname {
-				case "fused (default)":
+				if rname == "fused (default)" {
 					p.Metrics["fused_mb_per_s"] = mbs
-				case "swar (forced)":
-					p.Metrics["swar_mb_per_s"] = mbs
 				}
 			}
 		}

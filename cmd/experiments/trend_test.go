@@ -16,17 +16,16 @@ func writeBench(t *testing.T, dir, name, body string) {
 
 // strideDoc renders a minimal BENCH_stride.json with the given fused
 // throughput and timestamp.
-func strideDoc(stamp string, fusedMBs, swarMBs, warm float64) string {
+func strideDoc(stamp string, fusedMBs, warm float64) string {
 	return fmt.Sprintf(`{
   "quick": false,
   "host": {"cpu_model": "TestCPU", "num_cpu": 1, "goos": "linux", "goarch": "amd64", "timestamp": %q},
   "results": [
     {"name": "fused (default)", "mb_per_s": %g},
-    {"name": "swar (forced)", "mb_per_s": %g},
     {"name": "fused-scalar", "mb_per_s": 150}
   ],
   "warm_rehash_speedup": %g
-}`, stamp, fusedMBs, swarMBs, warm)
+}`, stamp, fusedMBs, warm)
 }
 
 // TestTrendDetectsInjectedRegression: two points on the same host where
@@ -36,12 +35,12 @@ func TestTrendDetectsInjectedRegression(t *testing.T) {
 	dir := t.TempDir()
 	// History lives beside the current file under distinct names — the
 	// collector matches any BENCH_*.json.
-	writeBench(t, dir, "BENCH_stride.json", strideDoc("2026-08-07T10:00:00Z", 250, 300, 3.0))
+	writeBench(t, dir, "BENCH_stride.json", strideDoc("2026-08-07T10:00:00Z", 250, 3.0))
 	old := filepath.Join(dir, "history")
 	if err := os.Mkdir(old, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	writeBench(t, old, "BENCH_stride.json", strideDoc("2026-08-01T10:00:00Z", 360, 310, 3.9))
+	writeBench(t, old, "BENCH_stride.json", strideDoc("2026-08-01T10:00:00Z", 360, 3.9))
 
 	points, err := collectBench(dir)
 	if err != nil {
@@ -58,11 +57,10 @@ func TestTrendDetectsInjectedRegression(t *testing.T) {
 		}
 		got[r.Metric] = r.Regressed
 	}
-	// fused dropped 360 -> 250 (-31%): regression. swar 310 -> 300
-	// (-3%): within threshold. warm 3.9 -> 3.0 (-23%): regression.
+	// fused dropped 360 -> 250 (-31%): regression. warm 3.9 -> 3.0
+	// (-23%): regression.
 	for metric, want := range map[string]bool{
 		"fused_mb_per_s":     true,
-		"swar_mb_per_s":      false,
 		"warm_cache_speedup": true,
 	} {
 		if got[metric] != want {
@@ -114,7 +112,7 @@ func TestTrendOverheadMetricAbsoluteMargin(t *testing.T) {
 // series, and points from different hosts never judge each other.
 func TestTrendSkipsQuickAndForeignHosts(t *testing.T) {
 	dir := t.TempDir()
-	writeBench(t, dir, "BENCH_stride.json", strideDoc("2026-08-07T10:00:00Z", 250, 300, 3.0))
+	writeBench(t, dir, "BENCH_stride.json", strideDoc("2026-08-07T10:00:00Z", 250, 3.0))
 	sub := filepath.Join(dir, "a")
 	if err := os.Mkdir(sub, 0o755); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"rocksalt/internal/core"
@@ -141,5 +142,40 @@ func TestDeltaRoundAllocs(t *testing.T) {
 	}
 	if perSize[0] != perSize[1] {
 		t.Errorf("delta round allocations grow with the image: %v", perSize)
+	}
+}
+
+// maxCheckerFootprint bounds the bytes one NewCheckerFromTables call on
+// the embedded bundle allocates: the loaded tables, the product check's
+// working set and the derived restart-closed and flat tables.
+const maxCheckerFootprint = 512 << 10
+
+// TestNewCheckerFootprint pins the cost of constructing a checker from
+// the embedded bundle: after one warm construction, the mean bytes
+// allocated per NewCheckerFromTables over ten constructions stay within
+// maxCheckerFootprint. A derived table that creeps back into the
+// constructor shows here.
+func TestNewCheckerFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the bound only holds in normal builds")
+	}
+	bundle := core.EmbeddedTableBytes()
+	build := func() {
+		if _, err := core.NewCheckerFromTables(bytes.NewReader(bundle)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	const n = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if mean := (after.TotalAlloc - before.TotalAlloc) / n; mean > maxCheckerFootprint {
+		t.Errorf("NewCheckerFromTables allocated %d bytes per construction, want <= %d", mean, maxCheckerFootprint)
+	} else {
+		t.Logf("NewCheckerFromTables allocated %d bytes per construction", mean)
 	}
 }

@@ -209,7 +209,7 @@ func (c *Checker) verifyCached(ctx context.Context, code []byte, opts VerifyOpti
 		// scanned no byte with no engine, so the census must say so
 		// instead of replaying the stale parse-mode split and timings.
 		st.Engine = flight.EngineCache.String()
-		st.LaneBatches, st.SWARBatches, st.ScalarFallbacks, st.Restarts = 0, 0, 0, 0
+		st.LaneBatches, st.ScalarFallbacks, st.Restarts = 0, 0, 0
 		st.CacheWholeHits = 1
 		st.CacheChunkHits, st.CacheChunkMisses = 0, 0
 		st.CacheBytesSaved = int64(len(code))

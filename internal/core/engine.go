@@ -23,15 +23,19 @@ import (
 //
 // Stage 1 parses each shard, producing shard-local valid/pairJmp
 // bitmaps, the shard's direct-jump targets, and any shard-local
-// violation. By default the inner loop is one walk of the fused product
-// automaton per offset (see fused.go); the seed's three-sequential-DFA
-// loop survives as the reference engine, selectable per run, and the
-// two are held byte-identical by FuzzFusedEquiv and the fault-injection
-// harness. Stage 2 is a cheap sequential reconciliation: it validates
-// every collected jump target against the merged boundary map, flags
-// unreached bundle boundaries, and sorts all violations by (offset,
-// kind) so the reported first violation is identical no matter how many
-// workers ran stage 1 and which engine matched the bytes.
+// violation. By default a shard's whole-bundle region is walked by the
+// four-lane interleaved parser over the fused product automaton
+// (engine_lanes.go, fused.go), and any shard it finds irregular is
+// re-parsed by the canonical scalar fused walk, which diagnoses every
+// violation. The seed's three-sequential-DFA loop survives as the
+// reference engine, selectable per run, and the engines are held
+// byte-identical by FuzzFusedEquiv, FuzzPolicyEquiv and the
+// fault-injection harness. Stage 2 is a cheap sequential
+// reconciliation: it validates every collected jump target against the
+// merged boundary map, flags unreached bundle boundaries, and sorts all
+// violations by (offset, kind) so the reported first violation is
+// identical no matter how many workers ran stage 1 and which engine
+// matched the bytes.
 //
 // All per-run mutable state (the two packed bitmaps and the shard
 // result array) lives in a pooled scratch, so steady-state Verify runs
@@ -41,8 +45,10 @@ import (
 type EngineKind uint8
 
 const (
-	// EngineFused walks the fused product automaton once per offset
-	// (the default).
+	// EngineFused walks the fused product automaton (the default): the
+	// four-lane interleaved walk (engine_lanes.go) over each shard's
+	// whole-bundle region, rewinding to the canonical scalar walk on
+	// any irregularity. Its Stats.Engine census name is "lanes".
 	EngineFused EngineKind = iota
 	// EngineReference runs the seed's Figure-5 loop: up to three
 	// sequential DFA match attempts per offset. It exists as the
@@ -53,21 +59,6 @@ const (
 	// optimistic lane phase disabled. It exists for cross-checks and as
 	// the like-for-like baseline in benchmarks.
 	EngineFusedScalar
-	// EngineLanes forces the four-lane single-stride walk
-	// (engine_lanes.go), the stepper EngineFused resolves to when the
-	// SWAR tables are absent or too large. It exists for cross-checks
-	// and as the like-for-like baseline of the SWAR stepper.
-	EngineLanes
-	// EngineSWAR forces the SWAR multi-byte stepper (engine_swar.go):
-	// the pair-class walk driven 8 input bytes per round, retiring 4-8
-	// bytes per iteration with one eventful-sentinel branch per chain
-	// half, and handing event-dense shards back to the single-stride
-	// lanes (the density backoff). EngineFused upgrades to it
-	// automatically when the checker has pair tables and they fit the
-	// footprint budget (swarAuto). If the automaton has none (too many
-	// states, or a pair partition past the capacity) the run degrades
-	// to the single-stride lanes.
-	EngineSWAR
 )
 
 // VerifyOptions configures a verification run.
@@ -159,18 +150,10 @@ type shardResult struct {
 	// instruction boundary; reconcile merges them with the cross-shard
 	// failures before sorting and deduping.
 	bad []int32
-	// lane/swar/scalar/restart classify how the shard was parsed (see
-	// Stats.LaneBatches, SWARBatches, ScalarFallbacks, Restarts);
-	// merged into the run's Stats at reconciliation. A shard sets at
-	// most one.
-	lane, swar, scalar, restart bool
-	// backoff marks a shard whose SWAR parse hit the density backoff
-	// and was handed to the single-stride lanes; the flight recorder
-	// surfaces it as an EventSWARBackoff instant.
-	backoff bool
-	// prefetch absorbs the next-shard cache-line touches (see
-	// touchLines); never read.
-	prefetch byte
+	// lane/scalar/restart classify how the shard was parsed (see
+	// Stats.LaneBatches, ScalarFallbacks, Restarts); merged into the
+	// run's Stats at reconciliation. A shard sets at most one.
+	lane, scalar, restart bool
 	// insns is the shard's instruction count: the population of the
 	// boundary-bitmap words the shard owns, taken when its parse ends
 	// or when a cache restore or stream harvest installs its words (a
@@ -184,8 +167,7 @@ func (r *shardResult) reset() {
 	r.violations = r.violations[:0]
 	r.targets = r.targets[:0]
 	r.bad = r.bad[:0]
-	r.lane, r.swar, r.scalar, r.restart = false, false, false, false
-	r.backoff = false
+	r.lane, r.scalar, r.restart = false, false, false
 	r.insns = 0
 }
 
@@ -371,17 +353,17 @@ type call struct {
 	span flight.Event
 }
 
-// begin opens a call over an image of size bytes: the Stats size facts,
-// the engine, resolved once so that every shard uses it and reports
-// stay deterministic, and the flight run. One atomic load decides
-// whether the call records spans; with no recorder installed that load
-// is the recorder's whole cost, which keeps Verify at 0 allocs/op.
+// begin opens a call over an image of size bytes: the Stats size
+// facts, the engine every shard uses, and the flight run. One atomic
+// load decides whether the call records spans; with no recorder
+// installed that load is the recorder's whole cost, which keeps Verify
+// at 0 allocs/op.
 func (c *Checker) begin(size int, opts VerifyOptions, st *Stats) call {
 	k := call{shards: shardCount(size), fr: flight.Active()}
 	if st != nil {
 		k.t0 = time.Now()
 	}
-	k.engine = c.resolveEngine(opts)
+	k.engine = opts.Engine
 	k.span = flight.Event{Kind: flight.SpanRun, Engine: runFlightEngine(k.engine), Bytes: int64(size)}
 	if st != nil {
 		st.BytesScanned = int64(size)
@@ -425,14 +407,8 @@ func (c *Checker) finish(ctx context.Context, k *call, err error, code []byte, s
 		if st != nil {
 			for i := 0; i < planLen(list, sc); i++ {
 				r := &sc.results[pick(i, list)]
-				// SWAR-proven shards are lane batches too (the same 4-lane
-				// two-pass parser, a different inner stepper); SWARBatches is
-				// the sub-census.
-				if r.lane || r.swar {
+				if r.lane {
 					st.LaneBatches++
-				}
-				if r.swar {
-					st.SWARBatches++
 				}
 				if r.scalar {
 					st.ScalarFallbacks++
@@ -487,18 +463,15 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 	return c.finish(ctx, &k, err, code, sc, list, st)
 }
 
-// runFlightEngine maps the run's resolved engine to the flight
-// recorder's enum, whose name is also the run's Stats.Engine census
-// value, so "what actually ran" reads the same in -stats/-json output
-// and in traces.
+// runFlightEngine maps the run's engine to the flight recorder's enum,
+// whose name is also the run's Stats.Engine census value, so "what
+// actually ran" reads the same in -stats/-json output and in traces.
 func runFlightEngine(e EngineKind) flight.Engine {
 	switch e {
 	case EngineReference:
 		return flight.EngineReference
 	case EngineFusedScalar:
 		return flight.EngineScalar
-	case EngineSWAR:
-		return flight.EngineSWAR
 	default:
 		return flight.EngineLanes
 	}
@@ -506,13 +479,11 @@ func runFlightEngine(e EngineKind) flight.Engine {
 
 // shardFlightEngine classifies how one shard was actually parsed, from
 // its result flags — finer-grained than the run-level engine because a
-// shard can individually back off or restart scalar.
+// shard can individually restart scalar.
 func shardFlightEngine(e EngineKind, res *shardResult) flight.Engine {
 	switch {
 	case e == EngineReference:
 		return flight.EngineReference
-	case res.swar:
-		return flight.EngineSWAR
 	case res.lane:
 		return flight.EngineLanes
 	default:
@@ -520,31 +491,11 @@ func shardFlightEngine(e EngineKind, res *shardResult) flight.Engine {
 	}
 }
 
-// resolveEngine maps the requested engine to the one a run will
-// actually use: EngineFused resolves to EngineSWAR or EngineLanes, and
-// the other kinds to themselves. Every constructor builds the pair
-// tables when the automaton supports them (newChecker), so one policy
-// resolves alike however its checker was made. Forced EngineSWAR runs
-// on them whenever they exist; EngineFused — the default — only when
-// their hot footprint also fits the budget (swarAuto). Without them
-// both run the single-stride lanes.
-func (c *Checker) resolveEngine(opts VerifyOptions) EngineKind {
-	e := opts.Engine
-	if e != EngineFused && e != EngineSWAR {
-		return e
-	}
-	f := c.fused
-	if f != nil && f.stride != nil && (e == EngineSWAR || f.swarAuto()) {
-		return EngineSWAR
-	}
-	return EngineLanes
-}
-
 // stage1 is what every shard parse of one stage-1 pass shares: the
-// bytes, the scratch the shards write, the resolved engine and the
-// flight run. Verify and VerifyDelta parse the whole image in place,
-// so local and image shard indices agree (g0 is 0); VerifyReader
-// parses one window, whose local shard 0 is image shard g0.
+// bytes, the scratch the shards write, the engine and the flight run.
+// Verify and VerifyDelta parse the whole image in place, so local and
+// image shard indices agree (g0 is 0); VerifyReader parses one window,
+// whose local shard 0 is image shard g0.
 type stage1 struct {
 	c      *Checker
 	code   []byte
@@ -649,8 +600,7 @@ func (d *shardPool) work(w int) {
 // (and the pool behind it) survives. Flight records and panic details
 // name the image shard while offsets stay local (a streamed window's
 // harvest translates them). fr, when non-nil, receives a SpanShard
-// record (and an EventSWARBackoff instant when the density backoff
-// fired) tagged with the worker index w.
+// record tagged with the worker index w.
 func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine EngineKind, fr *flight.Recorder, frun uint32, w int) {
 	res := &sc.results[s]
 	start := s * ShardBytes
@@ -688,16 +638,6 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 	if testShardHook != nil {
 		testShardHook(gs)
 	}
-	// Software prefetch: stream one byte per cache line of the *next*
-	// shard before the dependent-load walk starts on this one. The
-	// streaming pass has high memory-level parallelism (the hardware
-	// prefetcher runs ahead of it), so by the time the walk's
-	// latency-bound, table-interleaved code loads reach those lines they
-	// hit cache. Read-only and redundant across workers, so it needs no
-	// coordination; it is skipped for the last shard.
-	if end < len(code) {
-		res.prefetch = touchLines(code, end, end+ShardBytes)
-	}
 	switch {
 	case engine == EngineReference || c.fused == nil:
 		res.scalar = true
@@ -706,7 +646,7 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 		res.scalar = true
 		c.parseShardFusedScalar(code, start, end, sc, res)
 	default:
-		c.parseShardFused(code, start, end, sc, res, engine == EngineSWAR)
+		c.parseShardFused(code, start, end, sc, res)
 	}
 	// Overlap stage 2 with stage 1: the shard's bitmap words are final
 	// the moment its parse returns (shards own disjoint word ranges), so
@@ -727,30 +667,9 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 	}
 	res.targets = kept
 	if fr != nil {
-		now := fr.Now()
 		fr.Record(flight.Event{Kind: flight.SpanShard, Engine: shardFlightEngine(engine, res),
-			Worker: uint16(w), Shard: uint32(gs), Run: frun, Start: ft0, Dur: now - ft0, Bytes: int64(end - start)})
-		if res.backoff {
-			fr.Record(flight.Event{Kind: flight.EventSWARBackoff, Engine: flight.EngineSWAR,
-				Worker: uint16(w), Shard: uint32(gs), Run: frun, Start: now})
-		}
+			Worker: uint16(w), Shard: uint32(gs), Run: frun, Start: ft0, Dur: fr.Now() - ft0, Bytes: int64(end - start)})
 	}
-}
-
-// touchLines reads one byte per 64-byte cache line of code[start:end)
-// (clamped to the image) and folds them into a throwaway value the
-// caller stores, which keeps the loop from looking dead. This is the
-// portable software-prefetch idiom: a pure streaming read that drags
-// the lines into cache ahead of their latency-bound consumer.
-func touchLines(code []byte, start, end int) byte {
-	if end > len(code) {
-		end = len(code)
-	}
-	var x byte
-	for i := start; i < end; i += 64 {
-		x ^= code[i]
-	}
-	return x
 }
 
 // stopShard appends the shard-local violation that ends a parse.
@@ -760,52 +679,28 @@ func stopShard(res *shardResult, code []byte, off int, kind ViolationKind, detai
 
 // parseShardFused is stage 1 around the fused product automaton. The
 // whole-bundle prefix of the shard runs through the four-lane
-// interleaved parser — with the SWAR stepper when swar is set, the
-// single-stride walk otherwise — which assumes the image is
-// compliant; if it finds anything irregular its partial writes are
-// erased and the canonical scalar loop below re-parses the shard from
-// the start, so every violating shard is diagnosed by exactly the same
-// code path regardless of the optimistic phase. A trailing partial
-// bundle (only the image's last shard can have one) is parsed scalar
-// as well, continuing where the lanes proved the prefix regular.
+// interleaved parser, which assumes the image is compliant; if it finds
+// anything irregular its partial writes are erased and the canonical
+// scalar loop below re-parses the shard from the start, so every
+// violating shard is diagnosed by exactly the same code path regardless
+// of the optimistic phase. A trailing partial bundle (only the image's
+// last shard can have one) is parsed scalar as well, continuing where
+// the lanes proved the prefix regular.
 //
-// The lane engines support bundle sizes 16, 32 and 64: the pass-2
+// The lane engine supports bundle sizes 16, 32 and 64: the pass-2
 // boundary extraction masks bundle bits per 64-bit bitmap word
 // (laneExtract), so a larger bundle has no in-word boundary to check
 // and such checkers take the canonical scalar walk — every
 // policy-relevant decision lives there and in the shared helpers, so
 // the verdict is engine-invariant either way (FuzzPolicyEquiv holds
 // the engines identical per policy).
-func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res *shardResult, swar bool) {
+func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res *shardResult) {
 	bundle := c.params.bundle
 	if bundle <= 64 {
 		full := start + (end-start)/bundle*bundle
 		if full-start >= laneCount*bundle {
-			ok := false
-			if swar {
-				var dense bool
-				ok, dense = c.parseShardSWAR(code, start, full, sc, res)
-				if ok {
-					res.swar = true
-				} else if dense {
-					// Density backoff: the multi-byte rounds were losing on
-					// this shard. Erase the probe's writes and re-parse with
-					// the four-lane single-stride walk, which is faster on
-					// event-dense code (see the backoff comment in
-					// engine_swar.go); a further failure there still falls
-					// to the canonical scalar re-parse below.
-					sc.valid.ClearRange(start, end)
-					sc.pairJmp.ClearRange(start, end)
-					res.reset()
-					res.backoff = true
-					if ok = c.parseShardLanes(code, start, full, sc, res); ok {
-						res.lane = true
-					}
-				}
-			} else if ok = c.parseShardLanes(code, start, full, sc, res); ok {
+			if c.parseShardLanes(code, start, full, sc, res) {
 				res.lane = true
-			}
-			if ok {
 				if full < end {
 					c.parseShardFusedScalar(code, full, end, sc, res)
 				}
@@ -813,9 +708,7 @@ func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res 
 			}
 			sc.valid.ClearRange(start, end)
 			sc.pairJmp.ClearRange(start, end)
-			backedOff := res.backoff
 			res.reset()
-			res.backoff = backedOff // the SWAR backoff happened regardless of the later restart
 			res.restart = true
 			c.parseShardFusedScalar(code, start, end, sc, res)
 			return
@@ -1114,7 +1007,7 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 			Start: fjt0, Dur: fr.Now() - fjt0, Bytes: int64(len(badTargets))})
 	}
 	// Every bundle boundary must be an instruction boundary. Shards the
-	// lane/SWAR parser proved regular already had every bundle boundary
+	// lane parser proved regular already had every bundle boundary
 	// in their range checked by pass 2 (laneExtract fails otherwise and
 	// the shard restarts scalar), so the scan skips them — for a
 	// compliant image that removes the whole pass. The proof only covers
@@ -1130,7 +1023,7 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 		if end > size {
 			end = size
 		}
-		if (r.lane || r.swar) && end-start == ShardBytes {
+		if r.lane && end-start == ShardBytes {
 			continue
 		}
 		for i := start; i < end; i += c.params.bundle {

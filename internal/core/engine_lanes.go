@@ -6,7 +6,10 @@ import (
 )
 
 // This file is the two-pass region-interleaved fast path of the fused
-// engine.
+// engine: the walk the default EngineFused runs over every shard's
+// whole-bundle region, with the canonical scalar walk as its rewind
+// (parseShardFused). It is the only optimistic stepper, and it needs no
+// table beyond the padded restart-closed one (fusedDFA.flat).
 //
 // Pass 1 splits a shard's whole-bundle range into laneCount contiguous
 // regions and walks all of them at once, interleaving the restart-closed
@@ -14,7 +17,7 @@ import (
 // other's latency. Unlike a per-bundle engine, a lane never stops at a
 // bundle end: the walk is continuous, and for every byte it consumes it
 // stores the resulting state number into a per-shard state buffer
-// (scratch.stbuf). Thanks to the four-band state numbering (see
+// (stbufPool). Thanks to the four-band state numbering (see
 // fusedDFA), the only states that interrupt the walk are the truly
 // eventful ones [rec, n): masked-pair accepts, direct jumps, dead walks
 // and the rare history-dependent continuations. Recording states —
@@ -42,15 +45,16 @@ import (
 // canonical scalar parse (parseShardFusedScalar) over the same range:
 //
 //   - Within a region the walk is the canonical continuous parse.
-//     Class-1 states resolve instructions inline (their closed rows are
-//     the start row, so flowing through one is identical to restarting),
-//     and those are exactly the positions the scalar walk resolves via
-//     its "pure noCF accept" rule. Recording states never resolve the
-//     scalar walk either (masked is still live), so absorbing them loses
-//     nothing; their accept positions are recovered verbatim from the
-//     stored state tags when an event resolves by priority. Events apply
-//     the same priority rule and the same policy checks as the scalar
-//     path, or fail the lane parse.
+//     Class-1 states resolve instructions inline (their
+//     restart-closed rows are the start row, so flowing through one
+//     is identical to restarting), and those are exactly the
+//     positions the scalar walk resolves via its "pure noCF accept"
+//     rule. Recording states never resolve the scalar walk either
+//     (masked is still live), so absorbing them loses nothing; their
+//     accept positions are recovered verbatim from the stored state
+//     tags when an event resolves by priority. Events apply the same
+//     priority rule and the same policy checks as the scalar path, or
+//     fail the lane parse.
 //   - A resolution may rewind the walk; the bytes it re-walks cannot
 //     contain a class-1 state (one would itself have resolved the
 //     instruction earlier), so no stale boundary survives in the buffer

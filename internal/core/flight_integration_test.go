@@ -121,8 +121,7 @@ func TestCacheServeCensus(t *testing.T) {
 	if warm.Stats.CacheWholeHits != 1 {
 		t.Errorf("warm CacheWholeHits = %d, want 1", warm.Stats.CacheWholeHits)
 	}
-	if warm.Stats.LaneBatches != 0 || warm.Stats.SWARBatches != 0 ||
-		warm.Stats.ScalarFallbacks != 0 || warm.Stats.Restarts != 0 {
+	if warm.Stats.LaneBatches != 0 || warm.Stats.ScalarFallbacks != 0 || warm.Stats.Restarts != 0 {
 		t.Errorf("warm run reports parse work it did not do: %+v", warm.Stats)
 	}
 	if warm.Stats.CacheBytesSaved != int64(len(img)) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"rocksalt/internal/grammar"
 	"rocksalt/internal/policy"
 	"rocksalt/internal/vcache"
 )
@@ -15,13 +14,15 @@ import (
 // components accept or are still live. The product construction itself
 // (collapse-to-sinks, BFS discovery, tagged minimization) lives in
 // internal/policy (FuseProduct), since it is part of the grammar→tables
-// pipeline; this file layers the engine-facing renumbering and derived
-// fast-path structures on top. The seed engine's Figure-5 loop tries
-// the three DFAs sequentially at every offset, rescanning the same
-// bytes on each failed attempt; the fused automaton reproduces the
-// exact same decision — masked's first accept wins, else noCF's, else
-// direct's — in a single table walk that stops as soon as every
-// component has either accepted or rejected.
+// pipeline; this file layers the engine-facing renumbering and the
+// derived fast-path tables on top: the single-byte table and the padded
+// restart-closed table the lanes walk. Those are all the engines derive
+// (64 KiB plus 256 bytes, built by computeFast at checker construction).
+// The seed engine's Figure-5 loop tries the three DFAs sequentially at
+// every offset, rescanning the same bytes on each failed attempt; the
+// fused automaton reproduces the exact same decision — masked's first
+// accept wins, else noCF's, else direct's — in a single table walk that
+// stops as soon as every component has either accepted or rejected.
 
 // Tag bits of a fused state, aliased from the policy compiler (which
 // owns the serialized layout; see policy.TagAccMasked and friends).
@@ -59,17 +60,14 @@ type fusedDFA struct {
 	rec   int
 	tags  []uint8
 	table [][256]uint16
-	// closed is the restart-closed transition table the lane engine
-	// walks: identical to table except that class-1 states (pure noCF
-	// accept, nothing live — the instruction just ended and nothing else
-	// can match) transition as if from the start state. A walk over
-	// closed never stops at the common instruction end; it flows straight
-	// into the next instruction, and the engine recovers the boundary
-	// positions from the state numbers it passes through. Derived on
-	// load, never serialized.
-	closed [][256]uint16
-	// flat is the restart-closed table flattened and padded to 128 state
-	// rows: flat[s<<8|b] == closed[s][b]. The pass-1 walk indexes it as
+	// flat is the restart-closed transition table the lane engine
+	// walks, flattened and padded to 128 state rows: flat[s<<8|b] is
+	// table[s][b], except that class-1 states (pure noCF accept, nothing
+	// live — the instruction just ended and nothing else can match)
+	// transition as if from the start state. A walk over it never stops
+	// at the common instruction end; it flows straight into the next
+	// instruction, and the engine recovers the boundary positions from
+	// the state numbers it passes through. The pass-1 walk indexes it as
 	// flat[int(s&127)<<8|int(b)], which the compiler can prove in-bounds
 	// against the fixed 1<<15 length, so the hottest load carries no
 	// bounds check. Derived on load, never serialized.
@@ -80,18 +78,6 @@ type fusedDFA struct {
 	// (never serialized), it lets the engine skip the walk for the
 	// single-byte instructions (NOPs above all) that dominate real images.
 	nocf1 [256]bool
-	// cls partitions the byte alphabet by column equality over closed
-	// (grammar.ByteClasses): cls[b1] == cls[b2] iff every state maps b1
-	// and b2 to the same successor. ncls is the class count. The
-	// compacted states×classes table this induces is what the pair-table
-	// construction works from; see fused_stride.go.
-	cls  [256]uint8
-	ncls int
-	// stride holds the pair tables the SWAR stepper walks (pair-class
-	// map + padded walk table), built by the checker constructor; nil
-	// when the automaton cannot support them, which leaves the checker
-	// on the single-stride lanes. See fused_stride.go.
-	stride *strideTables
 	// fp memoizes the content hash of (start, tags, table) — the
 	// automaton's identity in verdict-cache keys (see cache.go).
 	fpOnce sync.Once
@@ -173,27 +159,22 @@ const flatStates = 128
 // checked automaton: the single-byte noCF table (entering a state whose
 // tag is exactly tagAccNoCF means noCF just accepted and every
 // component is resolved, so the priority decision is "noCF, length
-// 1"), the restart-closed transition table, its byte classes and the
-// padded flat table.
+// 1") and the padded restart-closed table.
 func (f *fusedDFA) computeFast() {
 	row := &f.table[f.start]
 	for b := 0; b < 256; b++ {
 		f.nocf1[b] = f.tags[row[b]] == tagAccNoCF
 	}
-	f.closed = make([][256]uint16, len(f.table))
-	for s := range f.table {
-		if s >= f.quiet && s < f.nc {
-			f.closed[s] = *row
-		} else {
-			f.closed[s] = f.table[s]
-		}
+	if len(f.table) > flatStates {
+		return
 	}
-	f.cls, f.ncls = grammar.ByteClasses(f.closed)
-	if len(f.table) <= flatStates {
-		f.flat = make([]uint16, flatStates*256)
-		for s := range f.closed {
-			copy(f.flat[s<<8:(s+1)<<8], f.closed[s][:])
+	f.flat = make([]uint16, flatStates*256)
+	for s := range f.table {
+		src := &f.table[s]
+		if s >= f.quiet && s < f.nc {
+			src = row
 		}
+		copy(f.flat[s<<8:(s+1)<<8], src[:])
 	}
 }
 

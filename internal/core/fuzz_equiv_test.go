@@ -102,80 +102,41 @@ func streamEdgeSeeds(f *testing.F, c *core.Checker, tile []byte) [][]byte {
 	return append(seeds, bad)
 }
 
-// FuzzFusedEquiv holds the fused product automaton to the reference
-// three-DFA engine on arbitrary byte strings: same verdict, identical
-// violation lists (offset, kind, detail, window — byte for byte), same
-// uncapped total, with and without the AlignedCalls extension. This is
-// the executable statement that the fusion is a pure performance
-// transformation. Run longer with
+// FuzzFusedEquiv holds the fused engines to the reference three-DFA
+// engine on arbitrary byte strings: the default walk (four lanes with
+// the scalar rewind) and the forced scalar fused walk must each give
+// the same verdict, identical violation lists (offset, kind, detail,
+// window — byte for byte), the same uncapped total and the same
+// engine-invariant Stats, with and without the AlignedCalls extension.
+// This is the executable statement that the fusion and the lane
+// interleaving are pure performance transformations. Run longer with
 //
 //	go test -fuzz FuzzFusedEquiv ./internal/core
 func FuzzFusedEquiv(f *testing.F) {
-	gen := nacl.NewGenerator(47)
-	for _, n := range []int{5, 60, 6000} {
-		img, err := gen.Random(n)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(img)
-	}
-	for _, img := range nacl.UnsafeCorpus() {
-		f.Add(img)
-	}
-	f.Add([]byte{0x83, 0xe0, 0xe0, 0xff, 0xe0}) // masked pair, short bundle
-	f.Add([]byte{0xeb, 0x03, 0xb8, 0, 0, 0, 0}) // jump into an instruction
-	f.Add([]byte{0xe8, 0, 0, 0, 0})             // call (AlignedCalls-sensitive)
-
-	plain, err := core.NewChecker()
-	if err != nil {
-		f.Fatal(err)
-	}
-	aligned, err := core.NewChecker()
-	if err != nil {
-		f.Fatal(err)
-	}
-	aligned.AlignedCalls = true
-
-	f.Fuzz(func(t *testing.T, img []byte) {
-		if len(img) > 1<<20 {
-			t.Skip()
-		}
-		for _, c := range []*core.Checker{plain, aligned} {
-			ref := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
-			fus := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineFused})
-			if fus.Safe != ref.Safe {
-				t.Fatalf("alignedCalls=%v: fused verdict %v, reference %v on % x",
-					c.AlignedCalls, fus.Safe, ref.Safe, img)
-			}
-			if !reflect.DeepEqual(fus.Violations, ref.Violations) || fus.Total != ref.Total {
-				t.Fatalf("alignedCalls=%v: reports diverged on % x\nref: %+v\nfus: %+v",
-					c.AlignedCalls, img, ref.Violations, fus.Violations)
-			}
-			// The engine-invariant Stats subset (bytes, bundles,
-			// instruction boundaries, per-kind census) must match too:
-			// the fused engine may take a different route through the
-			// bytes, but it must conclude exactly the same facts.
-			if fs, rs := fus.Stats.EngineInvariant(), ref.Stats.EngineInvariant(); fs != rs {
-				t.Fatalf("alignedCalls=%v: stats diverged on % x\nref: %+v\nfus: %+v",
-					c.AlignedCalls, img, rs, fs)
-			}
-		}
-	})
+	addGeneratedSeeds(f, 47)
+	addFusedEdgeSeeds(f)
+	fuzzFusedAgainstReference(f)
 }
 
-// FuzzByteClassEquiv holds the byte-class compacted scalar walk, the
-// forced single-stride lanes and the SWAR multi-byte stepper to the
-// reference three-DFA engine (and, transitively, to the default fused
-// engine) on arbitrary byte strings: same verdict, byte-identical
-// violation lists, same uncapped total, same engine-invariant Stats,
-// with and without AlignedCalls. This is the executable statement that
-// the compaction, the lane interleaving, the pair composition and the
-// SWAR stepping (with its density backoff and dispatcher re-parses)
-// are pure performance transformations. Run longer with
+// FuzzByteClassEquiv runs FuzzFusedEquiv's check from a second seed
+// set: images from generator seed 53, the same edge inputs, and an
+// odd-length input shorter than one bundle. Its name dates from the
+// byte-class compacted tables, which went with the byte-pair tables;
+// the seeds still reach the lanes' scalar rewind and the short-input
+// path. Run longer with
 //
 //	go test -fuzz FuzzByteClassEquiv ./internal/core
 func FuzzByteClassEquiv(f *testing.F) {
-	gen := nacl.NewGenerator(53)
+	addGeneratedSeeds(f, 53)
+	addFusedEdgeSeeds(f)
+	f.Add([]byte{0x90}) // odd length: shorter than one bundle
+	fuzzFusedAgainstReference(f)
+}
+
+// addGeneratedSeeds adds three generated compliant images (5, 60 and
+// 6,000 instructions) drawn from seed.
+func addGeneratedSeeds(f *testing.F, seed int64) {
+	gen := nacl.NewGenerator(seed)
 	for _, n := range []int{5, 60, 6000} {
 		img, err := gen.Random(n)
 		if err != nil {
@@ -183,14 +144,24 @@ func FuzzByteClassEquiv(f *testing.F) {
 		}
 		f.Add(img)
 	}
+}
+
+// addFusedEdgeSeeds adds the unsafe corpus and three short inputs
+// that end mid-bundle, jump into an instruction, or depend on
+// AlignedCalls.
+func addFusedEdgeSeeds(f *testing.F) {
 	for _, img := range nacl.UnsafeCorpus() {
 		f.Add(img)
 	}
 	f.Add([]byte{0x83, 0xe0, 0xe0, 0xff, 0xe0}) // masked pair, short bundle
 	f.Add([]byte{0xeb, 0x03, 0xb8, 0, 0, 0, 0}) // jump into an instruction
 	f.Add([]byte{0xe8, 0, 0, 0, 0})             // call (AlignedCalls-sensitive)
-	f.Add([]byte{0x90})                         // odd length: stride tail byte
+}
 
+// fuzzFusedAgainstReference is the check FuzzFusedEquiv and
+// FuzzByteClassEquiv share: each fused engine against EngineReference,
+// plain and with AlignedCalls.
+func fuzzFusedAgainstReference(f *testing.F) {
 	plain, err := core.NewChecker()
 	if err != nil {
 		f.Fatal(err)
@@ -207,8 +178,6 @@ func FuzzByteClassEquiv(f *testing.F) {
 	}{
 		{"fused", core.EngineFused},
 		{"fused-scalar", core.EngineFusedScalar},
-		{"lanes", core.EngineLanes},
-		{"swar", core.EngineSWAR},
 	}
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if len(img) > 1<<20 {
@@ -226,6 +195,10 @@ func FuzzByteClassEquiv(f *testing.F) {
 					t.Fatalf("alignedCalls=%v %s: reports diverged on % x\nref: %+v\ngot: %+v",
 						c.AlignedCalls, eng.name, img, ref.Violations, got.Violations)
 				}
+				// The engine-invariant Stats subset (bytes, bundles,
+				// instruction boundaries, per-kind census) must match
+				// too: a fused engine may take a different route through
+				// the bytes, but it must conclude exactly the same facts.
 				if gs, rs := got.Stats.EngineInvariant(), ref.Stats.EngineInvariant(); gs != rs {
 					t.Fatalf("alignedCalls=%v %s: stats diverged on % x\nref: %+v\ngot: %+v",
 						c.AlignedCalls, eng.name, img, rs, gs)

@@ -31,13 +31,11 @@ var fuzzPolicies = sync.OnceValues(func() ([]*core.Checker, error) {
 // FuzzPolicyEquiv extends the engine-equivalence property to
 // runtime-compiled policies: for each shipped policy (NaCl-32,
 // NaCl-16, REINS-style), the reference three-DFA loop, the scalar
-// fused walk, the single-stride lanes and the SWAR stepper must
-// produce byte-identical reports on arbitrary inputs — the
-// 16-byte-bundle policies exercise the non-32 lane and SWAR region
-// splits. This is
-// the executable statement that the engine parameterization (bundle
-// size, mask length, guard cutoff) is threaded identically through
-// every engine. Run longer with
+// fused walk and the default lane walk must produce byte-identical
+// reports on arbitrary inputs — the 16-byte-bundle policies exercise
+// the non-32 lane region split. This is the executable statement that
+// the engine parameterization (bundle size, mask length, guard cutoff)
+// is threaded identically through every engine. Run longer with
 //
 //	go test -fuzz FuzzPolicyEquiv ./internal/core
 func FuzzPolicyEquiv(f *testing.F) {
@@ -85,8 +83,6 @@ func FuzzPolicyEquiv(f *testing.F) {
 			}{
 				{"fused", core.EngineFused},
 				{"fused-scalar", core.EngineFusedScalar},
-				{"lanes", core.EngineLanes},
-				{"swar", core.EngineSWAR},
 			} {
 				got := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: eng.e})
 				if got.Safe != ref.Safe {

@@ -46,18 +46,19 @@ type Stats struct {
 	Instructions int64 `json:"instructions"`
 	// Shards is the stage-1 shard count.
 	Shards int64 `json:"shards"`
-	// Engine names the stage-1 stepper the run resolved to
-	// ("lanes", "swar", "fused-scalar", "reference") — the
+	// Engine names the stage-1 stepper the run used ("lanes",
+	// "fused-scalar", "reference", or "cache" for a cache serve) — the
 	// per-run face of the engine census. It describes how the bytes
 	// were matched, not what was concluded, so EngineInvariant blanks
 	// it alongside the parse-mode counters.
 	Engine string `json:"engine,omitempty"`
 	// LaneBatches counts shards whose whole-bundle region the 4-lane
-	// interleaved parser proved regular (the fast path), with any of
-	// its steppers.
+	// interleaved parser proved regular (the fast path).
 	LaneBatches int64 `json:"lane_batches"`
-	// SWARBatches is the subset of LaneBatches parsed by the SWAR
-	// multi-byte stepper (engine_swar.go).
+	// SWARBatches is always zero: the SWAR stepper it counted is gone.
+	// The field stays only because the benchmark module (bench/) reads
+	// it; ROADMAP.md's benchmark-notes item removes it with the
+	// benchmark's next change.
 	SWARBatches int64 `json:"swar_batches"`
 	// ScalarFallbacks counts shards parsed by a scalar loop without a
 	// lane attempt: regions too small for the lanes, and every shard
@@ -123,7 +124,7 @@ func (s Stats) Counters() Stats {
 // matched the bytes rather than what it concluded.
 func (s Stats) EngineInvariant() Stats {
 	s = s.Counters()
-	s.LaneBatches, s.SWARBatches, s.ScalarFallbacks, s.Restarts = 0, 0, 0, 0
+	s.LaneBatches, s.ScalarFallbacks, s.Restarts = 0, 0, 0
 	s.Engine = ""
 	return s
 }
@@ -137,8 +138,8 @@ func (s Stats) String() string {
 	}
 	fmt.Fprintf(&b, "bytes %d, bundles %d, instructions %d, shards %d\n",
 		s.BytesScanned, s.Bundles, s.Instructions, s.Shards)
-	fmt.Fprintf(&b, "lane batches %d (swar %d), scalar fallbacks %d, restarts %d, contained panics %d\n",
-		s.LaneBatches, s.SWARBatches, s.ScalarFallbacks, s.Restarts, s.ContainedPanics)
+	fmt.Fprintf(&b, "lane batches %d, scalar fallbacks %d, restarts %d, contained panics %d\n",
+		s.LaneBatches, s.ScalarFallbacks, s.Restarts, s.ContainedPanics)
 	if s.CacheWholeHits != 0 || s.CacheChunkHits != 0 || s.CacheChunkMisses != 0 {
 		fmt.Fprintf(&b, "cache: whole hits %d, chunk hits %d, chunk misses %d, bytes saved %d (hit ratio %.0f%%)\n",
 			s.CacheWholeHits, s.CacheChunkHits, s.CacheChunkMisses, s.CacheBytesSaved, 100*s.ChunkHitRatio())
@@ -193,7 +194,6 @@ var coreMetrics struct {
 	bundles         *telemetry.Counter
 	shards          *telemetry.Counter
 	laneBatches     *telemetry.Counter
-	swarBatches     *telemetry.Counter
 	scalarFallbacks *telemetry.Counter
 	restarts        *telemetry.Counter
 	containedPanics *telemetry.Counter
@@ -228,7 +228,6 @@ func init() {
 	coreMetrics.bundles = r.NewCounter("rocksalt_verify_bundles_total", "32-byte bundles processed")
 	coreMetrics.shards = r.NewCounter("rocksalt_verify_shards_total", "stage-1 shards parsed")
 	coreMetrics.laneBatches = r.NewCounter("rocksalt_verify_lane_batches_total", "shards proved regular by the 4-lane parser")
-	coreMetrics.swarBatches = r.NewCounter("rocksalt_verify_swar_batches_total", "lane shards parsed by the SWAR multi-byte stepper")
 	coreMetrics.scalarFallbacks = r.NewCounter("rocksalt_verify_scalar_fallbacks_total", "shards parsed scalar without a lane attempt")
 	coreMetrics.restarts = r.NewCounter("rocksalt_verify_restarts_total", "lane parses erased and re-parsed scalar")
 	coreMetrics.containedPanics = r.NewCounter("rocksalt_verify_contained_panics_total", "stage-1 shard panics contained as InternalFault")
@@ -251,7 +250,7 @@ func init() {
 	coreMetrics.reconcileNanos = r.NewLabeledHistogram("rocksalt_stage_duration_ns", stageHelp, "stage", "reconcile")
 	coreMetrics.jumpsNanos = r.NewLabeledHistogram("rocksalt_stage_duration_ns", stageHelp, "stage", "jumps")
 	coreMetrics.engineNanos = map[string]*telemetry.Histogram{}
-	engines := []flight.Engine{flight.EngineLanes, flight.EngineSWAR, flight.EngineScalar,
+	engines := []flight.Engine{flight.EngineLanes, flight.EngineScalar,
 		flight.EngineReference, flight.EngineCache}
 	for _, e := range engines {
 		coreMetrics.engineNanos[e.String()] = r.NewLabeledHistogram("rocksalt_engine_duration_ns",
@@ -280,7 +279,6 @@ func publishStats(st *Stats, interrupted, rejected bool) {
 	m.bundles.Add(st.Bundles)
 	m.shards.Add(st.Shards)
 	m.laneBatches.Add(st.LaneBatches)
-	m.swarBatches.Add(st.SWARBatches)
 	m.scalarFallbacks.Add(st.ScalarFallbacks)
 	m.restarts.Add(st.Restarts)
 	for k, n := range st.ViolationsByKind {

@@ -123,8 +123,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 		copy(ssc.pairJmp.Words()[gs*shardWords:], wsc.pairJmp.Words()[w0:w1])
 		base := (gs - ws) * ShardBytes
 		src, dst := &wsc.results[ws], &ssc.results[gs]
-		dst.lane, dst.swar, dst.scalar, dst.restart, dst.backoff =
-			src.lane, src.swar, src.scalar, src.restart, src.backoff
+		dst.lane, dst.scalar, dst.restart = src.lane, src.scalar, src.restart
 		dst.insns = src.insns
 		for _, v := range src.violations {
 			v.Offset += base

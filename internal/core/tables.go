@@ -33,8 +33,8 @@ import (
 // class-band order) and then checked against the component DFAs
 // (policy.CheckProduct), so a fused table that disagrees with them
 // fails closed at load even behind consistent CRCs. The tables the
-// engines derive from it — restart-closed, flat, byte classes and the
-// SWAR stepper's pair tables — are built in-process by the one checker
+// engines derive from it — the single-byte and the padded
+// restart-closed tables — are built in-process by the one checker
 // constructor (newChecker). Every size prefix is distrusted: sections
 // are read into buffers that grow only as their bytes arrive, so a
 // bundle that declares more than it holds costs about what it holds.

@@ -63,8 +63,10 @@ const (
 	// SpanDelta covers one VerifyDelta reconciliation round, dirty-set
 	// computation to verdict; Bytes carries the bytes re-parsed.
 	SpanDelta
-	// EventSWARBackoff marks a shard whose SWAR multi-byte parse hit
-	// the density backoff and was re-parsed by the single-stride lanes.
+	// EventSWARBackoff is never recorded: it marked a shard handed from
+	// the deleted SWAR stepper back to the lanes. The kind stays only
+	// because the benchmark module (bench/) reads it; ROADMAP.md's
+	// benchmark-notes item removes it with the benchmark's next change.
 	EventSWARBackoff
 	// EventChunkHit / EventChunkMiss mark one cacheable 64 KiB chunk
 	// restored from, respectively missing from, the chunk cache.
@@ -111,7 +113,6 @@ type Engine uint8
 const (
 	EngineNone Engine = iota
 	EngineLanes
-	EngineSWAR
 	EngineScalar
 	EngineReference
 	EngineCache
@@ -120,7 +121,7 @@ const (
 )
 
 var engineNames = [numEngines]string{
-	"", "lanes", "swar", "fused-scalar", "reference", "cache",
+	"", "lanes", "fused-scalar", "reference", "cache",
 }
 
 func (e Engine) String() string {

@@ -14,9 +14,9 @@ func TestRecordSnapshotRoundTrip(t *testing.T) {
 	r := NewRecorder(64)
 	run := r.BeginRun()
 	events := []Event{
-		{Kind: SpanRun, Engine: EngineSWAR, Run: run, Start: 100, Dur: 900, Bytes: 1 << 20},
-		{Kind: SpanShard, Engine: EngineLanes, Worker: 3, Shard: 7, Run: run, Start: 150, Dur: 40, Bytes: 16384},
-		{Kind: EventSWARBackoff, Engine: EngineSWAR, Worker: 1, Shard: 2, Run: run, Start: 120},
+		{Kind: SpanRun, Engine: EngineLanes, Run: run, Start: 100, Dur: 900, Bytes: 1 << 20},
+		{Kind: SpanShard, Engine: EngineScalar, Worker: 3, Shard: 7, Run: run, Start: 150, Dur: 40, Bytes: 16384},
+		{Kind: EventChunkMiss, Engine: EngineCache, Worker: 1, Shard: 2, Run: run, Start: 120},
 	}
 	for _, ev := range events {
 		r.Record(ev)
@@ -96,7 +96,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 
 func TestRecordDoesNotAllocate(t *testing.T) {
 	r := NewRecorder(64)
-	ev := Event{Kind: SpanShard, Engine: EngineSWAR, Worker: 2, Shard: 9, Start: 1, Dur: 2, Bytes: 3}
+	ev := Event{Kind: SpanShard, Engine: EngineLanes, Worker: 2, Shard: 9, Start: 1, Dur: 2, Bytes: 3}
 	allocs := testing.AllocsPerRun(200, func() {
 		r.Record(ev)
 	})
@@ -107,7 +107,7 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 
 func TestChromeTraceShape(t *testing.T) {
 	events := []Event{
-		{Kind: SpanRun, Engine: EngineSWAR, Run: 1, Start: 1000, Dur: 5000, Bytes: 1 << 20},
+		{Kind: SpanRun, Engine: EngineLanes, Run: 1, Start: 1000, Dur: 5000, Bytes: 1 << 20},
 		{Kind: SpanShard, Engine: EngineLanes, Worker: 2, Shard: 3, Run: 1, Start: 1200, Dur: 300},
 		{Kind: EventChunkHit, Engine: EngineCache, Run: 1, Start: 1100, Bytes: 65536},
 	}
@@ -164,7 +164,7 @@ func TestWritePostmortem(t *testing.T) {
 		PolicyFingerprint: "deadbeef",
 		TableBundle:       "RSLT4",
 		Spans: []Event{
-			{Kind: SpanShard, Engine: EngineSWAR, Shard: 0, Start: 10, Dur: 20},
+			{Kind: SpanShard, Engine: EngineLanes, Shard: 0, Start: 10, Dur: 20},
 			{Kind: SpanShard, Engine: EngineScalar, Shard: 1, Start: 30, Dur: 40},
 			{Kind: EventCacheServe, Engine: EngineCache, Start: 50},
 		},
@@ -188,7 +188,7 @@ func TestWritePostmortem(t *testing.T) {
 		t.Errorf("bundle identity fields wrong: %v", got)
 	}
 	census, _ := got["engine_census"].(map[string]any)
-	if census["swar"] != 1.0 || census["fused-scalar"] != 1.0 || census["cache"] != 1.0 {
+	if census["lanes"] != 1.0 || census["fused-scalar"] != 1.0 || census["cache"] != 1.0 {
 		t.Errorf("engine census wrong: %v", census)
 	}
 	if spans, _ := got["spans"].([]any); len(spans) != 3 {
