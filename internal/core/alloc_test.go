@@ -145,6 +145,51 @@ func TestDeltaRoundAllocs(t *testing.T) {
 	}
 }
 
+// TestDeltaStateFootprint pins what a DeltaState retains between
+// rounds: the packed boundary bitmap (size/8 bytes), the per-shard
+// results and their cross-shard jump targets. The image tiles one
+// generated unit padded to a shard, so every jump lands in its own
+// shard and nothing else is retained; the live heap with the state
+// alive, less the live heap with it dropped, must stay within size/6.
+// A second bitmap, or the capacity of the in-shard targets, shows here.
+func TestDeltaStateFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the bound only holds in normal builds")
+	}
+	c := checker(t)
+	unit, err := nacl.NewGenerator(15).Random(3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unit) > core.ShardBytes {
+		t.Fatalf("unit of %d bytes does not fit a %d-byte shard", len(unit), core.ShardBytes)
+	}
+	unit = append(unit, bytes.Repeat([]byte{0x90}, core.ShardBytes-len(unit))...)
+	const size = 4 << 20
+	img := bytes.Repeat(unit, size/core.ShardBytes)
+	liveHeap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the first collection only moves pooled scratch to the victim cache
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	rep, state, err := c.VerifyDeltaWith(img, nil, nil, core.VerifyOptions{Workers: 1})
+	if err != nil || !rep.Safe {
+		t.Fatalf("tiled image: safe=%v err=%v", rep != nil && rep.Safe, err)
+	}
+	with := liveHeap()
+	runtime.KeepAlive(state)
+	without := liveHeap()
+	runtime.KeepAlive(img)
+	retained := with - without
+	if retained > size/6 {
+		t.Errorf("a DeltaState over %d bytes retains %d bytes (%.3f x size), want <= size/6", size, retained, float64(retained)/size)
+	} else {
+		t.Logf("a DeltaState over %d bytes retains %d bytes (%.3f x size)", size, retained, float64(retained)/size)
+	}
+}
+
 // maxCheckerFootprint bounds the bytes one NewCheckerFromTables call on
 // the embedded bundle allocates: the loaded tables, the product check's
 // working set and the derived restart-closed and flat tables.

@@ -22,8 +22,8 @@ import (
 //     hashing pass — that is the >100x warm re-verification path.
 //   - Per-chunk: on a whole-image miss, the image's aligned 64KiB
 //     chunks are individually content-addressed. A chunk hit restores
-//     the chunk's parse artifacts — its boundary/pairJmp bitmap words
-//     and collected jump targets — and stage 1 skips the chunk's
+//     the chunk's parse artifacts — its boundary bitmap words and
+//     collected jump targets — and stage 1 skips the chunk's
 //     shards; only chunks that actually changed are re-parsed. Stage 2
 //     always runs in full, so cross-chunk properties (jump targets,
 //     bundle coverage) are re-validated against the current image.
@@ -44,8 +44,8 @@ import (
 // ordinary engine paths.
 
 // chunkBytes is the chunk-cache granularity: an aligned span of four
-// stage-1 shards. Coarse enough that stored artifacts (two bitmap
-// slices, ~1/4 of the chunk size) amortize, fine enough that a local
+// stage-1 shards. Coarse enough that stored artifacts (one bitmap
+// slice, ~1/8 of the chunk size) amortize, fine enough that a local
 // edit invalidates little.
 const chunkBytes = 64 << 10
 
@@ -53,22 +53,21 @@ const chunkBytes = 64 << 10
 const chunkShards = chunkBytes / ShardBytes
 
 // chunkEntry is the cached parse artifact of one clean chunk: the
-// boundary and masked-pair bitmap words for its bit range, the
-// cross-shard jump targets its shards collected, and the in-shard
-// targets already proven bad by the stage-1 workers. bad must be
+// boundary bitmap words for its bit range, the cross-shard jump
+// targets its shards collected, and the in-shard targets already
+// proven bad by the stage-1 workers. bad must be
 // replayed: a chunk is "clean" when its parse found no shard-local
 // violation, but a jump into the middle of an instruction only becomes
 // a TargetNotBoundary violation at reconcile — dropping bad would make
 // a cached replay accept what a cold run rejects.
 type chunkEntry struct {
 	valid   []uint64
-	pairJmp []uint64
 	targets []int32
 	bad     []int32
 }
 
 func (e *chunkEntry) size() int64 {
-	return int64(8*len(e.valid) + 8*len(e.pairJmp) + 4*len(e.targets) + 4*len(e.bad))
+	return int64(8*len(e.valid) + 4*len(e.targets) + 4*len(e.bad))
 }
 
 // cacheCtx carries a run's chunk-cache state: the per-chunk keys (index
@@ -277,7 +276,7 @@ func reportSize(r *Report) int {
 // every missed chunk and of the uncacheable tail, in order.
 func (c *Checker) probeChunks(cc *cacheCtx, sc *scratch, st *Stats) []int {
 	list := make([]int, 0, len(sc.results))
-	wvalid, wpair := sc.valid.Words(), sc.pairJmp.Words()
+	wvalid := sc.valid.Words()
 	for i, key := range cc.keys {
 		v, ok := cc.cache.Get(key)
 		if !ok {
@@ -296,7 +295,6 @@ func (c *Checker) probeChunks(cc *cacheCtx, sc *scratch, st *Stats) []int {
 		e := v.(*chunkEntry)
 		w0 := i * chunkBytes / 64
 		copy(wvalid[w0:w0+len(e.valid)], e.valid)
-		copy(wpair[w0:w0+len(e.pairJmp)], e.pairJmp)
 		res := &sc.results[i*chunkShards]
 		res.targets = append(res.targets, e.targets...)
 		res.bad = append(res.bad, e.bad...)
@@ -366,7 +364,6 @@ func storeChunk(cache *vcache.Cache, key vcache.Key, sc *scratch, i int) {
 	w0, w1 := i*chunkBytes/64, (i+1)*chunkBytes/64
 	e := &chunkEntry{
 		valid:   append([]uint64(nil), sc.valid.Words()[w0:w1]...),
-		pairJmp: append([]uint64(nil), sc.pairJmp.Words()[w0:w1]...),
 		targets: make([]int32, 0, ntargets),
 		bad:     make([]int32, 0, nbad),
 	}

@@ -21,25 +21,28 @@ import (
 // instruction masked pair) may straddle one, so the image partitions
 // into aligned groups of bundles that parse independently.
 //
-// Stage 1 parses each shard, producing shard-local valid/pairJmp
-// bitmaps, the shard's direct-jump targets, and any shard-local
-// violation. By default a shard's whole-bundle region is walked by the
-// four-lane interleaved parser over the fused product automaton
-// (engine_lanes.go, fused.go), and any shard it finds irregular is
-// re-parsed by the canonical scalar fused walk, which diagnoses every
-// violation. The seed's three-sequential-DFA loop survives as the
-// reference engine, selectable per run, and the engines are held
-// byte-identical by FuzzFusedEquiv, FuzzPolicyEquiv and the
-// fault-injection harness. Stage 2 is a cheap sequential
+// Stage 1 parses each shard, producing the shard's words of the
+// instruction-boundary bitmap, the destinations of its direct jumps
+// that land in other shards, and any shard-local violation: exactly
+// what the Figure-5 verdict reads (Analyze derives the rest after the
+// run, in analyze.go). By default a shard's whole-bundle region is
+// walked by the four-lane interleaved parser over the fused product
+// automaton (engine_lanes.go, fused.go), and any shard it finds
+// irregular is re-parsed by the canonical scalar fused walk, which
+// diagnoses every violation. The seed's three-sequential-DFA loop
+// survives as the reference engine, selectable per run, and the
+// engines are held byte-identical by FuzzFusedEquiv, FuzzPolicyEquiv
+// and the fault-injection harness. Stage 2 is a cheap sequential
 // reconciliation: it validates every collected jump target against the
 // merged boundary map, flags unreached bundle boundaries, and sorts all
 // violations by (offset, kind) so the reported first violation is
 // identical no matter how many workers ran stage 1 and which engine
 // matched the bytes.
 //
-// All per-run mutable state (the two packed bitmaps and the shard
-// result array) lives in a pooled scratch, so steady-state Verify runs
-// without allocating.
+// All per-run mutable state (the packed boundary bitmap and the shard
+// result array) lives in a pooled scratch, and each in-flight shard
+// parse borrows a pooled parseBuf, so steady-state Verify runs without
+// allocating.
 
 // EngineKind selects the stage-1 matcher.
 type EngineKind uint8
@@ -144,7 +147,8 @@ type shardResult struct {
 	// land outside the shard, validated globally in stage 2. In-shard
 	// targets are resolved at the end of the shard parse itself (the
 	// shard's bitmap words are final then), overlapping stage-2 work
-	// with stage 1; the failures land in bad.
+	// with stage 1; the failures land in bad. The parse collects every
+	// target in its parseBuf, so only cross-shard ones take room here.
 	targets []int32
 	// bad holds in-shard jump targets already proven to miss an
 	// instruction boundary; reconcile merges them with the cross-shard
@@ -171,12 +175,12 @@ func (r *shardResult) reset() {
 	r.insns = 0
 }
 
-// scratch is the reusable per-run state: the packed boundary bitmaps
+// scratch is the reusable per-run state: the packed boundary bitmap
 // and the shard result array. A sync.Pool recycles it across runs so a
 // warmed checker verifies without allocating.
 type scratch struct {
-	valid, pairJmp bitset.Set
-	results        []shardResult
+	valid   bitset.Set
+	results []shardResult
 	// base/imgSize place the byte slice handed to the parser inside the
 	// logical image: the slice covers image offsets [base, base+len).
 	// Ordinary runs parse the whole image, so base is 0 and imgSize is
@@ -198,10 +202,9 @@ func getScratch(size, shards int) *scratch {
 }
 
 // reset readies sc for an image of size bytes in shards shards,
-// keeping the capacity of its bitmaps and result slices.
+// keeping the capacity of its bitmap and result slices.
 func (sc *scratch) reset(size, shards int) {
 	sc.valid.Reset(size)
-	sc.pairJmp.Reset(size)
 	sc.base, sc.imgSize = 0, size
 	if cap(sc.results) < shards {
 		sc.results = make([]shardResult, shards)
@@ -214,6 +217,18 @@ func (sc *scratch) reset(size, shards int) {
 }
 
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
+
+// parseBuf is the working memory of one in-flight shard parse: the
+// lanes' pass-1 state buffer (one byte per shard byte) and every
+// in-image direct-jump target the parse found. Stage-1 workers parse
+// shards of the same run concurrently, so each parse takes its own from
+// parseBufPool, which holds the steady state at one per worker.
+type parseBuf struct {
+	states  [ShardBytes]byte
+	targets []int32
+}
+
+var parseBufPool = sync.Pool{New: func() any { return new(parseBuf) }}
 
 // VerifyWith runs the staged engine and returns the structured report.
 func (c *Checker) VerifyWith(code []byte, opts VerifyOptions) *Report {
@@ -236,32 +251,6 @@ func (c *Checker) VerifyContext(ctx context.Context, code []byte, opts VerifyOpt
 	rep := c.report(c.run(ctx, code, opts, sc, &st, nil), len(code))
 	rep.Stats = st
 	return rep
-}
-
-// AnalyzeWith is VerifyWith plus the instruction-boundary bitmap and
-// masked-pair jump positions (see Analyze for their meaning). The
-// bitmaps are only meaningful when the report is Safe.
-func (c *Checker) AnalyzeWith(code []byte, opts VerifyOptions) (valid, pairJmp []bool, rep *Report) {
-	return c.AnalyzeContext(context.Background(), code, opts)
-}
-
-// AnalyzeContext is AnalyzeWith under a context, with VerifyContext's
-// cancellation semantics. The bitmaps are only meaningful when the
-// report is Safe (in particular, never for an interrupted run).
-func (c *Checker) AnalyzeContext(ctx context.Context, code []byte, opts VerifyOptions) (valid, pairJmp []bool, rep *Report) {
-	sc := getScratch(len(code), shardCount(len(code)))
-	defer putScratch(sc)
-	var st Stats
-	// Analyze uses the chunk layer only: a whole-image Report hit would
-	// skip filling the bitmaps this entry point exists to return.
-	var cc *cacheCtx
-	if opts.Cache != nil && c.fused != nil {
-		_, chunks := c.cacheKeys(code)
-		cc = &cacheCtx{cache: opts.Cache, keys: chunks}
-	}
-	rep = c.report(c.run(ctx, code, opts, sc, &st, cc), len(code))
-	rep.Stats = st
-	return sc.valid.Bools(), sc.pairJmp.Bools(), rep
 }
 
 // verifyLean is the allocation-free boolean path behind Verify: it runs
@@ -612,6 +601,9 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 	if fr != nil {
 		ft0 = fr.Now()
 	}
+	pb := parseBufPool.Get().(*parseBuf)
+	defer parseBufPool.Put(pb)
+	pb.targets = pb.targets[:0]
 	defer func() {
 		if r := recover(); r != nil {
 			// Fail closed: a panicking shard becomes a structured
@@ -641,31 +633,29 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 	switch {
 	case engine == EngineReference || c.fused == nil:
 		res.scalar = true
-		c.parseShardRef(code, start, end, sc, res)
+		c.parseShardRef(code, start, end, sc, res, pb)
 	case engine == EngineFusedScalar:
 		res.scalar = true
-		c.parseShardFusedScalar(code, start, end, sc, res)
+		c.parseShardFusedScalar(code, start, end, sc, res, pb)
 	default:
-		c.parseShardFused(code, start, end, sc, res)
+		c.parseShardFused(code, start, end, sc, res, pb)
 	}
 	// Overlap stage 2 with stage 1: the shard's bitmap words are final
 	// the moment its parse returns (shards own disjoint word ranges), so
 	// its in-shard jump targets can be resolved here, on the parallel
 	// workers, instead of on reconcile's serial path. Only cross-shard
-	// targets — typically a small minority — remain for stage 2; proven
-	// failures are banked in res.bad and replayed by reconcile, so the
-	// report is unchanged.
-	kept := res.targets[:0]
-	for _, t := range res.targets {
+	// targets — typically a small minority — are kept for stage 2;
+	// proven failures are banked in res.bad and replayed by reconcile,
+	// so the report is unchanged.
+	for _, t := range pb.targets {
 		if int(t) >= start && int(t) < end {
 			if !sc.valid.Get(int(t)) {
 				res.bad = append(res.bad, t)
 			}
 			continue
 		}
-		kept = append(kept, t)
+		res.targets = append(res.targets, t)
 	}
-	res.targets = kept
 	if fr != nil {
 		fr.Record(flight.Event{Kind: flight.SpanShard, Engine: shardFlightEngine(engine, res),
 			Worker: uint16(w), Shard: uint32(gs), Run: frun, Start: ft0, Dur: fr.Now() - ft0, Bytes: int64(end - start)})
@@ -694,28 +684,27 @@ func stopShard(res *shardResult, code []byte, off int, kind ViolationKind, detai
 // policy-relevant decision lives there and in the shared helpers, so
 // the verdict is engine-invariant either way (FuzzPolicyEquiv holds
 // the engines identical per policy).
-func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res *shardResult) {
+func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res *shardResult, pb *parseBuf) {
 	bundle := c.params.bundle
 	if bundle <= 64 {
 		full := start + (end-start)/bundle*bundle
 		if full-start >= laneCount*bundle {
-			if c.parseShardLanes(code, start, full, sc, res) {
+			if c.parseShardLanes(code, start, full, sc, pb) {
 				res.lane = true
 				if full < end {
-					c.parseShardFusedScalar(code, full, end, sc, res)
+					c.parseShardFusedScalar(code, full, end, sc, res, pb)
 				}
 				return
 			}
 			sc.valid.ClearRange(start, end)
-			sc.pairJmp.ClearRange(start, end)
-			res.reset()
+			pb.targets = pb.targets[:0]
 			res.restart = true
-			c.parseShardFusedScalar(code, start, end, sc, res)
+			c.parseShardFusedScalar(code, start, end, sc, res, pb)
 			return
 		}
 	}
 	res.scalar = true
-	c.parseShardFusedScalar(code, start, end, sc, res)
+	c.parseShardFusedScalar(code, start, end, sc, res, pb)
 }
 
 // parseShardFusedScalar is the sequential fused walk: one table walk per
@@ -727,12 +716,12 @@ func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res 
 // matched unit extending past the shard end means that bundle boundary
 // sits inside an instruction — itself a violation — so the shard stops
 // there instead of racing into its neighbour's range.
-func (c *Checker) parseShardFusedScalar(code []byte, start, end int, sc *scratch, res *shardResult) {
+func (c *Checker) parseShardFusedScalar(code []byte, start, end int, sc *scratch, res *shardResult, pb *parseBuf) {
 	f := c.fused
 	table, tags := f.table, f.tags
 	nocf1 := &f.nocf1
 	fstart, quiet := uint16(f.start), uint16(f.quiet)
-	mlen, bundle := c.params.maskLen, c.params.bundle
+	bundle := c.params.bundle
 	size := len(code)
 	pos := start
 
@@ -799,7 +788,6 @@ loop:
 			if pos > end && c.straddles(sc, res, code, saved, pos, end) {
 				break loop
 			}
-			sc.pairJmp.Set(saved + mlen)
 			// The call form of the pair is FF /2 (0xD0|r in the modrm).
 			if c.AlignedCalls && code[pos-1]>>3&7 == 2 && pos%bundle != 0 {
 				stopShard(res, code, pos, MisalignedCall, "masked call leaves a misaligned return address")
@@ -815,7 +803,7 @@ loop:
 			if pos > end && c.straddles(sc, res, code, saved, pos, end) {
 				break loop
 			}
-			if c.directJump(sc, res, code, saved, pos) {
+			if c.directJump(sc, res, pb, code, saved, pos) {
 				break loop
 			}
 		default:
@@ -829,7 +817,7 @@ loop:
 // parseShardRef is the reference stage 1: the seed's Figure 5 loop, up
 // to three sequential DFA match attempts per offset. It is the oracle
 // the fused engine is held byte-identical to.
-func (c *Checker) parseShardRef(code []byte, start, end int, sc *scratch, res *shardResult) {
+func (c *Checker) parseShardRef(code []byte, start, end int, sc *scratch, res *shardResult, pb *parseBuf) {
 	masked, noCF, direct := c.masked, c.noCF, c.direct
 	pos := start
 	for pos < end {
@@ -839,7 +827,6 @@ func (c *Checker) parseShardRef(code []byte, start, end int, sc *scratch, res *s
 			if c.straddles(sc, res, code, saved, pos, end) {
 				return
 			}
-			sc.pairJmp.Set(saved + c.params.maskLen)
 			// The call form of the pair is FF /2 (0xD0|r in the modrm).
 			if c.AlignedCalls && code[pos-1]>>3&7 == 2 && pos%c.params.bundle != 0 {
 				stopShard(res, code, pos, MisalignedCall, "masked call leaves a misaligned return address")
@@ -857,7 +844,7 @@ func (c *Checker) parseShardRef(code []byte, start, end int, sc *scratch, res *s
 			if c.straddles(sc, res, code, saved, pos, end) {
 				return
 			}
-			if c.directJump(sc, res, code, saved, pos) {
+			if c.directJump(sc, res, pb, code, saved, pos) {
 				return
 			}
 			continue
@@ -885,8 +872,9 @@ func (c *Checker) straddles(sc *scratch, res *shardResult, code []byte, saved, p
 // shard parse must stop. Targets are classified in absolute image
 // coordinates (the window-relative destination shifted by sc.base) so
 // a windowed parse agrees with a whole-image parse; in-image targets
-// are banked window-relative, matching the bitmap the caller owns.
-func (c *Checker) directJump(sc *scratch, res *shardResult, code []byte, saved, pos int) (stop bool) {
+// are collected in pb window-relative, matching the bitmap the caller
+// owns.
+func (c *Checker) directJump(sc *scratch, res *shardResult, pb *parseBuf, code []byte, saved, pos int) (stop bool) {
 	if c.AlignedCalls && code[saved] == 0xe8 && pos%c.params.bundle != 0 {
 		stopShard(res, code, pos, MisalignedCall, "call leaves a misaligned return address")
 		return true
@@ -898,7 +886,7 @@ func (c *Checker) directJump(sc *scratch, res *shardResult, code []byte, saved, 
 	}
 	tAbs := t + int64(sc.base)
 	if tAbs >= 0 && tAbs < int64(sc.imgSize) {
-		res.targets = append(res.targets, int32(t))
+		pb.targets = append(pb.targets, int32(t))
 	} else if !c.targetAllowed(uint32(tAbs)) {
 		detail := fmt.Sprintf("direct jump targets %#x, outside the image", uint32(tAbs))
 		if c.params.guard != 0 && uint32(tAbs) < c.params.guard {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "encoding/binary"
 
 // This file is the two-pass region-interleaved fast path of the fused
 // engine: the walk the default EngineFused runs over every shard's
@@ -16,16 +13,18 @@ import (
 // table steps byte by byte so four independent load chains cover each
 // other's latency. Unlike a per-bundle engine, a lane never stops at a
 // bundle end: the walk is continuous, and for every byte it consumes it
-// stores the resulting state number into a per-shard state buffer
-// (stbufPool). Thanks to the four-band state numbering (see
-// fusedDFA), the only states that interrupt the walk are the truly
-// eventful ones [rec, n): masked-pair accepts, direct jumps, dead walks
-// and the rare history-dependent continuations. Recording states —
-// an accept noted mid-instruction while a masked pair is still live —
-// are absorbed into the inline path entirely: the accept they would
-// record is recovered later from the state bytes, by scanning the
-// current instruction's stored states when an event finally needs the
-// earliest noCF/direct accept positions.
+// stores the resulting state number into the parse's state buffer
+// (parseBuf). Thanks to the four-band state numbering (see fusedDFA)
+// and the flat table's remapping, the only states that interrupt the
+// walk are the truly eventful ones [rec, n): the call form of a masked
+// pair, direct jumps, dead walks and the rare history-dependent
+// continuations. Every other masked pair ends in a class-1 state, like
+// a plain instruction. Recording states — an accept noted
+// mid-instruction while a masked pair is still live — are absorbed
+// into the inline path entirely: the accept they would record is
+// recovered later from the state bytes, by scanning the current
+// instruction's stored states when an event finally needs the earliest
+// noCF/direct accept positions.
 //
 // Pass 2 turns the state buffer into the instruction-boundary bitmap
 // with branch-free SWAR: eight state bytes are range-checked against the
@@ -41,7 +40,7 @@ import (
 // writes, and the canonical scalar loop re-parses the shard.
 //
 // Equivalence argument. When parseShardLanes returns true, its
-// valid/pairJmp bits and collected jump targets are exactly those of the
+// boundary bits and collected jump targets are exactly those of the
 // canonical scalar parse (parseShardFusedScalar) over the same range:
 //
 //   - Within a region the walk is the canonical continuous parse.
@@ -49,7 +48,10 @@ import (
 //     restart-closed rows are the start row, so flowing through one
 //     is identical to restarting), and those are exactly the
 //     positions the scalar walk resolves via its "pure noCF accept"
-//     rule. Recording states never resolve the scalar walk either
+//     rule. A masked pair that is not the call form resolves the same
+//     way: the scalar walk takes it outright (top priority) and checks
+//     nothing further, and its remapped flat entry is a class-1 state.
+//     Recording states never resolve the scalar walk either
 //     (masked is still live), so absorbing them loses nothing; their
 //     accept positions are recovered verbatim from the stored state
 //     tags when an event resolves by priority. Events apply the same
@@ -76,22 +78,13 @@ import (
 // dependent table loads.
 const laneCount = 4
 
-// stbufPool recycles the pass-1 state buffers (one byte per shard byte).
-// They are pooled separately from scratch because stage-1 workers parse
-// shards of the same run concurrently and each in-flight shard needs its
-// own buffer; the pool holds the steady state at one buffer per worker.
-var stbufPool = sync.Pool{New: func() any {
-	b := make([]byte, ShardBytes)
-	return &b
-}}
-
 // laneCtx is the shared state of one lane parse, stack-allocated by the
 // driver and threaded through the event method by pointer.
 type laneCtx struct {
 	code []byte
 	buf  []byte // state byte per parsed byte; index = offset - base
 	tags []uint8
-	res  *shardResult
+	pb   *parseBuf
 	sc   *scratch
 	base int // region-range start (the shard start)
 	// Class-1 band test on state bytes: b is class-1 iff b-qb < c1w
@@ -112,24 +105,24 @@ type laneCtx struct {
 // are read off the stored states' tags.
 func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs, re int) (uint16, int) {
 	buf, base, tags := lc.buf, lc.base, lc.tags
+	tag := tags[s]
+	if tag&tagAccMasked != 0 {
+		// Masked pair: top priority, resolves outright at o. The flat
+		// table sends every other form straight to a class-1 state, so
+		// this is the call form, FF /2 (see fusedDFA.flat).
+		if c.AlignedCalls && o%c.params.bundle != 0 {
+			lc.failed = true
+			return lc.fstart, re
+		}
+		buf[o-1-base] = lc.qb
+		return lc.fstart, o
+	}
 	saved := rs
 	for j := o - 2; j >= rs; j-- {
 		if buf[j-base]-lc.qb < lc.c1w {
 			saved = j + 1
 			break
 		}
-	}
-	tag := tags[s]
-	if tag&tagAccMasked != 0 {
-		// Masked pair: top priority, resolves outright at o.
-		lc.sc.pairJmp.Set(saved + c.params.maskLen)
-		// The call form of the pair is FF /2 (0xD0|r in the modrm).
-		if c.AlignedCalls && lc.code[o-1]>>3&7 == 2 && o%c.params.bundle != 0 {
-			lc.failed = true
-			return lc.fstart, re
-		}
-		buf[o-1-base] = lc.qb
-		return lc.fstart, o
 	}
 	var ln, ld int
 	for j := saved; j < o-1; j++ {
@@ -169,7 +162,7 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs, re int) (uint16, int) 
 			}
 			tAbs := t + int64(lc.sc.base)
 			if tAbs >= 0 && tAbs < int64(lc.sc.imgSize) {
-				lc.res.targets = append(lc.res.targets, int32(t))
+				lc.pb.targets = append(lc.pb.targets, int32(t))
 			} else if !c.targetAllowed(uint32(tAbs)) {
 				lc.failed = true
 				return lc.fstart, re
@@ -188,10 +181,11 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs, re int) (uint16, int) 
 }
 
 // parseShardLanes runs the interleaved two-pass parse over the
-// whole-bundle region [start, fullEnd). It reports whether the region
-// was fully regular; on false the caller must discard the shard's
-// bitmap/result writes and re-parse with the scalar loop.
-func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, res *shardResult) bool {
+// whole-bundle region [start, fullEnd), collecting its jump targets in
+// pb. It reports whether the region was fully regular; on false the
+// caller must discard the shard's bitmap words and pb's targets and
+// re-parse with the scalar loop.
+func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, pb *parseBuf) bool {
 	f := c.fused
 	if f.flat == nil || f.nc == f.quiet {
 		return false
@@ -199,15 +193,13 @@ func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, 
 	flat := (*[flatStates * 256]uint16)(f.flat)
 	rec := uint16(f.rec)
 	L := fullEnd - start
-	bp := stbufPool.Get().(*[]byte)
-	defer stbufPool.Put(bp)
-	buf := (*bp)[:L]
+	buf := pb.states[:L]
 
 	lc := laneCtx{
 		code:   code,
 		buf:    buf,
 		tags:   f.tags,
-		res:    res,
+		pb:     pb,
 		sc:     sc,
 		base:   start,
 		qb:     uint8(f.quiet),

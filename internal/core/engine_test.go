@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,8 +86,9 @@ func TestVerifyWithMatchesSequential(t *testing.T) {
 }
 
 // TestAnalyzeWithBitmapEquality: on an accepted image the boundary
-// bitmaps (the safety theorem's invariant) are identical however many
-// workers parsed stage 1.
+// bitmap and the masked-pair jump positions (the safety theorem's
+// invariant) are identical whichever engine and however many workers
+// parsed stage 1.
 func TestAnalyzeWithBitmapEquality(t *testing.T) {
 	c := checker(t)
 	img, err := nacl.NewGenerator(43).Random(12000)
@@ -100,12 +102,28 @@ func TestAnalyzeWithBitmapEquality(t *testing.T) {
 	if rep1.Shards < 2 {
 		t.Fatalf("image too small to exercise sharding: %d shards", rep1.Shards)
 	}
-	v4, p4, rep4 := c.AnalyzeWith(img, core.VerifyOptions{Workers: 4})
-	if !rep4.Safe {
-		t.Fatal("parallel run rejected an accepted image")
+	pairs := 0
+	for _, p := range p1 {
+		if p {
+			pairs++
+		}
 	}
-	if !reflect.DeepEqual(v1, v4) || !reflect.DeepEqual(p1, p4) {
-		t.Fatal("boundary bitmaps differ between sequential and parallel runs")
+	if pairs == 0 {
+		t.Fatal("image has no masked pairs to compare")
+	}
+	for _, e := range []core.EngineKind{core.EngineFused, core.EngineReference, core.EngineFusedScalar} {
+		for _, w := range []int{1, 4} {
+			v, p, rep := c.AnalyzeWith(img, core.VerifyOptions{Workers: w, Engine: e})
+			if !rep.Safe {
+				t.Fatalf("engine %d, %d workers: rejected an accepted image", e, w)
+			}
+			if !reflect.DeepEqual(v1, v) {
+				t.Fatalf("engine %d, %d workers: boundary bitmap differs", e, w)
+			}
+			if !reflect.DeepEqual(p1, p) {
+				t.Fatalf("engine %d, %d workers: masked-pair jump positions differ", e, w)
+			}
+		}
 	}
 }
 
@@ -226,6 +244,40 @@ func TestReportShape(t *testing.T) {
 	}
 	if v := rep.First(); v.Offset != 0 {
 		t.Fatalf("first violation at %#x, want 0", v.Offset)
+	}
+}
+
+// TestLaneMaskedCalls: the lanes walk through every masked pair but
+// the call form, which still stops them so laneEvent can apply the
+// AlignedCalls check. On a masked call at each of maskedCallOffsets,
+// with AlignedCalls off and on, the default engine reports exactly
+// what EngineReference reports; a misaligned call under AlignedCalls
+// restarts its shard once, and every other case stays on the lanes.
+func TestLaneMaskedCalls(t *testing.T) {
+	for _, aligned := range []bool{false, true} {
+		c := checker(t)
+		c.AlignedCalls = aligned
+		for _, off := range maskedCallOffsets {
+			img := maskedCallImage(off)
+			what := fmt.Sprintf("alignedCalls=%v, masked call at %d", aligned, off)
+			ref := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
+			got := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
+			if got.Safe != ref.Safe || got.Total != ref.Total || !reflect.DeepEqual(got.Violations, ref.Violations) {
+				t.Fatalf("%s: reports diverged\nref: %+v\ngot: %+v", what, ref.Violations, got.Violations)
+			}
+			misaligned := aligned && (off+5)%core.BundleSize != 0
+			if got.Safe == misaligned {
+				t.Errorf("%s: Safe=%v", what, got.Safe)
+			}
+			var want int64
+			if misaligned {
+				want = 1
+			}
+			if got.Stats.Restarts != want || got.Stats.LaneBatches != 1-want {
+				t.Errorf("%s: %d restarts and %d lane batches, want %d and %d",
+					what, got.Stats.Restarts, got.Stats.LaneBatches, want, 1-want)
+			}
+		}
 	}
 }
 

@@ -64,10 +64,14 @@ type fusedDFA struct {
 	// walks, flattened and padded to 128 state rows: flat[s<<8|b] is
 	// table[s][b], except that class-1 states (pure noCF accept, nothing
 	// live — the instruction just ended and nothing else can match)
-	// transition as if from the start state. A walk over it never stops
-	// at the common instruction end; it flows straight into the next
-	// instruction, and the engine recovers the boundary positions from
-	// the state numbers it passes through. The pass-1 walk indexes it as
+	// transition as if from the start state, and that a transition into
+	// a masked-pair accept on any byte but the call form's modrm (FF /2,
+	// the only form a policy check follows) goes to the first class-1
+	// state instead: the pair has top priority, so it ends exactly like
+	// a plain instruction. A walk over it never stops at the common
+	// instruction end; it flows straight into the next instruction, and
+	// the engine recovers the boundary positions from the state numbers
+	// it passes through. The pass-1 walk indexes it as
 	// flat[int(s&127)<<8|int(b)], which the compiler can prove in-bounds
 	// against the fixed 1<<15 length, so the hottest load carries no
 	// bounds check. Derived on load, never serialized.
@@ -159,7 +163,9 @@ const flatStates = 128
 // checked automaton: the single-byte noCF table (entering a state whose
 // tag is exactly tagAccNoCF means noCF just accepted and every
 // component is resolved, so the priority decision is "noCF, length
-// 1") and the padded restart-closed table.
+// 1") and the padded restart-closed table with its masked-pair
+// remapping (skipped without a class-1 state, when the lanes never
+// run).
 func (f *fusedDFA) computeFast() {
 	row := &f.table[f.start]
 	for b := 0; b < 256; b++ {
@@ -174,7 +180,13 @@ func (f *fusedDFA) computeFast() {
 		if s >= f.quiet && s < f.nc {
 			src = row
 		}
-		copy(f.flat[s<<8:(s+1)<<8], src[:])
+		dst := f.flat[s<<8 : (s+1)<<8]
+		copy(dst, src[:])
+		for b, t := range dst {
+			if f.nc > f.quiet && f.tags[t]&tagAccMasked != 0 && b>>3&7 != 2 {
+				dst[b] = uint16(f.quiet)
+			}
+		}
 	}
 }
 

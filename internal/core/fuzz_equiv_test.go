@@ -146,9 +146,9 @@ func addGeneratedSeeds(f *testing.F, seed int64) {
 	}
 }
 
-// addFusedEdgeSeeds adds the unsafe corpus and three short inputs
-// that end mid-bundle, jump into an instruction, or depend on
-// AlignedCalls.
+// addFusedEdgeSeeds adds the unsafe corpus, three short inputs that
+// end mid-bundle, jump into an instruction, or depend on AlignedCalls,
+// and the masked-call images the lanes walk.
 func addFusedEdgeSeeds(f *testing.F) {
 	for _, img := range nacl.UnsafeCorpus() {
 		f.Add(img)
@@ -156,6 +156,23 @@ func addFusedEdgeSeeds(f *testing.F) {
 	f.Add([]byte{0x83, 0xe0, 0xe0, 0xff, 0xe0}) // masked pair, short bundle
 	f.Add([]byte{0xeb, 0x03, 0xb8, 0, 0, 0, 0}) // jump into an instruction
 	f.Add([]byte{0xe8, 0, 0, 0, 0})             // call (AlignedCalls-sensitive)
+	for _, off := range maskedCallOffsets {
+		f.Add(maskedCallImage(off))
+	}
+}
+
+// maskedCallOffsets place a masked call so that it ends off a bundle
+// boundary in the first lane, on one, and off one in the second lane.
+var maskedCallOffsets = []int{0, 27, 100}
+
+// maskedCallImage is a 256-byte NOP image, long enough for the four
+// lanes, with the masked call 83 e0 e0 ff d0 (and eax, -32; call eax)
+// at off. It is the one masked-pair form whose lane walk stops for a
+// policy check: AlignedCalls demands it end on a bundle boundary.
+func maskedCallImage(off int) []byte {
+	img := bytes.Repeat([]byte{0x90}, 256)
+	copy(img[off:], []byte{0x83, 0xe0, 0xe0, 0xff, 0xd0})
+	return img
 }
 
 // fuzzFusedAgainstReference is the check FuzzFusedEquiv and

@@ -33,11 +33,12 @@ import (
 // with the window end coinciding with the image end so the end-of-image
 // straddle allowance applies.
 //
-// The carry state is the image's packed bitmaps (size/4 bytes) plus
-// the per-shard results — the same retained form DeltaState holds — so
-// memory is bounded by the bitmaps, not the code: the window holds
-// only 512 KiB of image bytes, in a pooled buffer. Stage 2 then runs
-// unchanged over the carry scratch with code == nil: verdict, offsets,
+// The carry state is the image's packed boundary bitmap (size/8 bytes)
+// plus the per-shard results and their cross-shard targets — the same
+// retained form DeltaState holds — so memory is bounded by the bitmap,
+// not the code: the window holds only 512 KiB of image bytes, in a
+// pooled buffer. Stage 2 then runs unchanged over the carry scratch
+// with code == nil: verdict, offsets,
 // kinds and details are identical to the in-memory verifier; the one
 // documented difference is that stage-2 violations (TargetNotBoundary,
 // the bundle-coverage scan) carry no Window byte excerpt, since the
@@ -120,7 +121,6 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 		const shardWords = ShardBytes / 64
 		w0, w1 := ws*shardWords, min((ws+1)*shardWords, len(wsc.valid.Words()))
 		copy(ssc.valid.Words()[gs*shardWords:], wsc.valid.Words()[w0:w1])
-		copy(ssc.pairJmp.Words()[gs*shardWords:], wsc.pairJmp.Words()[w0:w1])
 		base := (gs - ws) * ShardBytes
 		src, dst := &wsc.results[ws], &ssc.results[gs]
 		dst.lane, dst.scalar, dst.restart = src.lane, src.scalar, src.restart

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rocksalt/internal/grammar"
+	"rocksalt/internal/policy"
 )
 
 // bundleHead returns the magic and parameter block of a NaCl-32 bundle.
@@ -89,6 +90,61 @@ func TestLargeAutomatonVerifiesScalar(t *testing.T) {
 		}
 		if got.Stats.LaneBatches != 0 || got.Stats.ScalarFallbacks+got.Stats.Restarts != got.Stats.Shards {
 			t.Errorf("%d zero bytes: parse modes %+v, want every shard scalar", len(code), got.Stats)
+		}
+	}
+}
+
+// TestFlatMaskedRemap: in the lanes' flat table every transition into
+// a masked-pair accept on a byte that is not the call form's modrm (FF
+// /2) goes to a class-1 state, so such a pair ends like a plain
+// instruction and never stops the lanes; every call-form one stays the
+// eventful accept (>= rec), where laneEvent applies the AlignedCalls
+// check; and every other entry is the restart-closed table's.
+func TestFlatMaskedRemap(t *testing.T) {
+	embedded, err := NewChecker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkers := map[string]*Checker{"embedded": embedded}
+	for _, spec := range []policy.Spec{policy.NaCl16(), policy.REINS()} {
+		com, err := policy.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkers[spec.Name], err = NewCheckerFromPolicy(com); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, c := range checkers {
+		f := c.fused
+		remapped, calls := 0, 0
+		for s := range f.table {
+			src := &f.table[s]
+			if s >= f.quiet && s < f.nc {
+				src = &f.table[f.start]
+			}
+			for b, want := range src {
+				got := f.flat[s<<8|b]
+				switch {
+				case f.tags[want]&tagAccMasked == 0:
+					if got != want {
+						t.Fatalf("%s: flat[%d][%#x] = %d, want %d", name, s, b, got, want)
+					}
+				case b>>3&7 == 2:
+					calls++
+					if got != want || int(got) < f.rec {
+						t.Fatalf("%s: call-form flat[%d][%#x] = %d, want the eventful %d (rec %d)", name, s, b, got, want, f.rec)
+					}
+				default:
+					remapped++
+					if int(got) < f.quiet || int(got) >= f.nc {
+						t.Fatalf("%s: masked flat[%d][%#x] = %d, want a class-1 state in [%d, %d)", name, s, b, got, f.quiet, f.nc)
+					}
+				}
+			}
+		}
+		if remapped == 0 || calls == 0 {
+			t.Fatalf("%s: %d remapped and %d call-form masked transitions, want both", name, remapped, calls)
 		}
 	}
 }

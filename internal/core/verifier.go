@@ -250,17 +250,6 @@ func (c *Checker) VerifyReport(code []byte) (bool, error) {
 	return rep.Safe, rep.Err()
 }
 
-// Analyze runs the verifier and additionally returns its instruction-
-// boundary bitmap and the positions of the indirect jumps inside masked
-// pairs. These arrays are the invariant the safety theorem (and its
-// executable test) is stated over: during execution of an accepted image,
-// the PC is always at a valid offset, or at a pairJmp offset reached by
-// fall-through from its mask.
-func (c *Checker) Analyze(code []byte) (valid, pairJmp []bool, ok bool) {
-	valid, pairJmp, rep := c.AnalyzeWith(code, VerifyOptions{Workers: 1})
-	return valid, pairJmp, rep.Safe
-}
-
 // maskLen is the encoded size of the masking AND (0x83 modrm imm8).
 const maskLen = 3
 
