@@ -26,7 +26,7 @@ import (
 // that land in other shards, and any shard-local violation: exactly
 // what the Figure-5 verdict reads (Analyze derives the rest after the
 // run, in analyze.go). By default a shard's whole-bundle region is
-// walked by the four-lane interleaved parser over the fused product
+// walked by the four-lane lockstep parser over the fused product
 // automaton (engine_lanes.go, fused.go), and any shard it finds
 // irregular is re-parsed by the canonical scalar fused walk, which
 // diagnoses every violation. The seed's three-sequential-DFA loop
@@ -49,7 +49,7 @@ type EngineKind uint8
 
 const (
 	// EngineFused walks the fused product automaton (the default): the
-	// four-lane interleaved walk (engine_lanes.go) over each shard's
+	// four-lane lockstep walk (engine_lanes.go) over each shard's
 	// whole-bundle region, rewinding to the canonical scalar walk on
 	// any irregularity. Its Stats.Engine census name is "lanes".
 	EngineFused EngineKind = iota
@@ -668,8 +668,9 @@ func stopShard(res *shardResult, code []byte, off int, kind ViolationKind, detai
 }
 
 // parseShardFused is stage 1 around the fused product automaton. The
-// whole-bundle prefix of the shard runs through the four-lane
-// interleaved parser, which assumes the image is compliant; if it finds
+// whole-bundle prefix of the shard runs through the lane parser, which
+// assumes the image is compliant: its quarters as four lanes in
+// lockstep (a prefix under four bundles as one lane). If it finds
 // anything irregular its partial writes are erased and the canonical
 // scalar loop below re-parses the shard from the start, so every
 // violating shard is diagnosed by exactly the same code path regardless
@@ -687,8 +688,7 @@ func stopShard(res *shardResult, code []byte, off int, kind ViolationKind, detai
 func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res *shardResult, pb *parseBuf) {
 	bundle := c.params.bundle
 	if bundle <= 64 {
-		full := start + (end-start)/bundle*bundle
-		if full-start >= laneCount*bundle {
+		if full := start + (end-start)/bundle*bundle; full > start {
 			if c.parseShardLanes(code, start, full, sc, pb) {
 				res.lane = true
 				if full < end {

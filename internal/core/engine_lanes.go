@@ -2,29 +2,44 @@ package core
 
 import "encoding/binary"
 
-// This file is the two-pass region-interleaved fast path of the fused
-// engine: the walk the default EngineFused runs over every shard's
-// whole-bundle region, with the canonical scalar walk as its rewind
+// This file is the two-pass lockstep fast path of the fused engine: the
+// walk the default EngineFused runs over every shard's whole-bundle
+// region, with the canonical scalar walk as its rewind
 // (parseShardFused). It is the only optimistic stepper, and it needs no
-// table beyond the padded restart-closed one (fusedDFA.flat).
+// table beyond the padded, byte-wide restart-closed one (fusedDFA.flat).
 //
-// Pass 1 splits a shard's whole-bundle range into laneCount contiguous
-// regions and walks all of them at once, interleaving the restart-closed
-// table steps byte by byte so four independent load chains cover each
-// other's latency. Unlike a per-bundle engine, a lane never stops at a
-// bundle end: the walk is continuous, and for every byte it consumes it
-// stores the resulting state number into the parse's state buffer
-// (parseBuf). Thanks to the four-band state numbering (see fusedDFA)
-// and the flat table's remapping, the only states that interrupt the
-// walk are the truly eventful ones [rec, n): the call form of a masked
-// pair, direct jumps, dead walks and the rare history-dependent
-// continuations. Every other masked pair ends in a class-1 state, like
-// a plain instruction. Recording states — an accept noted
+// Pass 1 splits the region into laneCount lanes, its bundle-aligned
+// quarters (the last one also takes the remainder of under laneCount
+// bundles), and walks them in lockstep on one shared index: each step
+// looks up the next byte of all four lanes, so four independent load
+// chains cover each other's latency. The region's code is first copied
+// into the parse's state buffer (parseBuf), and each step overwrites
+// the four bytes it read with the states it looked up, so the loop
+// (laneLockstep) addresses one array through four lane bases; it makes
+// no calls, and its four states, its index and bound, the lane bases
+// and the table all stay in registers. Unlike a per-bundle engine, a
+// lane never stops at a bundle end: the walk is continuous, and every
+// byte it consumes ends up holding the resulting state number. Thanks
+// to the four-band state numbering (see fusedDFA) and the flat table's
+// remapping, the only states that interrupt the walk are the truly
+// eventful ones [rec, n): the call form of a masked pair, direct jumps, dead walks
+// and the rare history-dependent continuations. The table marks them
+// with bit 7, so one OR of the four looked-up bytes detects an event on
+// any lane. Every other masked pair ends in a class-1 state, like a
+// plain instruction. Recording states — an accept noted
 // mid-instruction while a masked pair is still live — are absorbed
 // into the inline path entirely: the accept they would record is
 // recovered later from the state bytes, by scanning the current
 // instruction's stored states when an event finally needs the earliest
 // noCF/direct accept positions.
+//
+// An event leaves the loop for one helper (laneCatchUp), which resolves
+// each eventful lane with laneEvent and, when the resolution rewinds a
+// lane, re-walks that lane alone (laneWalk, reading the image itself)
+// up to the lockstep position; the loop then resumes all four lanes
+// together. laneWalk also walks the last lane's remainder after the
+// lockstep loop, and a region of under laneCount bundles (only an
+// image's last shard can have one) whole, as a single lane.
 //
 // Pass 2 turns the state buffer into the instruction-boundary bitmap
 // with branch-free SWAR: eight state bytes are range-checked against the
@@ -34,16 +49,16 @@ import "encoding/binary"
 // bitmap. The same pass enforces the policy's structural demand
 // posteriorly: every bundle boundary in the region (16-, 32- or 64-byte
 // bundles, a mask over each word) must carry a boundary bit. If any
-// does not — an instruction straddled a bundle
-// boundary, or a lane's walk ended mid-instruction at its region seam —
-// the parse reports failure, the dispatcher erases the shard's partial
+// does not — an instruction straddled a bundle boundary, or a lane's
+// walk ended mid-instruction at its seam (the region-end rule) — the
+// parse reports failure, the dispatcher erases the shard's partial
 // writes, and the canonical scalar loop re-parses the shard.
 //
 // Equivalence argument. When parseShardLanes returns true, its
 // boundary bits and collected jump targets are exactly those of the
 // canonical scalar parse (parseShardFusedScalar) over the same range:
 //
-//   - Within a region the walk is the canonical continuous parse.
+//   - Within a lane the walk is the canonical continuous parse.
 //     Class-1 states resolve instructions inline (their
 //     restart-closed rows are the start row, so flowing through one
 //     is identical to restarting), and those are exactly the
@@ -57,15 +72,35 @@ import "encoding/binary"
 //     tags when an event resolves by priority. Events apply the same
 //     priority rule and the same policy checks as the scalar path, or
 //     fail the lane parse.
-//   - A resolution may rewind the walk; the bytes it re-walks cannot
-//     contain a class-1 state (one would itself have resolved the
-//     instruction earlier), so no stale boundary survives in the buffer
-//     — rewritten states overwrite the doomed segment.
-//   - Region seams are bundle boundaries. The posterior bundle check
+//   - Lanes share only the index, never state: each reads and writes
+//     its own part of the state buffer, and laneEvent's recovery scans
+//     stop at the lane's start. Walking them in lockstep rather than
+//     one after another changes the order of the steps, not their
+//     results (the collected jump targets may come out in another
+//     order, and stage 2 reads them as a set).
+//   - The state buffer holds a lane's states below the lockstep
+//     position and its code copy from there on: the loop reads each
+//     byte once, at the step that overwrites it, and every other
+//     reader of the code (laneWalk, jump-target decoding) reads the
+//     image.
+//   - A resolution may rewind a lane below the lockstep position. The
+//     bytes it re-walks cannot contain a class-1 state (one would
+//     itself have resolved the instruction earlier), and laneWalk
+//     rewrites every one of them, up to and including the event byte,
+//     before the lockstep walk resumes — so no stale state byte
+//     survives: not a doomed one from before the rewind, nor the event
+//     byte the lockstep loop stored with bit 7 set. Bytes beyond the
+//     lockstep position still hold code; the lockstep loop (or, for
+//     the remainder, laneWalk) overwrites each of them later, so every
+//     byte of the region holds its state by the time pass 2 reads it.
+//   - Lane seams are bundle boundaries. The posterior bundle check
 //     passing at a seam means the previous lane's walk ended exactly at
 //     an instruction boundary, so the next lane starting from the start
 //     state is the canonical continuation — inductively the whole range
-//     matches the single continuous parse.
+//     matches the single continuous parse. A lane whose last instruction
+//     is still open at its seam (say, a mask whose jump would start the
+//     next lane) leaves the seam's bit unset and restarts the shard. A
+//     single-lane region has no seams.
 //   - Any canonical violation in the range (illegal instruction,
 //     misaligned call, bad jump target, bundle straddle) either fails a
 //     lane event directly or leaves a bundle boundary bit unset, so it
@@ -73,20 +108,27 @@ import "encoding/binary"
 //     reports stay byte-identical, which FuzzFusedEquiv and the
 //     fault-injection cross-check enforce.
 
-// laneCount is the interleave width. Four keeps every lane's hot state
-// in registers on amd64 while covering most of the L1 latency of the
-// dependent table loads.
+// laneCount is the interleave width: four independent load chains
+// cover most of the L1 latency of the dependent table loads, and four
+// states plus four lane bases and the loop's index, bound and table
+// still fit in amd64's registers.
 const laneCount = 4
 
-// laneCtx is the shared state of one lane parse, stack-allocated by the
-// driver and threaded through the event method by pointer.
+// laneEventBit marks a flat-table entry whose target is eventful
+// (>= rec); the low 7 bits are the target state.
+const laneEventBit = 0x80
+
+// laneCtx is the shared state of one lane parse, stack-allocated by
+// parseShardLanes and threaded through the event helpers by pointer.
 type laneCtx struct {
 	code []byte
 	buf  []byte // state byte per parsed byte; index = offset - base
 	tags []uint8
+	flat *[flatStates * 256]uint8
 	pb   *parseBuf
 	sc   *scratch
 	base int // region-range start (the shard start)
+	q    int // lane length; lane k starts at base+k*q
 	// Class-1 band test on state bytes: b is class-1 iff b-qb < c1w
 	// (unsigned byte arithmetic).
 	qb, c1w uint8
@@ -95,15 +137,14 @@ type laneCtx struct {
 }
 
 // laneEvent handles a walk entering an eventful state s (>= rec) with
-// the event byte at absolute offset o-1; rs is the lane's region start
-// and re its end. It returns the state and absolute offset to continue
-// from; on an irregularity it marks the parse failed and parks the lane
-// at its region end. The logic mirrors fusedDFA.scan's out-of-line tail
+// the event byte at absolute offset o-1; rs is the lane's region start.
+// It returns the state and absolute offset to continue from; on an
+// irregularity it marks the parse failed and returns o. The logic mirrors fusedDFA.scan's out-of-line tail
 // exactly, with the recorded accepts recovered from the state buffer:
 // the instruction start is the last class-1 byte before the event (the
 // region start if none), and the earliest noCF/direct accept positions
 // are read off the stored states' tags.
-func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs, re int) (uint16, int) {
+func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs int) (uint16, int) {
 	buf, base, tags := lc.buf, lc.base, lc.tags
 	tag := tags[s]
 	if tag&tagAccMasked != 0 {
@@ -112,7 +153,7 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs, re int) (uint16, int) 
 		// this is the call form, FF /2 (see fusedDFA.flat).
 		if c.AlignedCalls && o%c.params.bundle != 0 {
 			lc.failed = true
-			return lc.fstart, re
+			return lc.fstart, o
 		}
 		buf[o-1-base] = lc.qb
 		return lc.fstart, o
@@ -149,23 +190,23 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs, re int) (uint16, int) 
 				// Dead walk: nothing matched. The scalar fallback reports
 				// IllegalInstruction here.
 				lc.failed = true
-				return lc.fstart, re
+				return lc.fstart, o
 			}
 			if c.AlignedCalls && lc.code[saved] == 0xe8 && pos%c.params.bundle != 0 {
 				lc.failed = true
-				return lc.fstart, re
+				return lc.fstart, o
 			}
 			t, ok := jumpTarget(lc.code, saved, pos)
 			if !ok {
 				lc.failed = true
-				return lc.fstart, re
+				return lc.fstart, o
 			}
 			tAbs := t + int64(lc.sc.base)
 			if tAbs >= 0 && tAbs < int64(lc.sc.imgSize) {
 				lc.pb.targets = append(lc.pb.targets, int32(t))
 			} else if !c.targetAllowed(uint32(tAbs)) {
 				lc.failed = true
-				return lc.fstart, re
+				return lc.fstart, o
 			}
 		}
 		// Resolution may rewind below o; the doomed bytes in [pos, o)
@@ -180,116 +221,140 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs, re int) (uint16, int) 
 	return s, o
 }
 
-// parseShardLanes runs the interleaved two-pass parse over the
-// whole-bundle region [start, fullEnd), collecting its jump targets in
-// pb. It reports whether the region was fully regular; on false the
-// caller must discard the shard's bitmap words and pb's targets and
+// parseShardLanes runs the two-pass parse over the whole-bundle region
+// [start, fullEnd), collecting its jump targets in pb: four lanes in
+// lockstep when the region has at least laneCount bundles, one lane
+// otherwise. It reports whether the region was fully regular; on false
+// the caller must discard the shard's bitmap words and pb's targets and
 // re-parse with the scalar loop.
 func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, pb *parseBuf) bool {
 	f := c.fused
 	if f.flat == nil || f.nc == f.quiet {
 		return false
 	}
-	flat := (*[flatStates * 256]uint16)(f.flat)
-	rec := uint16(f.rec)
 	L := fullEnd - start
-	buf := pb.states[:L]
-
+	// Lane k is [start+k*q, start+(k+1)*q), bundle-aligned; the last
+	// lane also owns the remainder up to fullEnd (under laneCount
+	// bundles). q is 0 below laneCount bundles: one lane.
+	q := L / laneCount / c.params.bundle * c.params.bundle
 	lc := laneCtx{
 		code:   code,
-		buf:    buf,
+		buf:    pb.states[:L],
 		tags:   f.tags,
+		flat:   (*[flatStates * 256]uint8)(f.flat),
 		pb:     pb,
 		sc:     sc,
 		base:   start,
+		q:      q,
 		qb:     uint8(f.quiet),
 		c1w:    uint8(f.nc - f.quiet),
 		fstart: uint16(f.start),
 	}
-
-	// Contiguous bundle-aligned regions; the last lane takes the
-	// remainder. The caller guarantees at least laneCount bundles.
-	q := L / laneCount / c.params.bundle * c.params.bundle
-	st0, st1, st2, st3 := start, start+q, start+2*q, start+3*q
-	en0, en1, en2, en3 := st1, st2, st3, fullEnd
-	li0, li1, li2, li3 := code[st0:en0], code[st1:en1], code[st2:en2], code[st3:en3]
-	sb0 := buf[st0-start : en0-start]
-	sb1 := buf[st1-start : en1-start]
-	sb2 := buf[st2-start : en2-start]
-	sb3 := buf[st3-start : en3-start]
-	// Same-length reslices: the loop guard on sb then proves the li
-	// index in bounds too.
-	sb0, sb1, sb2, sb3 = sb0[:len(li0)], sb1[:len(li1)], sb2[:len(li2)], sb3[:len(li3)]
-	var i0, i1, i2, i3 int
-	s0, s1, s2, s3 := lc.fstart, lc.fstart, lc.fstart, lc.fstart
-
-	for i0 < len(sb0) || i1 < len(sb1) || i2 < len(sb2) || i3 < len(sb3) {
-		if i0 < len(sb0) {
-			if s := flat[int(s0&127)<<8|int(li0[i0])]; s < rec {
-				sb0[i0] = byte(s)
-				s0 = s
-				i0++
-			} else {
-				var o int
-				s0, o = c.laneEvent(&lc, s, st0+i0+1, st0, en0)
-				i0 = o - st0
-			}
-		}
-		if i1 < len(sb1) {
-			if s := flat[int(s1&127)<<8|int(li1[i1])]; s < rec {
-				sb1[i1] = byte(s)
-				s1 = s
-				i1++
-			} else {
-				var o int
-				s1, o = c.laneEvent(&lc, s, st1+i1+1, st1, en1)
-				i1 = o - st1
-			}
-		}
-		if i2 < len(sb2) {
-			if s := flat[int(s2&127)<<8|int(li2[i2])]; s < rec {
-				sb2[i2] = byte(s)
-				s2 = s
-				i2++
-			} else {
-				var o int
-				s2, o = c.laneEvent(&lc, s, st2+i2+1, st2, en2)
-				i2 = o - st2
-			}
-		}
-		if i3 < len(sb3) {
-			if s := flat[int(s3&127)<<8|int(li3[i3])]; s < rec {
-				sb3[i3] = byte(s)
-				s3 = s
-				i3++
-			} else {
-				var o int
-				s3, o = c.laneEvent(&lc, s, st3+i3+1, st3, en3)
-				i3 = o - st3
-			}
+	st := uint8(f.start)
+	s := [laneCount]uint8{st, st, st, st}
+	if q > 0 {
+		// The lockstep loop reads each code byte from the state buffer
+		// and overwrites it with the byte's state.
+		lanes := pb.states[:laneCount*q]
+		copy(lanes, code[start:])
+		for i := 0; i < q && !lc.failed; i++ {
+			// At i == q no byte is marked, and the catch-up is empty.
+			i, s[0], s[1], s[2], s[3] = laneLockstep(lc.flat, lanes, q, i, s[0], s[1], s[2], s[3])
+			c.laneCatchUp(&lc, i, &s)
 		}
 	}
-	if lc.failed {
-		return false
+	if !lc.failed {
+		c.laneWalk(&lc, uint16(s[laneCount-1]), start+laneCount*q, fullEnd, start+(laneCount-1)*q)
 	}
-	return c.laneExtract(buf, sc, start, L)
+	return !lc.failed && c.laneExtract(&pb.states, sc, start, L)
+}
+
+// laneLockstep is pass 1's inner loop: lanes holds the code of the four
+// lanes, q bytes each, and from index i it steps them (states s0..s3)
+// one byte each per iteration, overwriting every byte with the state it
+// looked up. It returns at the first step whose looked-up byte has
+// laneEventBit set on some lane — that step's index and the four bytes
+// as looked up, the eventful ones still marked — or at q. It makes no
+// calls, so everything it carries stays in registers.
+func laneLockstep(flat *[flatStates * 256]uint8, lanes []byte, q, i int, s0, s1, s2, s3 uint8) (int, uint8, uint8, uint8, uint8) {
+	l0 := lanes[:q]
+	// Same-length reslices: the loop guard on l0 proves every index.
+	l1, l2, l3 := lanes[q:][:len(l0)], lanes[2*q:][:len(l0)], lanes[3*q:][:len(l0)]
+	_ = flat[0] // nil check hoisted out of the loop
+	for ; uint(i) < uint(len(l0)); i++ {
+		s0 = flat[int(s0&127)<<8|int(l0[i])]
+		s1 = flat[int(s1&127)<<8|int(l1[i])]
+		s2 = flat[int(s2&127)<<8|int(l2[i])]
+		s3 = flat[int(s3&127)<<8|int(l3[i])]
+		l0[i], l1[i], l2[i], l3[i] = s0, s1, s2, s3
+		if (s0|s1|s2|s3)&laneEventBit != 0 {
+			break
+		}
+	}
+	return i, s0, s1, s2, s3
+}
+
+// laneCatchUp resolves the events of lockstep step i: for each lane
+// whose looked-up byte in s is marked eventful, laneEvent decides it,
+// and a lane it rewinds is re-walked alone up to the lockstep position
+// (the offset after step i). On return every lane stands at that
+// position, s holds their states, and the state buffer is written up
+// to it; a failed resolution marks lc failed.
+func (c *Checker) laneCatchUp(lc *laneCtx, i int, s *[laneCount]uint8) {
+	for k, t := range s {
+		if t&laneEventBit == 0 {
+			continue
+		}
+		rs := lc.base + k*lc.q
+		o := rs + i + 1
+		st, p := c.laneEvent(lc, uint16(t&^laneEventBit), o, rs)
+		if p < o {
+			st = c.laneWalk(lc, st, p, o, rs)
+		}
+		s[k] = uint8(st)
+	}
+}
+
+// laneWalk walks one lane from state s over the absolute offsets
+// [o, end), storing each state and resolving each event with
+// laneEvent; rs is the lane's region start. It returns the state at
+// end; a failed resolution marks lc failed and ends the walk. It
+// catches a rewound lane up to the lockstep position, walks the last
+// lane's remainder, and walks a region under laneCount bundles whole.
+func (c *Checker) laneWalk(lc *laneCtx, s uint16, o, end, rs int) uint16 {
+	flat, code, buf, base := lc.flat, lc.code, lc.buf, lc.base
+	for o < end {
+		t := flat[int(s&127)<<8|int(code[o])]
+		o++
+		if t&laneEventBit == 0 {
+			buf[o-1-base] = t
+			s = uint16(t)
+			continue
+		}
+		if s, o = c.laneEvent(lc, uint16(t&^laneEventBit), o, rs); lc.failed {
+			break
+		}
+	}
+	return s
 }
 
 // laneExtract is pass 2: SWAR-extract the boundary bits from the state
-// buffer into the shared valid bitmap and enforce that every bundle
-// boundary in [start, start+L] is an instruction boundary. Bit
-// offset start+base+j+1 is set iff buf[base+j] is a class-1 state (the
-// instruction ended after that byte); bit `start` is set unconditionally
-// (the region start is an instruction start by construction). The bit
-// for offset start+L belongs to the following parse and is only checked
-// (the walk must have ended exactly at an instruction boundary), never
-// written.
+// buffer (buf[:L] holds the region's states) into the shared valid
+// bitmap and enforce that every bundle boundary in [start, start+L] is
+// an instruction boundary. Bit offset start+j+1 is set iff buf[j] is a
+// class-1 state (the instruction ended after that byte); bit `start` is
+// set unconditionally (the region start is an instruction start by
+// construction). The bit for offset start+L belongs to the following
+// parse and is only checked (the walk must have ended exactly at an
+// instruction boundary), never written.
 //
-// The bundle-boundary demand is a per-word mask: with bundle size 2^k
-// (16, 32 or 64 here; larger bundles never reach the lanes), boundary
-// offsets within a 64-bit word sit at fixed bit positions 0, 2^k, ...,
-// so one AND-compare per word checks them all at once.
-func (c *Checker) laneExtract(buf []byte, sc *scratch, start, L int) bool {
+// Each 64-bit bitmap word takes one 64-byte view of buf and eight
+// unrolled SWAR steps. The bundle-boundary demand is a per-word mask:
+// with bundle size 2^k (16, 32 or 64 here; larger bundles never reach
+// the lanes), boundary offsets within a word sit at fixed bit positions
+// 0, 2^k, ..., so the pass accumulates the mask bits each word leaves
+// unset and checks them once at the end.
+func (c *Checker) laneExtract(buf *[ShardBytes]byte, sc *scratch, start, L int) bool {
 	f := c.fused
 	// Range test x in [quiet, nc) per byte lane: state bytes are < 128,
 	// so x+128-quiet carries into the high bit iff x >= quiet and
@@ -301,50 +366,45 @@ func (c *Checker) laneExtract(buf []byte, sc *scratch, start, L int) bool {
 	for b := 0; b < 64; b += c.params.bundle {
 		bmask |= 1 << uint(b)
 	}
-	wvalid := sc.valid.Words()
-	w := start / 64 // shard starts are 64-aligned
+	words := sc.valid.Words()[start/64:][:(L+63)/64] // shard starts are 64-aligned
 	carry := uint64(1)
-	ok := true
-	base := 0
-	for ; base+64 <= L; base += 64 {
-		var bits uint64
-		for k := 0; k < 64; k += 8 {
-			x := binary.LittleEndian.Uint64(buf[base+k:])
-			m := ((x + A) &^ (x + B)) & 0x8080808080808080
-			bits |= (m >> 7 * 0x0102040810204080 >> 56) << k
+	var miss uint64 // bundle-boundary bits some word left unset
+	for w := range words {
+		p := (*[64]byte)(buf[w*64:])
+		bits := class1Bits(binary.LittleEndian.Uint64(p[0:]), A, B) |
+			class1Bits(binary.LittleEndian.Uint64(p[8:]), A, B)<<8 |
+			class1Bits(binary.LittleEndian.Uint64(p[16:]), A, B)<<16 |
+			class1Bits(binary.LittleEndian.Uint64(p[24:]), A, B)<<24 |
+			class1Bits(binary.LittleEndian.Uint64(p[32:]), A, B)<<32 |
+			class1Bits(binary.LittleEndian.Uint64(p[40:]), A, B)<<40 |
+			class1Bits(binary.LittleEndian.Uint64(p[48:]), A, B)<<48 |
+			class1Bits(binary.LittleEndian.Uint64(p[56:]), A, B)<<56
+		keep, last := ^uint64(0), 63
+		if r := L - w*64; r < 64 {
+			// Partial final word: a region shorter than a shard is a
+			// multiple of the bundle size, not of 64, so it can end 16,
+			// 32 or 48 bytes in. The bytes past L are stale (another
+			// parse's states or code, any value); a byte's SWAR carry
+			// runs only into higher bytes, so they cannot disturb the
+			// region's bits, and every bit they yield is masked off.
+			// Bit r is the offset start+L bit, checked via the final
+			// carry.
+			keep, last = 1<<uint(r)-1, r-1
 		}
 		v := bits<<1 | carry
-		wvalid[w] |= v
-		carry = bits >> 63
-		if v&bmask != bmask {
-			ok = false
-		}
-		w++
-	}
-	if base < L {
-		// Trailing partial word: the region length is a multiple of the
-		// bundle size, not of 64, so a 16-byte-bundle region can end 16,
-		// 32 or 48 bytes in (a 32-byte one only 32 — only the image's
-		// last shard ends like this). rem is a multiple of 16, so the
-		// 8-byte loads below never read past buf[L-1]. Bit rem of the
-		// word is the offset start+L bit: checked via the final carry,
-		// never written.
-		rem := L - base
-		var bits uint64
-		for k := 0; k < rem; k += 8 {
-			x := binary.LittleEndian.Uint64(buf[base+k:])
-			m := ((x + A) &^ (x + B)) & 0x8080808080808080
-			bits |= (m >> 7 * 0x0102040810204080 >> 56) << k
-		}
-		v := bits<<1 | carry
-		inword := uint64(1)<<uint(rem) - 1
-		wvalid[w] |= v & inword
-		carry = bits >> uint(rem-1) & 1
-		if v&(bmask&inword) != bmask&inword {
-			ok = false
-		}
+		words[w] |= v & keep
+		carry = bits >> uint(last) & 1
+		miss |= bmask & keep &^ v
 	}
 	// The walk must have tiled the region exactly: the last byte's state
 	// is class-1, i.e. offset start+L is an instruction boundary.
-	return ok && carry == 1
+	return miss == 0 && carry == 1
+}
+
+// class1Bits packs the class-1 test of eight state bytes (x, little
+// endian) into its low eight bits, one per byte; A and B are
+// laneExtract's byte-replicated 128-quiet and 128-nc.
+func class1Bits(x, A, B uint64) uint64 {
+	m := ((x + A) &^ (x + B)) & 0x8080808080808080
+	return m >> 7 * 0x0102040810204080 >> 56
 }

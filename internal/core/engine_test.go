@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -247,38 +248,109 @@ func TestReportShape(t *testing.T) {
 	}
 }
 
-// TestLaneMaskedCalls: the lanes walk through every masked pair but
-// the call form, which still stops them so laneEvent can apply the
-// AlignedCalls check. On a masked call at each of maskedCallOffsets,
-// with AlignedCalls off and on, the default engine reports exactly
-// what EngineReference reports; a misaligned call under AlignedCalls
-// restarts its shard once, and every other case stays on the lanes.
+// TestLaneMaskedCalls pins the lane walk's two stops inside a masked
+// pair. The call form (maskedCall) stops the lanes so laneEvent can
+// apply the AlignedCalls check. A mask followed by a non-jump
+// (83 e0 e0 ff c0, and eax, -32; inc eax, under NaCl-32; each preset's
+// own mask otherwise) is two plain instructions, which the lanes learn
+// only when the pair dies on its last byte: the resolution rewinds the
+// lane to the end of the mask, and the lane is re-walked alone up to
+// the lockstep position. Each row places one pattern in a NOP image —
+// a full shard (four 4 KiB lanes), nine bundles (four lanes, the last
+// with a one-bundle remainder), 256 bytes (four 64-byte lanes) or three
+// bundles (one lane) — at the start, middle or end of a lane, or across
+// a seam. The default engine must report exactly what EngineReference
+// reports and restart the shard only where the row says: a misaligned
+// call under AlignedCalls, and a mask ending exactly on a lane seam,
+// where the lane ends with the pair undecided, its seam bit unset (the
+// region-end rule), and the scalar walk re-parses the shard.
 func TestLaneMaskedCalls(t *testing.T) {
+	type row struct {
+		what          string
+		c             *core.Checker
+		pat           []byte
+		size, off     int
+		safe, restart bool
+	}
+	var rows []row
+	q := core.ShardBytes / 4
 	for _, aligned := range []bool{false, true} {
 		c := checker(t)
 		c.AlignedCalls = aligned
+		places := [][2]int{{96, 27}, {96, 50}, {256, 59}, {256, 65},
+			{core.ShardBytes, q - 5}, {core.ShardBytes, q + 1}, {core.ShardBytes, core.ShardBytes - 5}}
 		for _, off := range maskedCallOffsets {
-			img := maskedCallImage(off)
-			what := fmt.Sprintf("alignedCalls=%v, masked call at %d", aligned, off)
-			ref := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
-			got := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
-			if got.Safe != ref.Safe || got.Total != ref.Total || !reflect.DeepEqual(got.Violations, ref.Violations) {
-				t.Fatalf("%s: reports diverged\nref: %+v\ngot: %+v", what, ref.Violations, got.Violations)
-			}
-			misaligned := aligned && (off+5)%core.BundleSize != 0
-			if got.Safe == misaligned {
-				t.Errorf("%s: Safe=%v", what, got.Safe)
-			}
-			var want int64
-			if misaligned {
-				want = 1
-			}
-			if got.Stats.Restarts != want || got.Stats.LaneBatches != 1-want {
-				t.Errorf("%s: %d restarts and %d lane batches, want %d and %d",
-					what, got.Stats.Restarts, got.Stats.LaneBatches, want, 1-want)
+			places = append(places, [2]int{256, off})
+		}
+		for _, p := range places {
+			bad := aligned && (p[1]+len(maskedCall))%core.BundleSize != 0
+			rows = append(rows, row{fmt.Sprintf("alignedCalls=%v: masked call", aligned), c, maskedCall, p[0], p[1], !bad, bad})
+		}
+	}
+	checkers, err := fuzzPolicies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := map[string][]byte{
+		"nacl-32":  {0x83, 0xe0, 0xe0},
+		"nacl-16":  {0x83, 0xe0, 0xf0},
+		"reins-16": {0x81, 0xe0, 0xf0, 0xff, 0xff, 0x0f},
+	}
+	for _, c := range checkers {
+		name, bundle := c.PolicyInfo().Name, c.PolicyInfo().BundleSize
+		mask, ok := masks[name]
+		if !ok {
+			t.Fatalf("no mask for policy %q", name)
+		}
+		pair := append(append([]byte{}, mask...), 0xff, 0xc0)
+		for _, size := range []int{core.ShardBytes, 9 * bundle, 3 * bundle} {
+			lanes := laneSpans(size, bundle)
+			for k, l := range lanes {
+				rs, re := l[0], l[1]
+				places := map[string]int{"start": rs, "middle": rs + (re-rs)/2/bundle*bundle + 1, "end": re - len(pair)}
+				if k < len(lanes)-1 {
+					places["seam"] = re - len(mask)
+				}
+				for where, off := range places {
+					what := fmt.Sprintf("%s: mask; inc at the %s of lane %d of %d", name, where, k, len(lanes))
+					rows = append(rows, row{what, c, pair, size, off, true, where == "seam"})
+				}
 			}
 		}
 	}
+	for _, r := range rows {
+		img := bytes.Repeat([]byte{0x90}, r.size)
+		copy(img[r.off:], r.pat)
+		what := fmt.Sprintf("%s (offset %d of %d)", r.what, r.off, r.size)
+		ref := r.c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
+		got := r.c.VerifyWith(img, core.VerifyOptions{Workers: 1})
+		if ref.Safe != r.safe {
+			t.Fatalf("%s: reference Safe=%v, want %v: %v", what, ref.Safe, r.safe, ref.Violations)
+		}
+		if got.Safe != ref.Safe || got.Total != ref.Total || !reflect.DeepEqual(got.Violations, ref.Violations) ||
+			got.Stats.EngineInvariant() != ref.Stats.EngineInvariant() {
+			t.Fatalf("%s: reports diverged\nref: %+v %+v\ngot: %+v %+v", what, ref.Violations, ref.Stats, got.Violations, got.Stats)
+		}
+		var want int64
+		if r.restart {
+			want = 1
+		}
+		if got.Stats.Restarts != want || got.Stats.LaneBatches != 1-want {
+			t.Errorf("%s: %d restarts and %d lane batches, want %d and %d",
+				what, got.Stats.Restarts, got.Stats.LaneBatches, want, 1-want)
+		}
+	}
+}
+
+// laneSpans is the lane split of a one-shard image of n bytes, a whole
+// number of bundles: four bundle-aligned quarters, the last taking the
+// remainder, or a single lane below four bundles.
+func laneSpans(n, bundle int) [][2]int {
+	q := n / 4 / bundle * bundle
+	if q == 0 {
+		return [][2]int{{0, n}}
+	}
+	return [][2]int{{0, q}, {q, 2 * q}, {2 * q, 3 * q}, {3 * q, n}}
 }
 
 // TestAlignedCallsParallelParity: the optional strict policy must agree

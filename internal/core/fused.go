@@ -17,7 +17,7 @@ import (
 // pipeline; this file layers the engine-facing renumbering and the
 // derived fast-path tables on top: the single-byte table and the padded
 // restart-closed table the lanes walk. Those are all the engines derive
-// (64 KiB plus 256 bytes, built by computeFast at checker construction).
+// (32 KiB plus 256 bytes, built by computeFast at checker construction).
 // The seed engine's Figure-5 loop tries the three DFAs sequentially at
 // every offset, rescanning the same bytes on each failed attempt; the
 // fused automaton reproduces the exact same decision — masked's first
@@ -61,21 +61,24 @@ type fusedDFA struct {
 	tags  []uint8
 	table [][256]uint16
 	// flat is the restart-closed transition table the lane engine
-	// walks, flattened and padded to 128 state rows: flat[s<<8|b] is
-	// table[s][b], except that class-1 states (pure noCF accept, nothing
-	// live — the instruction just ended and nothing else can match)
-	// transition as if from the start state, and that a transition into
-	// a masked-pair accept on any byte but the call form's modrm (FF /2,
-	// the only form a policy check follows) goes to the first class-1
-	// state instead: the pair has top priority, so it ends exactly like
-	// a plain instruction. A walk over it never stops at the common
-	// instruction end; it flows straight into the next instruction, and
-	// the engine recovers the boundary positions from the state numbers
-	// it passes through. The pass-1 walk indexes it as
+	// walks, flattened, padded to 128 state rows and one byte wide. The
+	// low 7 bits of flat[s<<8|b] are table[s][b], except that class-1
+	// states (pure noCF accept, nothing live — the instruction just
+	// ended and nothing else can match) transition as if from the start
+	// state, and that a transition into a masked-pair accept on any byte
+	// but the call form's modrm (FF /2, the only form a policy check
+	// follows) goes to the first class-1 state instead: the pair has top
+	// priority, so it ends exactly like a plain instruction. Bit 7 is set
+	// exactly when that target is eventful (>= rec), so the pass-1 walk
+	// detects an event on any of its four lanes with one OR of the four
+	// bytes it looked up. A walk over the table never stops at the
+	// common instruction end; it flows straight into the next
+	// instruction, and the engine recovers the boundary positions from
+	// the state numbers it passes through. The walk indexes it as
 	// flat[int(s&127)<<8|int(b)], which the compiler can prove in-bounds
 	// against the fixed 1<<15 length, so the hottest load carries no
-	// bounds check. Derived on load, never serialized.
-	flat []uint16
+	// bounds check. 32 KiB, derived on load, never serialized.
+	flat []uint8
 	// nocf1[b] means byte b alone is a complete noCF instruction and no
 	// component can match anything else from the start state — the walk's
 	// outcome is fully determined by one byte. Derived from the table
@@ -163,9 +166,9 @@ const flatStates = 128
 // checked automaton: the single-byte noCF table (entering a state whose
 // tag is exactly tagAccNoCF means noCF just accepted and every
 // component is resolved, so the priority decision is "noCF, length
-// 1") and the padded restart-closed table with its masked-pair
-// remapping (skipped without a class-1 state, when the lanes never
-// run).
+// 1") and the padded byte-wide restart-closed table with its
+// masked-pair remapping and event bit (skipped without a class-1 state,
+// when the lanes never run).
 func (f *fusedDFA) computeFast() {
 	row := &f.table[f.start]
 	for b := 0; b < 256; b++ {
@@ -174,17 +177,19 @@ func (f *fusedDFA) computeFast() {
 	if len(f.table) > flatStates {
 		return
 	}
-	f.flat = make([]uint16, flatStates*256)
+	f.flat = make([]uint8, flatStates*256)
 	for s := range f.table {
 		src := &f.table[s]
 		if s >= f.quiet && s < f.nc {
 			src = row
 		}
 		dst := f.flat[s<<8 : (s+1)<<8]
-		copy(dst, src[:])
-		for b, t := range dst {
+		for b, t := range src {
 			if f.nc > f.quiet && f.tags[t]&tagAccMasked != 0 && b>>3&7 != 2 {
-				dst[b] = uint16(f.quiet)
+				t = uint16(f.quiet)
+			}
+			if dst[b] = uint8(t); int(t) >= f.rec {
+				dst[b] |= laneEventBit
 			}
 		}
 	}

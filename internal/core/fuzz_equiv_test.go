@@ -157,27 +157,59 @@ func addFusedEdgeSeeds(f *testing.F) {
 	f.Add([]byte{0xeb, 0x03, 0xb8, 0, 0, 0, 0}) // jump into an instruction
 	f.Add([]byte{0xe8, 0, 0, 0, 0})             // call (AlignedCalls-sensitive)
 	for _, off := range maskedCallOffsets {
-		f.Add(maskedCallImage(off))
+		f.Add(maskedCallImage(256, off))
 	}
 }
 
-// maskedCallOffsets place a masked call so that it ends off a bundle
-// boundary in the first lane, on one, and off one in the second lane.
+// maskedCallOffsets place a masked call in a 256-byte image, which the
+// lanes walk as four 64-byte lanes, so that it ends off a bundle
+// boundary, on one, and off one in the second lane.
 var maskedCallOffsets = []int{0, 27, 100}
 
-// maskedCallImage is a 256-byte NOP image, long enough for the four
-// lanes, with the masked call 83 e0 e0 ff d0 (and eax, -32; call eax)
-// at off. It is the one masked-pair form whose lane walk stops for a
-// policy check: AlignedCalls demands it end on a bundle boundary.
-func maskedCallImage(off int) []byte {
-	img := bytes.Repeat([]byte{0x90}, 256)
-	copy(img[off:], []byte{0x83, 0xe0, 0xe0, 0xff, 0xd0})
+// maskedCall is 83 e0 e0 ff d0 (and eax, -32; call eax): the one
+// masked-pair form whose lane walk stops for a policy check, since
+// AlignedCalls demands it end on a bundle boundary.
+var maskedCall = []byte{0x83, 0xe0, 0xe0, 0xff, 0xd0}
+
+// maskedCallImage is an n-byte NOP image with maskedCall at off.
+func maskedCallImage(n, off int) []byte {
+	img := bytes.Repeat([]byte{0x90}, n)
+	copy(img[off:], maskedCall)
 	return img
+}
+
+// laneFrameBytes is the size of the NOP frame embedInFrame places an
+// input in: 33 NaCl-32 bundles (66 of 16 bytes), which the lanes walk
+// as four 256-byte quarters in lockstep, the last followed by a
+// 32-byte remainder that lane walks alone.
+const laneFrameBytes = 1056
+
+// laneFrameOffset is where embedInFrame places an input: on a 64-byte
+// boundary (a bundle boundary under every shipped policy) 128 bytes —
+// four NaCl-32 bundles — before the first lane seam, so any input
+// longer than that crosses the seam.
+const laneFrameOffset = 128
+
+// embedInFrame returns the NOP frame with img copied in at
+// laneFrameOffset, or nil if img does not fit. Most fuzz inputs are
+// shorter than four bundles, which the lanes walk as one lane;
+// embedded, each of them runs through the four-lane lockstep walk,
+// its seams, its rewinds and its remainder. A longer input already
+// runs four lanes as given, and the frame stays small, because every
+// engine walks all of it for every input.
+func embedInFrame(img []byte) []byte {
+	if len(img) > laneFrameBytes-laneFrameOffset {
+		return nil
+	}
+	frame := bytes.Repeat([]byte{0x90}, laneFrameBytes)
+	copy(frame[laneFrameOffset:], img)
+	return frame
 }
 
 // fuzzFusedAgainstReference is the check FuzzFusedEquiv and
 // FuzzByteClassEquiv share: each fused engine against EngineReference,
-// plain and with AlignedCalls.
+// plain and with AlignedCalls, on the input and on the input embedded
+// in a NOP frame.
 func fuzzFusedAgainstReference(f *testing.F) {
 	plain, err := core.NewChecker()
 	if err != nil {
@@ -188,39 +220,55 @@ func fuzzFusedAgainstReference(f *testing.F) {
 		f.Fatal(err)
 	}
 	aligned.AlignedCalls = true
-
-	engines := []struct {
-		name string
-		e    core.EngineKind
-	}{
-		{"fused", core.EngineFused},
-		{"fused-scalar", core.EngineFusedScalar},
-	}
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if len(img) > 1<<20 {
 			t.Skip()
 		}
 		for _, c := range []*core.Checker{plain, aligned} {
-			ref := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
-			for _, eng := range engines {
-				got := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: eng.e})
-				if got.Safe != ref.Safe {
-					t.Fatalf("alignedCalls=%v %s: verdict %v, reference %v on % x",
-						c.AlignedCalls, eng.name, got.Safe, ref.Safe, img)
-				}
-				if !reflect.DeepEqual(got.Violations, ref.Violations) || got.Total != ref.Total {
-					t.Fatalf("alignedCalls=%v %s: reports diverged on % x\nref: %+v\ngot: %+v",
-						c.AlignedCalls, eng.name, img, ref.Violations, got.Violations)
-				}
-				// The engine-invariant Stats subset (bytes, bundles,
-				// instruction boundaries, per-kind census) must match
-				// too: a fused engine may take a different route through
-				// the bytes, but it must conclude exactly the same facts.
-				if gs, rs := got.Stats.EngineInvariant(), ref.Stats.EngineInvariant(); gs != rs {
-					t.Fatalf("alignedCalls=%v %s: stats diverged on % x\nref: %+v\ngot: %+v",
-						c.AlignedCalls, eng.name, img, rs, gs)
-				}
+			for _, embed := range []bool{false, true} {
+				engineEquiv(t, c, img, embed, fmt.Sprintf("alignedCalls=%v", c.AlignedCalls))
 			}
 		}
 	})
+}
+
+// engineEquiv holds the default fused engine and the scalar fused walk
+// to EngineReference under c on the input in, or with embed on the
+// input embedded in a NOP frame (embedInFrame; nothing to check if it
+// does not fit): the same verdict, identical violation lists (offset,
+// kind, detail, window), the same uncapped total and the same
+// engine-invariant Stats. Failures print in, not the frame.
+func engineEquiv(t *testing.T, c *core.Checker, in []byte, embed bool, what string) {
+	t.Helper()
+	img := in
+	if embed {
+		if img = embedInFrame(in); img == nil {
+			return
+		}
+		what += fmt.Sprintf(" embedded at offset %d of a %d-byte NOP frame", laneFrameOffset, laneFrameBytes)
+	}
+	ref := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
+	for _, eng := range []struct {
+		name string
+		e    core.EngineKind
+	}{
+		{"fused", core.EngineFused},
+		{"fused-scalar", core.EngineFusedScalar},
+	} {
+		got := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: eng.e})
+		if got.Safe != ref.Safe {
+			t.Fatalf("%s %s: verdict %v, reference %v on % x", what, eng.name, got.Safe, ref.Safe, in)
+		}
+		if !reflect.DeepEqual(got.Violations, ref.Violations) || got.Total != ref.Total {
+			t.Fatalf("%s %s: reports diverged on % x\nref: %+v\ngot: %+v",
+				what, eng.name, in, ref.Violations, got.Violations)
+		}
+		// The engine-invariant Stats subset (bytes, bundles, instruction
+		// boundaries, per-kind census) must match too: a fused engine
+		// may take a different route through the bytes, but it must
+		// conclude exactly the same facts.
+		if gs, rs := got.Stats.EngineInvariant(), ref.Stats.EngineInvariant(); gs != rs {
+			t.Fatalf("%s %s: stats diverged on % x\nref: %+v\ngot: %+v", what, eng.name, in, rs, gs)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -32,8 +31,10 @@ var fuzzPolicies = sync.OnceValues(func() ([]*core.Checker, error) {
 // runtime-compiled policies: for each shipped policy (NaCl-32,
 // NaCl-16, REINS-style), the reference three-DFA loop, the scalar
 // fused walk and the default lane walk must produce byte-identical
-// reports on arbitrary inputs — the 16-byte-bundle policies exercise
-// the non-32 lane region split. This is the executable statement that
+// reports on arbitrary inputs, both as given (mostly under four
+// bundles: the single-lane walk) and embedded in a NOP frame (the
+// four-lane lockstep walk, its seams at the same offsets under every
+// bundle size). This is the executable statement that
 // the engine parameterization (bundle size, mask length, guard cutoff)
 // is threaded identically through every engine. Run longer with
 //
@@ -75,26 +76,8 @@ func FuzzPolicyEquiv(f *testing.F) {
 			t.Skip()
 		}
 		for _, c := range checkers {
-			name := c.PolicyInfo().Name
-			ref := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
-			for _, eng := range []struct {
-				name string
-				e    core.EngineKind
-			}{
-				{"fused", core.EngineFused},
-				{"fused-scalar", core.EngineFusedScalar},
-			} {
-				got := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: eng.e})
-				if got.Safe != ref.Safe {
-					t.Fatalf("%s/%s: verdict %v, reference %v on % x", name, eng.name, got.Safe, ref.Safe, img)
-				}
-				if !reflect.DeepEqual(got.Violations, ref.Violations) || got.Total != ref.Total {
-					t.Fatalf("%s/%s: reports diverged on % x\nref: %+v\ngot: %+v",
-						name, eng.name, img, ref.Violations, got.Violations)
-				}
-				if gs, rs := got.Stats.EngineInvariant(), ref.Stats.EngineInvariant(); gs != rs {
-					t.Fatalf("%s/%s: stats diverged on % x\nref: %+v\ngot: %+v", name, eng.name, img, rs, gs)
-				}
+			for _, embed := range []bool{false, true} {
+				engineEquiv(t, c, img, embed, c.PolicyInfo().Name)
 			}
 		}
 	})

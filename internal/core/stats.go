@@ -52,8 +52,8 @@ type Stats struct {
 	// were matched, not what was concluded, so EngineInvariant blanks
 	// it alongside the parse-mode counters.
 	Engine string `json:"engine,omitempty"`
-	// LaneBatches counts shards whose whole-bundle region the 4-lane
-	// interleaved parser proved regular (the fast path).
+	// LaneBatches counts shards whose whole-bundle region the lane
+	// parser proved regular (the fast path).
 	LaneBatches int64 `json:"lane_batches"`
 	// SWARBatches is always zero: the SWAR stepper it counted is gone.
 	// The field stays only because the benchmark module (bench/) reads
@@ -61,8 +61,10 @@ type Stats struct {
 	// benchmark's next change.
 	SWARBatches int64 `json:"swar_batches"`
 	// ScalarFallbacks counts shards parsed by a scalar loop without a
-	// lane attempt: regions too small for the lanes, and every shard
-	// under the reference engine.
+	// lane attempt: a shard with no whole bundle (only an image's last
+	// shard can be one), every shard of a checker whose bundle is over
+	// 64 bytes, and every shard under the fused-scalar and reference
+	// engines.
 	ScalarFallbacks int64 `json:"scalar_fallbacks"`
 	// Restarts counts shards where the lane parse found an
 	// irregularity, erased its optimistic writes, and the canonical

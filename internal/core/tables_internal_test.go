@@ -99,7 +99,9 @@ func TestLargeAutomatonVerifiesScalar(t *testing.T) {
 // /2) goes to a class-1 state, so such a pair ends like a plain
 // instruction and never stops the lanes; every call-form one stays the
 // eventful accept (>= rec), where laneEvent applies the AlignedCalls
-// check; and every other entry is the restart-closed table's.
+// check; and every other entry is the restart-closed table's. Those are
+// the low 7 bits of each byte-wide entry; bit 7 (laneEventBit) is set
+// exactly when that target is eventful (>= rec).
 func TestFlatMaskedRemap(t *testing.T) {
 	embedded, err := NewChecker()
 	if err != nil {
@@ -124,7 +126,12 @@ func TestFlatMaskedRemap(t *testing.T) {
 				src = &f.table[f.start]
 			}
 			for b, want := range src {
-				got := f.flat[s<<8|b]
+				e := f.flat[s<<8|b]
+				got := uint16(e &^ laneEventBit)
+				if eventful := int(got) >= f.rec; eventful != (e&laneEventBit != 0) {
+					t.Fatalf("%s: flat[%d][%#x] = %#x: event bit %v, but target %d against rec %d",
+						name, s, b, e, e&laneEventBit != 0, got, f.rec)
+				}
 				switch {
 				case f.tags[want]&tagAccMasked == 0:
 					if got != want {
