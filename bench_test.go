@@ -85,9 +85,9 @@ func BenchmarkRockSaltThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineAblation isolates the tentpole speedup: the same
-// sequential verification with the fused product automaton (lane engine
-// plus scalar fused fallback) versus the reference three-DFA Figure-5
-// loop. Both engines produce byte-identical reports (FuzzFusedEquiv);
+// sequential verification with the fused product automaton (the lane
+// engine, which rewinds to the Figure-5 loop) versus the reference
+// three-DFA Figure-5 loop alone. Both engines produce byte-identical reports (FuzzFusedEquiv);
 // the ratio is the fused hot path's payoff alone, free of the
 // cross-process noise that plagues absolute MB/s on shared hardware.
 func BenchmarkEngineAblation(b *testing.B) {

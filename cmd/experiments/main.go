@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"time"
 
@@ -34,7 +33,7 @@ import (
 var quick = flag.Bool("quick", false, "smaller workloads for a fast pass")
 
 func main() {
-	run := flag.String("run", "", "comma-separated experiment ids (e1..e8, par, rtl, tso, fault, bench, obsv, stride, policy, scale, delta, campaign, trend); empty = all")
+	run := flag.String("run", "", "comma-separated experiment ids (e1..e8, rtl, tso, fault, bench, obsv, stride, policy, scale, delta, campaign, trend); empty = all")
 	flag.Parse()
 
 	want := map[string]bool{}
@@ -58,7 +57,6 @@ func main() {
 		{"e6", e6Agreement},
 		{"e7", e7CheckerSize},
 		{"e8", e8GrammarMetatheory},
-		{"par", parScaling},
 		{"rtl", rtlStats},
 		{"tso", tsoLitmus},
 		{"fault", faultCampaign},
@@ -246,61 +244,6 @@ func e4DFASizes() {
 	fmt.Printf("   verdict: %s (largest %d <= 61; derivatives near-minimal)\n", pass(max <= 61), max)
 }
 
-// parScaling measures the sharded engine beyond the paper: sequential
-// vs N-worker throughput on the E2-sized image. The bundle invariant
-// makes stage-1 shards independent, so throughput should scale with
-// cores until memory bandwidth saturates.
-func parScaling() {
-	header("par", "sharded parallel verification scaling (extension)",
-		"beyond the paper: stage-1 shard parsing scales across cores; verdicts and diagnostics are worker-count invariant")
-	c, err := core.NewChecker()
-	if err != nil {
-		panic(err)
-	}
-	size := 1200000
-	if *quick {
-		size = 120000
-	}
-	img, err := nacl.NewGenerator(9).Random(size)
-	if err != nil {
-		panic(err)
-	}
-	instrs := countInstructions(c, img)
-	mb := float64(len(img)) / 1e6
-	fmt.Printf("   image: %d instructions, %.1f MB, %d shards of %d KiB\n",
-		instrs, mb, (len(img)+core.ShardBytes-1)/core.ShardBytes, core.ShardBytes/1024)
-
-	workerSet := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		workerSet = append(workerSet, n)
-	}
-	var seq time.Duration
-	best := 1.0
-	for _, w := range workerSet {
-		opts := core.VerifyOptions{Workers: w}
-		if !c.VerifyWith(img, opts).Safe {
-			panic("image rejected")
-		}
-		d := benchmark(func() { c.VerifyWith(img, opts) })
-		if w == 1 {
-			seq = d
-		}
-		speedup := float64(seq) / float64(d)
-		if speedup > best {
-			best = speedup
-		}
-		fmt.Printf("   workers=%-2d  %10v  %7.1f MB/s  %5.1fM instr/s  speedup %.2fx\n",
-			w, d, mb/d.Seconds(), float64(instrs)/d.Seconds()/1e6, speedup)
-	}
-	cores := runtime.NumCPU()
-	if cores >= 4 {
-		fmt.Printf("   verdict: %s (>= 2x expected with %d cores)\n", pass(best >= 2), cores)
-	} else {
-		fmt.Printf("   verdict: %s (only %d core(s) available; the 2x criterion needs >= 4 — sequential parity is the bar here)\n",
-			pass(best >= 0.8), cores)
-	}
-}
-
 // rtlStats is the DESIGN.md §6 ablation: the RTL staging claim — each
 // instruction translates to a small, bounded RTL term, which is why
 // reasoning over RTL scales where per-instruction case analysis did not.
@@ -478,9 +421,10 @@ func e6Agreement() {
 
 // defaultPathFiles are the sources the default NewChecker + Verify path
 // executes: the embedded-bundle loader and the product check it runs
-// against the component DFAs, the staged engine with its lane walk, the
-// fused automaton and its derived tables, the report, and the packed
-// bitmaps. All of it is trusted code.
+// against the component DFAs, the staged engine with its lane walk and
+// the Figure-5 loop the lanes rewind to, the fused automaton and the
+// flat table derived from it, the report, and the packed bitmaps. All
+// of it is trusted code.
 var defaultPathFiles = []string{
 	"internal/core/verifier.go",
 	"internal/core/engine.go",

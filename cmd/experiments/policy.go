@@ -13,6 +13,11 @@ import (
 	"rocksalt/internal/policy"
 )
 
+// minSixteenVsReference is the full-run floor on the 16-byte presets'
+// lane/reference throughput: 1.5x the deleted fused scalar walk, which
+// ran 1.18-1.20x the reference loop on a 2-vCPU Xeon.
+const minSixteenVsReference = 1.8
+
 // benchPolicy measures the runtime policy compiler: the per-process
 // classification of the decoder's instruction forms that every spec
 // shares, cold compile time per spec after it (grammars → derivative
@@ -54,12 +59,10 @@ func benchPolicy() {
 		FusedStates   int     `json:"fused_states"`
 		VerifyNs      float64 `json:"verify_ns"`
 		MBPerS        float64 `json:"mb_per_s"`
-		// ScalarMBPerS is the same-run forced byte-at-a-time walk — the
-		// throughput non-32 bundles were stuck at before the lane
-		// region split was generalized to 16-byte bundles; VsScalar is
-		// the speedup the generalization buys.
-		ScalarMBPerS float64 `json:"scalar_mb_per_s"`
-		VsScalar     float64 `json:"vs_scalar"`
+		// ReferenceMBPerS is the same-run Figure-5 loop, the oracle the
+		// lanes rewind to; VsReference is the lanes' speedup over it.
+		ReferenceMBPerS float64 `json:"reference_mb_per_s"`
+		VsReference     float64 `json:"vs_reference"`
 	}
 	// The instruction forms are classified once per process and shared
 	// by every spec, so time that on its own: the cold compiles below
@@ -116,25 +119,25 @@ func benchPolicy() {
 		}
 		mb := float64(len(img)) / 1e6
 		d := bestOf(func() { checker.Verify(img) })
-		sopts := core.VerifyOptions{Workers: 1, Engine: core.EngineFusedScalar}
-		ds := bestOf(func() { checker.VerifyWith(img, sopts) })
+		ropts := core.VerifyOptions{Workers: 1, Engine: core.EngineReference}
+		dr := bestOf(func() { checker.VerifyWith(img, ropts) })
 		r := row{
-			Name:          com.Spec.Name,
-			CompileNs:     float64(compile.Nanoseconds()),
-			WarmCompileNs: float64(warm.Nanoseconds()),
-			FusedStates:   len(fusedTable),
-			VerifyNs:      float64(d.Nanoseconds()),
-			MBPerS:        mb / d.Seconds(),
-			ScalarMBPerS:  mb / ds.Seconds(),
+			Name:            com.Spec.Name,
+			CompileNs:       float64(compile.Nanoseconds()),
+			WarmCompileNs:   float64(warm.Nanoseconds()),
+			FusedStates:     len(fusedTable),
+			VerifyNs:        float64(d.Nanoseconds()),
+			MBPerS:          mb / d.Seconds(),
+			ReferenceMBPerS: mb / dr.Seconds(),
 		}
-		r.VsScalar = r.MBPerS / r.ScalarMBPerS
+		r.VsReference = r.MBPerS / r.ReferenceMBPerS
 		rows = append(rows, r)
-		fmt.Printf("   %-10s compile %8.1f ms (warm %6.0f ns), fused %3d states, verify %9.1f MB/s (%.2fx scalar %.1f)\n",
-			r.Name, r.CompileNs/1e6, r.WarmCompileNs, r.FusedStates, r.MBPerS, r.VsScalar, r.ScalarMBPerS)
-		if i > 0 && r.VsScalar < 1.5 {
-			// The non-default (16-byte-bundle) policies must clear their
-			// old scalar-fallback throughput by a wide margin now that
-			// the lane engine covers non-32 bundles.
+		fmt.Printf("   %-10s compile %8.1f ms (warm %6.0f ns), fused %3d states, verify %9.1f MB/s (%.2fx reference %.1f)\n",
+			r.Name, r.CompileNs/1e6, r.WarmCompileNs, r.FusedStates, r.MBPerS, r.VsReference, r.ReferenceMBPerS)
+		if i > 0 && r.VsReference < minSixteenVsReference {
+			// The non-default (16-byte-bundle) policies must clear the
+			// reference loop by a wide margin: the lanes cover their
+			// bundles as they do the default's.
 			nonDefaultFast = false
 		}
 
@@ -193,8 +196,8 @@ func benchPolicy() {
 	ok := allVerified && defaultMatchesEmbedded && leanAllocs == 0 && len(rows) == len(specs)
 	fmt.Printf("   wrote BENCH_policy.json (%d policies)\n", len(rows))
 	if *quick {
-		// Quick images are too small for stable MB/s, so the 1.5x
-		// non-default-bundle criterion is full-run only.
+		// Quick images are too small for stable MB/s, so the
+		// non-default-bundle throughput criterion is full-run only.
 		fmt.Printf("   verdict: %s (every policy verifies its corpus, default == embedded bundle, lean Verify 0 allocs)\n",
 			pass(ok))
 		if !ok {
@@ -202,6 +205,6 @@ func benchPolicy() {
 		}
 		return
 	}
-	fmt.Printf("   verdict: %s (corpus verified, default == embedded, 0 allocs, 16-byte policies >= 1.5x their scalar walk)\n",
-		pass(ok && nonDefaultFast))
+	fmt.Printf("   verdict: %s (corpus verified, default == embedded, 0 allocs, 16-byte policies >= %.1fx their reference loop)\n",
+		pass(ok && nonDefaultFast), minSixteenVsReference)
 }

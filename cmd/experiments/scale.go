@@ -18,7 +18,9 @@ import (
 // system saturates; the sweep records every point (MB/s, speedup vs
 // sequential, parallel efficiency) plus the knee — the worker count
 // past which adding cores stopped paying ≥10% — in BENCH_scale.json
-// (host-stamped). The CI smoke — exit-coded under -quick — holds the
+// (host-stamped). A 1-CPU host cannot measure scaling, so there the
+// record says "unmeasured (1 CPU)" and carries no best speedup or
+// knee. The CI smoke — exit-coded under -quick — holds the
 // worker-count invariants that are true on any machine: every point
 // returns the same verdict, and no point collapses below half the
 // sequential throughput.
@@ -109,8 +111,6 @@ func benchScale() {
 			best = p.Speedup
 		}
 	}
-	fmt.Printf("   knee: %d worker(s) on %d core(s) (last point that bought >= 10%%)\n", knee, cores)
-
 	out := struct {
 		GeneratedBy string   `json:"generated_by"`
 		Quick       bool     `json:"quick"`
@@ -118,8 +118,9 @@ func benchScale() {
 		Bytes       int      `json:"bytes"`
 		Rounds      int      `json:"rounds"`
 		Points      []point  `json:"results"`
-		KneeWorkers int      `json:"knee_workers"`
-		BestSpeedup float64  `json:"best_speedup"`
+		Scaling     string   `json:"scaling"`
+		KneeWorkers *int     `json:"knee_workers,omitempty"`
+		BestSpeedup *float64 `json:"best_speedup,omitempty"`
 	}{
 		GeneratedBy: "go run ./cmd/experiments -run scale",
 		Quick:       *quick,
@@ -127,8 +128,12 @@ func benchScale() {
 		Bytes:       len(img),
 		Rounds:      rounds,
 		Points:      points,
-		KneeWorkers: knee,
-		BestSpeedup: best,
+		Scaling:     "unmeasured (1 CPU)",
+	}
+	if cores >= 2 {
+		out.Scaling = fmt.Sprintf("measured (%d CPUs)", cores)
+		out.KneeWorkers, out.BestSpeedup = &knee, &best
+		fmt.Printf("   knee: %d worker(s) on %d core(s) (last point that bought >= 10%%)\n", knee, cores)
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -137,8 +142,7 @@ func benchScale() {
 	if err := os.WriteFile("BENCH_scale.json", append(data, '\n'), 0o644); err != nil {
 		panic(err)
 	}
-	fmt.Printf("   wrote BENCH_scale.json (%d points, best speedup %.2fx, knee at %d)\n",
-		len(points), best, knee)
+	fmt.Printf("   wrote BENCH_scale.json (%d points, scaling %s)\n", len(points), out.Scaling)
 
 	// No point may collapse: oversubscription costs scheduling, never
 	// half the sequential throughput.

@@ -12,13 +12,19 @@ import (
 	"rocksalt/internal/vcache"
 )
 
+// minVsReference is the same-run floor on default/reference
+// throughput: the speed the deleted fused scalar walk had over the
+// reference loop (1.18-1.20x on a 2-vCPU Xeon), so the default must stay
+// at least that far ahead of the loop it rewinds to.
+const minVsReference = 1.2
+
 // benchStride is the bandwidth-bound scanning benchmark: the default
 // four-lane walk and the content-addressed verdict cache, measured
-// against the scalar fused walk and the recorded fused baseline. It
-// prints the table, writes BENCH_stride.json (host-stamped), and — the
-// CI perf smoke — exits nonzero under -quick if the default engine is
-// slower than the scalar-fused walk measured in the same run, or if
-// the lean Verify path allocates.
+// against the Figure-5 reference loop and the recorded fused baseline.
+// It prints the table, writes BENCH_stride.json (host-stamped), and —
+// the CI perf smoke — exits nonzero under -quick if the default engine
+// is not at least minVsReference times the reference loop measured in
+// the same run, or if the lean Verify path allocates.
 func benchStride() {
 	header("stride", "four-lane walk + verdict cache (extension)",
 		"beyond the paper: interleaved lane walks and content-addressed re-verification")
@@ -74,7 +80,7 @@ func benchStride() {
 		return r
 	}
 
-	scalar := engineRow("fused-scalar", core.VerifyOptions{Workers: 1, Engine: core.EngineFusedScalar})
+	ref := engineRow("reference", core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
 	fused := engineRow("fused (default)", core.VerifyOptions{Workers: 1})
 
 	// The lean boolean path must stay allocation-free with the cache off.
@@ -125,7 +131,7 @@ func benchStride() {
 		}
 	}
 	ratioVsRecorded := fused.MBPerS / recordedBaseline
-	fusedVsScalar := fused.MBPerS / scalar.MBPerS
+	fusedVsReference := fused.MBPerS / ref.MBPerS
 
 	out := struct {
 		GeneratedBy       string   `json:"generated_by"`
@@ -136,7 +142,7 @@ func benchStride() {
 		Rows              []row    `json:"results"`
 		RecordedFusedMBs  float64  `json:"recorded_fused_mb_per_s"`
 		FusedVsRecorded   float64  `json:"fused_vs_recorded"`
-		FusedVsScalar     float64  `json:"fused_vs_scalar"`
+		FusedVsReference  float64  `json:"fused_vs_reference"`
 		LeanAllocsPerOp   float64  `json:"lean_allocs_per_op"`
 		WarmRehashNs      float64  `json:"warm_rehash_ns"`
 		WarmRehashSpeedup float64  `json:"warm_rehash_speedup"`
@@ -151,7 +157,7 @@ func benchStride() {
 		Rows:              rows,
 		RecordedFusedMBs:  recordedBaseline,
 		FusedVsRecorded:   ratioVsRecorded,
-		FusedVsScalar:     fusedVsScalar,
+		FusedVsReference:  fusedVsReference,
 		LeanAllocsPerOp:   leanAllocs,
 		WarmRehashNs:      float64(warmRehash.Nanoseconds()),
 		WarmRehashSpeedup: rehashSpeedup,
@@ -165,24 +171,24 @@ func benchStride() {
 	if err := os.WriteFile("BENCH_stride.json", append(data, '\n'), 0o644); err != nil {
 		panic(err)
 	}
-	fmt.Printf("   wrote BENCH_stride.json (fused %.1f MB/s = %.2fx recorded %.1f; fused/scalar %.2fx; keyed warm %.0fx)\n",
-		fused.MBPerS, ratioVsRecorded, recordedBaseline, fusedVsScalar, keyedSpeedup)
+	fmt.Printf("   wrote BENCH_stride.json (fused %.1f MB/s = %.2fx recorded %.1f; fused/reference %.2fx; keyed warm %.0fx)\n",
+		fused.MBPerS, ratioVsRecorded, recordedBaseline, fusedVsReference, keyedSpeedup)
 
-	ok := fusedVsScalar >= 1.0 && leanAllocs == 0
+	ok := fusedVsReference >= minVsReference && leanAllocs == 0
 	full := ok && ratioVsRecorded >= 1.25 && keyedSpeedup > 100
 	if *quick {
 		// CI perf smoke: the invariants that hold on any machine at any
-		// load — the default engine no slower than the scalar walk it
+		// load — the default engine well ahead of the reference loop it
 		// rewinds to, and the lean path allocation-free. Throughput-vs-
 		// recorded is a full-run criterion (the recorded number belongs
 		// to a specific host, and quick images are too small for stable
 		// MB/s).
-		fmt.Printf("   verdict: %s (quick: default >= scalar same-run, lean Verify 0 allocs)\n", pass(ok))
+		fmt.Printf("   verdict: %s (quick: default >= %.1fx reference same-run, lean Verify 0 allocs)\n", pass(ok), minVsReference)
 		if !ok {
 			os.Exit(1)
 		}
 		return
 	}
-	fmt.Printf("   verdict: %s (fused >= 1.25x recorded baseline, fused >= scalar, keyed warm > 100x, 0 allocs)\n",
-		pass(full))
+	fmt.Printf("   verdict: %s (fused >= 1.25x recorded baseline, fused >= %.1fx reference, keyed warm > 100x, 0 allocs)\n",
+		pass(full), minVsReference)
 }

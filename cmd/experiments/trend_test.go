@@ -22,7 +22,7 @@ func strideDoc(stamp string, fusedMBs, warm float64) string {
   "host": {"cpu_model": "TestCPU", "num_cpu": 1, "goos": "linux", "goarch": "amd64", "timestamp": %q},
   "results": [
     {"name": "fused (default)", "mb_per_s": %g},
-    {"name": "fused-scalar", "mb_per_s": 150}
+    {"name": "reference", "mb_per_s": 100}
   ],
   "warm_rehash_speedup": %g
 }`, stamp, fusedMBs, warm)

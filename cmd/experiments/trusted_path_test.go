@@ -7,7 +7,7 @@ import (
 
 // trustedPathBudget is the size of the default verify path, in e7's
 // code lines (non-blank, non-comment), as last measured.
-const trustedPathBudget = 1846
+const trustedPathBudget = 1716
 
 // TestTrustedPathBudget gates the trusted code e7 counts: the files
 // the default NewChecker + Verify path executes may not grow past

@@ -12,7 +12,7 @@ import (
 // the same image and pins the contract: every engine returns the same
 // verdict (exit 0 here), the stepper that ran lands in the -json stats
 // engine field, and an unknown engine is a usage error (exit 2) — the
-// names of deleted steppers (strided, lanes, swar) among them.
+// names of deleted steppers (strided, lanes, swar, scalar) among them.
 func TestEngineFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
@@ -36,7 +36,7 @@ func TestEngineFlag(t *testing.T) {
 		want   string // stats engine census name
 	}{
 		{"auto", "lanes"},
-		{"scalar", "fused-scalar"},
+		{"reference", "reference"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.engine, func(t *testing.T) {
@@ -62,7 +62,7 @@ func TestEngineFlag(t *testing.T) {
 		})
 	}
 
-	for name, engine := range map[string]string{"unknown": "turbo", "strided": "strided", "lanes": "lanes", "swar": "swar"} {
+	for name, engine := range map[string]string{"unknown": "turbo", "strided": "strided", "lanes": "lanes", "swar": "swar", "scalar": "scalar"} {
 		t.Run(name, func(t *testing.T) {
 			err := exec.Command(bin, "-engine", engine, "-q", img).Run()
 			ee, ok := err.(*exec.ExitError)

@@ -25,11 +25,11 @@
 // suppresses output in favour of the exit status.
 //
 // -engine picks the stage-1 stepper: auto (the default: the four-lane
-// walk, which hands any irregular shard to the scalar walk) or scalar
-// (the canonical byte-at-a-time fused walk on every shard). Verdicts
-// are engine-invariant byte for byte; the stepper that ran is recorded
-// in the -stats/-json engine field ("lanes" or "fused-scalar").
-// Anything else exits 2.
+// walk, which hands any irregular shard to the Figure-5 loop) or
+// reference (the Figure-5 loop on every shard). Verdicts are
+// engine-invariant byte for byte; the stepper that ran is recorded in
+// the -stats/-json engine field ("lanes" or "reference"). Anything
+// else exits 2.
 //
 // -cache N attaches an N-MiB content-addressed verdict cache for the
 // process lifetime and reports the image's content key. One-shot runs
@@ -97,7 +97,7 @@ import (
 // usage is the one-line synopsis printed on argument errors. A test
 // (cli_test.go) holds it and the package doc comment to the actual flag
 // set, so neither can drift when a flag is added.
-const usage = "usage: rocksalt [-entries addr,addr] [-tables f] [-policy spec.json] [-engine auto|scalar] [-j N] [-timeout d] [-cache MiB] [-delta old.bin] [-stream] [-stats] [-json] [-v] [-metrics-addr a] [-linger d] [-trace-out f] [-postmortem-dir d] [-q] file.bin"
+const usage = "usage: rocksalt [-entries addr,addr] [-tables f] [-policy spec.json] [-engine auto|reference] [-j N] [-timeout d] [-cache MiB] [-delta old.bin] [-stream] [-stats] [-json] [-v] [-metrics-addr a] [-linger d] [-trace-out f] [-postmortem-dir d] [-q] file.bin"
 
 // cliFlags is every rocksalt flag, registered on a caller-supplied
 // FlagSet so tests can enumerate the registry without running main.
@@ -127,7 +127,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		quiet:       fs.Bool("q", false, "suppress output; use the exit status"),
 		tables:      fs.String("tables", "", "load pre-generated DFA tables (from dfagen -o) instead of compiling grammars"),
 		policySpec:  fs.String("policy", "", "compile this JSON policy spec at runtime and verify against it (mutually exclusive with -tables)"),
-		engine:      fs.String("engine", "auto", "stage-1 stepper: auto or scalar (verdicts are engine-invariant)"),
+		engine:      fs.String("engine", "auto", "stage-1 stepper: auto or reference (verdicts are engine-invariant)"),
 		workers:     fs.Int("j", 1, "stage-1 verification workers (0 = all CPUs)"),
 		timeout:     fs.Duration("timeout", 0, "abort verification after this duration (exit 3); 0 = no limit"),
 		cacheMiB:    fs.Int("cache", 0, "attach a content-addressed verdict cache of this many MiB (0 = no cache)"),
@@ -279,10 +279,10 @@ func main() {
 	switch *f.engine {
 	case "auto", "":
 		// The default engine: the four-lane walk.
-	case "scalar":
-		opts.Engine = core.EngineFusedScalar
+	case "reference":
+		opts.Engine = core.EngineReference
 	default:
-		fmt.Fprintf(os.Stderr, "rocksalt: unknown -engine %q (want auto or scalar)\n", *f.engine)
+		fmt.Fprintf(os.Stderr, "rocksalt: unknown -engine %q (want auto or reference)\n", *f.engine)
 		os.Exit(2)
 	}
 	if *f.cacheMiB > 0 {

@@ -32,7 +32,7 @@ import (
 // (vcache.Sum) over everything the parse depends on: the table
 // fingerprint, the policy configuration (AlignedCalls, Entries), the
 // image size, and — for chunks — the chunk's offset and bytes plus the
-// lookahead overhang past its end (the scalar walk deciding the last
+// lookahead overhang past its end (the parse deciding the last
 // instruction of a chunk may read up to fusedDFA.lookahead()-1 bytes
 // beyond the chunk boundary, so those bytes are part of the parse's
 // input and must be part of the key). A shard parse is a pure function

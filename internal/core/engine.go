@@ -28,11 +28,11 @@ import (
 // run, in analyze.go). By default a shard's whole-bundle region is
 // walked by the four-lane lockstep parser over the fused product
 // automaton (engine_lanes.go, fused.go), and any shard it finds
-// irregular is re-parsed by the canonical scalar fused walk, which
-// diagnoses every violation. The seed's three-sequential-DFA loop
-// survives as the reference engine, selectable per run, and the
-// engines are held byte-identical by FuzzFusedEquiv, FuzzPolicyEquiv
-// and the fault-injection harness. Stage 2 is a cheap sequential
+// irregular is re-parsed by the seed's three-sequential-DFA loop (the
+// Figure-5 loop), which diagnoses every violation. That loop is also
+// the reference engine, selectable per run, and the two engines are
+// held byte-identical by FuzzFusedEquiv, FuzzPolicyEquiv and the
+// fault-injection harness. Stage 2 is a cheap sequential
 // reconciliation: it validates every collected jump target against the
 // merged boundary map, flags unreached bundle boundaries, and sorts all
 // violations by (offset, kind) so the reported first violation is
@@ -50,18 +50,15 @@ type EngineKind uint8
 const (
 	// EngineFused walks the fused product automaton (the default): the
 	// four-lane lockstep walk (engine_lanes.go) over each shard's
-	// whole-bundle region, rewinding to the canonical scalar walk on
-	// any irregularity. Its Stats.Engine census name is "lanes".
+	// whole-bundle region, rewinding to the Figure-5 loop on any
+	// irregularity and handing it whatever the lanes do not take. Its
+	// Stats.Engine census name is "lanes".
 	EngineFused EngineKind = iota
-	// EngineReference runs the seed's Figure-5 loop: up to three
-	// sequential DFA match attempts per offset. It exists as the
-	// cross-check oracle for the fused engine.
+	// EngineReference runs the seed's Figure-5 loop on every shard: up
+	// to three sequential DFA match attempts per offset. It is the
+	// oracle the fused engine is held to, and the loop that diagnoses
+	// every shard the lanes reject.
 	EngineReference
-	// EngineFusedScalar forces the canonical scalar fused walk on every
-	// shard — the diagnosing path the lane engine rewinds to — with the
-	// optimistic lane phase disabled. It exists for cross-checks and as
-	// the like-for-like baseline in benchmarks.
-	EngineFusedScalar
 )
 
 // VerifyOptions configures a verification run.
@@ -456,28 +453,21 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 // whose name is also the run's Stats.Engine census value, so "what
 // actually ran" reads the same in -stats/-json output and in traces.
 func runFlightEngine(e EngineKind) flight.Engine {
-	switch e {
-	case EngineReference:
+	if e == EngineReference {
 		return flight.EngineReference
-	case EngineFusedScalar:
-		return flight.EngineScalar
-	default:
-		return flight.EngineLanes
 	}
+	return flight.EngineLanes
 }
 
 // shardFlightEngine classifies how one shard was actually parsed, from
 // its result flags — finer-grained than the run-level engine because a
-// shard can individually restart scalar.
-func shardFlightEngine(e EngineKind, res *shardResult) flight.Engine {
-	switch {
-	case e == EngineReference:
-		return flight.EngineReference
-	case res.lane:
+// shard the lanes rewind, or do not take, is parsed by the reference
+// loop.
+func shardFlightEngine(res *shardResult) flight.Engine {
+	if res.lane {
 		return flight.EngineLanes
-	default:
-		return flight.EngineScalar
 	}
+	return flight.EngineReference
 }
 
 // stage1 is what every shard parse of one stage-1 pass shares: the
@@ -630,14 +620,10 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 	if testShardHook != nil {
 		testShardHook(gs)
 	}
-	switch {
-	case engine == EngineReference || c.fused == nil:
+	if engine == EngineReference || c.fused == nil {
 		res.scalar = true
 		c.parseShardRef(code, start, end, sc, res, pb)
-	case engine == EngineFusedScalar:
-		res.scalar = true
-		c.parseShardFusedScalar(code, start, end, sc, res, pb)
-	default:
+	} else {
 		c.parseShardFused(code, start, end, sc, res, pb)
 	}
 	// Overlap stage 2 with stage 1: the shard's bitmap words are final
@@ -657,7 +643,7 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 		res.targets = append(res.targets, t)
 	}
 	if fr != nil {
-		fr.Record(flight.Event{Kind: flight.SpanShard, Engine: shardFlightEngine(engine, res),
+		fr.Record(flight.Event{Kind: flight.SpanShard, Engine: shardFlightEngine(res),
 			Worker: uint16(w), Shard: uint32(gs), Run: frun, Start: ft0, Dur: fr.Now() - ft0, Bytes: int64(end - start)})
 	}
 }
@@ -671,152 +657,43 @@ func stopShard(res *shardResult, code []byte, off int, kind ViolationKind, detai
 // whole-bundle prefix of the shard runs through the lane parser, which
 // assumes the image is compliant: its quarters as four lanes in
 // lockstep (a prefix under four bundles as one lane). If it finds
-// anything irregular its partial writes are erased and the canonical
-// scalar loop below re-parses the shard from the start, so every
-// violating shard is diagnosed by exactly the same code path regardless
-// of the optimistic phase. A trailing partial bundle (only the image's
-// last shard can have one) is parsed scalar as well, continuing where
-// the lanes proved the prefix regular.
-//
-// The lane engine supports bundle sizes 16, 32 and 64: the pass-2
-// boundary extraction masks bundle bits per 64-bit bitmap word
-// (laneExtract), so a larger bundle has no in-word boundary to check
-// and such checkers take the canonical scalar walk — every
-// policy-relevant decision lives there and in the shared helpers, so
-// the verdict is engine-invariant either way (FuzzPolicyEquiv holds
-// the engines identical per policy).
+// anything irregular its partial writes are erased and the Figure-5
+// loop (parseShardRef) re-parses the shard from the start, so every
+// violating shard is diagnosed by the reference itself. The loop also
+// parses what the lanes do not take, continuing where they proved the
+// prefix regular: a trailing partial bundle (only the image's last
+// shard can have one), a shard with no whole bundle, and every shard
+// of a checker whose bundle is over 64 bytes — the pass-2 boundary
+// extraction masks bundle bits per 64-bit bitmap word (laneExtract),
+// so a larger bundle has no in-word boundary to check.
 func (c *Checker) parseShardFused(code []byte, start, end int, sc *scratch, res *shardResult, pb *parseBuf) {
 	bundle := c.params.bundle
-	if bundle <= 64 {
-		if full := start + (end-start)/bundle*bundle; full > start {
-			if c.parseShardLanes(code, start, full, sc, pb) {
-				res.lane = true
-				if full < end {
-					c.parseShardFusedScalar(code, full, end, sc, res, pb)
-				}
-				return
-			}
-			sc.valid.ClearRange(start, end)
-			pb.targets = pb.targets[:0]
-			res.restart = true
-			c.parseShardFusedScalar(code, start, end, sc, res, pb)
-			return
-		}
+	full := start + (end-start)/bundle*bundle
+	switch {
+	case bundle > 64 || full == start:
+		res.scalar = true
+		full = start
+	case c.parseShardLanes(code, start, full, sc, pb):
+		res.lane = true
+	default:
+		sc.valid.ClearRange(start, end)
+		pb.targets = pb.targets[:0]
+		res.restart = true
+		full = start
 	}
-	res.scalar = true
-	c.parseShardFusedScalar(code, start, end, sc, res, pb)
-}
-
-// parseShardFusedScalar is the sequential fused walk: one table walk per
-// offset yields every component's earliest accept length, and the seed's
-// priority — masked, then noCF, then direct — picks the match. The shard
-// start is a bundle boundary, which the policy requires to be an
-// instruction boundary, so on any compliant image the shard-local parse
-// reproduces exactly the boundaries the sequential parse would find. A
-// matched unit extending past the shard end means that bundle boundary
-// sits inside an instruction — itself a violation — so the shard stops
-// there instead of racing into its neighbour's range.
-func (c *Checker) parseShardFusedScalar(code []byte, start, end int, sc *scratch, res *shardResult, pb *parseBuf) {
-	f := c.fused
-	table, tags := f.table, f.tags
-	nocf1 := &f.nocf1
-	fstart, quiet := uint16(f.start), uint16(f.quiet)
-	bundle := c.params.bundle
-	size := len(code)
-	pos := start
-
-	// Boundary bits are buffered in a register-resident word: the shard
-	// owns whole words of the bitmap (ShardBytes is a multiple of 64) and
-	// pos only moves forward, so each word is flushed exactly once — at
-	// the word crossing or at the single exit below — replacing one
-	// read-modify-write of shared memory per instruction with an OR.
-	wvalid := sc.valid.Words()
-	curw := uint(pos) / 64
-	var acc uint64
-
-loop:
-	for pos < end {
-		if w := uint(pos) / 64; w != curw {
-			wvalid[curw] |= acc
-			curw, acc = w, 0
-		}
-		acc |= 1 << (uint(pos) % 64)
-		// Single-byte fast path: the byte alone is a complete noCF
-		// instruction and resolves every component (NOP padding is the
-		// common case), so the walk and its bookkeeping are skipped.
-		if nocf1[code[pos]] {
-			pos++
-			continue
-		}
-		saved := pos
-
-		// The fused walk, inlined (see fusedDFA.scan for the stop-rule
-		// argument): quiet states cost one table load and one compare;
-		// the walk ends as soon as the priority decision is determined.
-		state := fstart
-		lm, ln, ld := 0, 0, 0
-		off := saved
-		for off < size {
-			state = table[state][code[off]]
-			off++
-			if state < quiet {
-				continue
-			}
-			tag := tags[state]
-			n := off - saved
-			if tag&tagAccMasked != 0 {
-				lm = n
-				break
-			}
-			if tag&tagAccNoCF != 0 && ln == 0 {
-				ln = n
-			}
-			if tag&tagAccDirect != 0 && ld == 0 {
-				ld = n
-			}
-			if tag&tagLiveMasked == 0 &&
-				(ln != 0 || tag&tagLiveNoCF == 0 && (ld != 0 || tag&tagLiveDirect == 0)) {
-				break
-			}
-		}
-
-		// The pos > end guards keep the (never-inlined) straddle helper
-		// off the hot path; straddling is always a violation en route.
-		switch {
-		case lm != 0:
-			pos = saved + lm
-			if pos > end && c.straddles(sc, res, code, saved, pos, end) {
-				break loop
-			}
-			// The call form of the pair is FF /2 (0xD0|r in the modrm).
-			if c.AlignedCalls && code[pos-1]>>3&7 == 2 && pos%bundle != 0 {
-				stopShard(res, code, pos, MisalignedCall, "masked call leaves a misaligned return address")
-				break loop
-			}
-		case ln != 0:
-			pos = saved + ln
-			if pos > end && c.straddles(sc, res, code, saved, pos, end) {
-				break loop
-			}
-		case ld != 0:
-			pos = saved + ld
-			if pos > end && c.straddles(sc, res, code, saved, pos, end) {
-				break loop
-			}
-			if c.directJump(sc, res, pb, code, saved, pos) {
-				break loop
-			}
-		default:
-			stopShard(res, code, saved, IllegalInstruction, "")
-			break loop
-		}
-	}
-	wvalid[curw] |= acc
+	c.parseShardRef(code, full, end, sc, res, pb)
 }
 
 // parseShardRef is the reference stage 1: the seed's Figure 5 loop, up
-// to three sequential DFA match attempts per offset. It is the oracle
-// the fused engine is held byte-identical to.
+// to three sequential DFA match attempts per offset, over [start, end).
+// It is the oracle the fused engine is held byte-identical to, and the
+// parser the fused engine rewinds to. start is a bundle boundary,
+// which the policy requires to be an instruction boundary, so on any
+// compliant image the shard-local parse reproduces exactly the
+// boundaries the sequential parse would find. A matched unit extending
+// past the shard end means that bundle boundary sits inside an
+// instruction — itself a violation — so the shard stops there instead
+// of racing into its neighbour's range.
 func (c *Checker) parseShardRef(code []byte, start, end int, sc *scratch, res *shardResult, pb *parseBuf) {
 	masked, noCF, direct := c.masked, c.noCF, c.direct
 	pos := start
@@ -997,9 +874,10 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 	// Every bundle boundary must be an instruction boundary. Shards the
 	// lane parser proved regular already had every bundle boundary
 	// in their range checked by pass 2 (laneExtract fails otherwise and
-	// the shard restarts scalar), so the scan skips them — for a
-	// compliant image that removes the whole pass. The proof only covers
-	// a full shard: a short final shard has a scalar-parsed tail, and a
+	// the reference loop re-parses the shard), so the scan skips them —
+	// for a compliant image that removes the whole pass. The proof only
+	// covers a full shard: a short final shard may end in a tail the
+	// reference loop parsed, and a
 	// cache-restored shard (no parse flags set) replays bits without the
 	// pass-2 check, so both still scan. ShardBytes is a multiple of
 	// every supported bundle size, so the per-shard scan visits exactly

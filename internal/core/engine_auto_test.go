@@ -13,8 +13,8 @@ import (
 // TestAutoEngineSelection pins what the default engine runs: the
 // four-lane walk, whichever constructor made the checker, on event-sparse
 // and event-dense images alike. Stats.Engine names it "lanes", shards
-// retire as lane batches, and the SWAR census stays zero. Forced kinds
-// report their own census names.
+// retire as lane batches, and the SWAR census stays zero. The forced
+// reference engine reports its own census name.
 func TestAutoEngineSelection(t *testing.T) {
 	c, err := core.NewChecker()
 	if err != nil {
@@ -37,18 +37,13 @@ func TestAutoEngineSelection(t *testing.T) {
 			t.Errorf("%s: engine %q, %d lane batches, %d SWAR batches; want lanes, > 0, 0",
 				tc.name, s.Engine, s.LaneBatches, s.SWARBatches)
 		}
-		for _, forced := range []struct {
-			e    core.EngineKind
-			want string
-		}{{core.EngineFusedScalar, "fused-scalar"}, {core.EngineReference, "reference"}} {
-			got := c.VerifyWith(tc.img, core.VerifyOptions{Workers: 1, Engine: forced.e})
-			if got.Stats.Engine != forced.want {
-				t.Errorf("%s: engine %d reported %q, want %q", tc.name, forced.e, got.Stats.Engine, forced.want)
-			}
-			if !reflect.DeepEqual(got.Violations, rep.Violations) ||
-				got.Stats.EngineInvariant() != rep.Stats.EngineInvariant() {
-				t.Errorf("%s: %s and default runs diverged", tc.name, forced.want)
-			}
+		ref := c.VerifyWith(tc.img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
+		if ref.Stats.Engine != "reference" {
+			t.Errorf("%s: EngineReference reported %q, want \"reference\"", tc.name, ref.Stats.Engine)
+		}
+		if !reflect.DeepEqual(ref.Violations, rep.Violations) ||
+			ref.Stats.EngineInvariant() != rep.Stats.EngineInvariant() {
+			t.Errorf("%s: reference and default runs diverged", tc.name)
 		}
 	}
 

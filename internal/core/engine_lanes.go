@@ -4,7 +4,7 @@ import "encoding/binary"
 
 // This file is the two-pass lockstep fast path of the fused engine: the
 // walk the default EngineFused runs over every shard's whole-bundle
-// region, with the canonical scalar walk as its rewind
+// region, with the Figure-5 loop (parseShardRef) as its rewind
 // (parseShardFused). It is the only optimistic stepper, and it needs no
 // table beyond the padded, byte-wide restart-closed one (fusedDFA.flat).
 //
@@ -52,25 +52,33 @@ import "encoding/binary"
 // does not — an instruction straddled a bundle boundary, or a lane's
 // walk ended mid-instruction at its seam (the region-end rule) — the
 // parse reports failure, the dispatcher erases the shard's partial
-// writes, and the canonical scalar loop re-parses the shard.
+// writes, and the Figure-5 loop re-parses the shard.
 //
 // Equivalence argument. When parseShardLanes returns true, its
 // boundary bits and collected jump targets are exactly those of the
-// canonical scalar parse (parseShardFusedScalar) over the same range:
+// Figure-5 loop (parseShardRef) over the same range. The product
+// automaton collapses each component to a sink once it accepts or
+// rejects (policy.FuseProduct), so on a walk from an instruction start
+// a component's accept bit appears at most once, at its earliest
+// accept — where the loop's match call for that component succeeds —
+// and its live bit holds exactly while that call is still reading.
+// laneEvent's stop rule picks among the accepts in the loop's order.
 //
-//   - Within a lane the walk is the canonical continuous parse.
-//     Class-1 states resolve instructions inline (their
-//     restart-closed rows are the start row, so flowing through one
-//     is identical to restarting), and those are exactly the
-//     positions the scalar walk resolves via its "pure noCF accept"
-//     rule. A masked pair that is not the call form resolves the same
-//     way: the scalar walk takes it outright (top priority) and checks
-//     nothing further, and its remapped flat entry is a class-1 state.
-//     Recording states never resolve the scalar walk either
-//     (masked is still live), so absorbing them loses nothing; their
-//     accept positions are recovered verbatim from the stored state
-//     tags when an event resolves by priority. Events apply the same
-//     priority rule and the same policy checks as the scalar path, or
+//   - Within a lane the walk is the loop's continuous parse. Class-1
+//     states resolve instructions inline (their restart-closed rows
+//     are the start row, so flowing through one is identical to
+//     restarting): in a class-1 state noCF has just accepted and no
+//     component is live, so the loop's masked match has failed, its
+//     noCF match ends right there, and the loop starts the next
+//     instruction at the same offset. A masked pair that is not the
+//     call form resolves the same way: the loop takes it outright (top
+//     priority) and checks nothing further, and its remapped flat
+//     entry is a class-1 state. Recording states never decide the
+//     loop's match either (the masked match is still reading), so
+//     absorbing them loses nothing; their accept positions are
+//     recovered verbatim from the stored state tags when an event
+//     resolves by priority. Events apply the loop's priority rule and
+//     its policy checks (AlignedCalls, jumpTarget, targetAllowed), or
 //     fail the lane parse.
 //   - Lanes share only the index, never state: each reads and writes
 //     its own part of the state buffer, and laneEvent's recovery scans
@@ -104,9 +112,9 @@ import "encoding/binary"
 //   - Any canonical violation in the range (illegal instruction,
 //     misaligned call, bad jump target, bundle straddle) either fails a
 //     lane event directly or leaves a bundle boundary bit unset, so it
-//     can never be reported here: the scalar fallback diagnoses it, and
-//     reports stay byte-identical, which FuzzFusedEquiv and the
-//     fault-injection cross-check enforce.
+//     can never be reported here: the Figure-5 loop re-parses the shard
+//     and diagnoses it, so reports stay byte-identical, which
+//     FuzzFusedEquiv and the fault-injection cross-check enforce.
 
 // laneCount is the interleave width: four independent load chains
 // cover most of the L1 latency of the dependent table loads, and four
@@ -139,11 +147,18 @@ type laneCtx struct {
 // laneEvent handles a walk entering an eventful state s (>= rec) with
 // the event byte at absolute offset o-1; rs is the lane's region start.
 // It returns the state and absolute offset to continue from; on an
-// irregularity it marks the parse failed and returns o. The logic mirrors fusedDFA.scan's out-of-line tail
-// exactly, with the recorded accepts recovered from the state buffer:
+// irregularity it marks the parse failed and returns o.
+//
+// It applies the stop rule, which decides an instruction the way the
+// Figure-5 loop's three match calls do, as soon as the decision is
+// determined: a masked accept wins outright; once masked can no longer
+// accept, a recorded noCF accept wins; once noCF is out too, a recorded
+// direct accept; and a state with nothing live and nothing recorded is
+// the illegal case. The recorded accepts come from the state buffer:
 // the instruction start is the last class-1 byte before the event (the
 // region start if none), and the earliest noCF/direct accept positions
-// are read off the stored states' tags.
+// are read off the stored states' tags. Until the decision is
+// determined the walk continues.
 func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs int) (uint16, int) {
 	buf, base, tags := lc.buf, lc.base, lc.tags
 	tag := tags[s]
@@ -187,7 +202,7 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs int) (uint16, int) {
 		if pos == 0 {
 			pos = ld
 			if pos == 0 {
-				// Dead walk: nothing matched. The scalar fallback reports
+				// Dead walk: nothing matched. The Figure-5 loop reports
 				// IllegalInstruction here.
 				lc.failed = true
 				return lc.fstart, o
@@ -226,7 +241,7 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs int) (uint16, int) {
 // lockstep when the region has at least laneCount bundles, one lane
 // otherwise. It reports whether the region was fully regular; on false
 // the caller must discard the shard's bitmap words and pb's targets and
-// re-parse with the scalar loop.
+// re-parse with the Figure-5 loop.
 func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, pb *parseBuf) bool {
 	f := c.fused
 	if f.flat == nil || f.nc == f.quiet {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"rocksalt/internal/core"
 	"rocksalt/internal/nacl"
+	"rocksalt/internal/policy"
 )
 
 // requireSameReport asserts that two runs of the engine produced the
@@ -112,7 +114,7 @@ func TestAnalyzeWithBitmapEquality(t *testing.T) {
 	if pairs == 0 {
 		t.Fatal("image has no masked pairs to compare")
 	}
-	for _, e := range []core.EngineKind{core.EngineFused, core.EngineReference, core.EngineFusedScalar} {
+	for _, e := range []core.EngineKind{core.EngineFused, core.EngineReference} {
 		for _, w := range []int{1, 4} {
 			v, p, rep := c.AnalyzeWith(img, core.VerifyOptions{Workers: w, Engine: e})
 			if !rep.Safe {
@@ -259,11 +261,14 @@ func TestReportShape(t *testing.T) {
 // a full shard (four 4 KiB lanes), nine bundles (four lanes, the last
 // with a one-bundle remainder), 256 bytes (four 64-byte lanes) or three
 // bundles (one lane) — at the start, middle or end of a lane, or across
-// a seam. The default engine must report exactly what EngineReference
-// reports and restart the shard only where the row says: a misaligned
-// call under AlignedCalls, and a mask ending exactly on a lane seam,
-// where the lane ends with the pair undecided, its seam bit unset (the
-// region-end rule), and the scalar walk re-parses the shard.
+// a seam. Further rows place a violation the rewind must diagnose in a
+// full shard or in an image's trailing partial bundle. The default
+// engine must report exactly what EngineReference reports and restart
+// the shard only where the row says: for a misaligned call under
+// AlignedCalls; for a mask ending exactly on a lane seam, where the
+// lane ends with the pair undecided and its seam bit unset (the
+// region-end rule); and for a violation inside a full shard's lanes.
+// Each restart hands the shard to the Figure-5 loop.
 func TestLaneMaskedCalls(t *testing.T) {
 	type row struct {
 		what          string
@@ -315,6 +320,46 @@ func TestLaneMaskedCalls(t *testing.T) {
 					what := fmt.Sprintf("%s: mask; inc at the %s of lane %d of %d", name, where, k, len(lanes))
 					rows = append(rows, row{what, c, pair, size, off, true, where == "seam"})
 				}
+			}
+		}
+	}
+	// What the rewind diagnoses, under each preset: an illegal byte
+	// (ret), a jmp rel32 out of the image and, under AlignedCalls, a
+	// direct call to offset 0 that ends off the bundle grid. Mid-lane in
+	// a full shard the lanes reject the shard and the Figure-5 loop
+	// re-parses it from the start; in the trailing partial bundle of a
+	// 9*bundle+7-byte image the lanes prove the nine bundles regular and
+	// the loop parses only the tail, so nothing restarts.
+	for _, spec := range []policy.Spec{policy.NaCl(), policy.NaCl16(), policy.REINS()} {
+		com, err := policy.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := core.NewCheckerFromPolicy(com)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strict, err := core.NewCheckerFromPolicy(com)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strict.AlignedCalls = true
+		bundle := com.Spec.BundleSize
+		for _, p := range []struct {
+			size, off int
+			restart   bool
+		}{{core.ShardBytes, q + q/2 + 1, true}, {9*bundle + 7, 9*bundle + 1, false}} {
+			call := binary.LittleEndian.AppendUint32([]byte{0xe8}, uint32(-(p.off + 5)))
+			for _, d := range []struct {
+				what string
+				c    *core.Checker
+				pat  []byte
+			}{
+				{"ret", plain, []byte{0xc3}},
+				{"jmp rel32 out of the image", plain, []byte{0xe9, 0x00, 0x00, 0x00, 0x40}},
+				{"alignedCalls=true: call ending off the bundle grid", strict, call},
+			} {
+				rows = append(rows, row{fmt.Sprintf("%s: %s", com.Spec.Name, d.what), d.c, d.pat, p.size, p.off, false, p.restart})
 			}
 		}
 	}

@@ -15,9 +15,9 @@ import (
 // (collapse-to-sinks, BFS discovery, tagged minimization) lives in
 // internal/policy (FuseProduct), since it is part of the grammar→tables
 // pipeline; this file layers the engine-facing renumbering and the
-// derived fast-path tables on top: the single-byte table and the padded
-// restart-closed table the lanes walk. Those are all the engines derive
-// (32 KiB plus 256 bytes, built by computeFast at checker construction).
+// derived fast-path table on top: the padded restart-closed table the
+// lanes walk. That is all the engines derive (32 KiB, built by
+// computeFast at checker construction).
 // The seed engine's Figure-5 loop tries the three DFAs sequentially at
 // every offset, rescanning the same bytes on each failed attempt; the
 // fused automaton reproduces the exact same decision — masked's first
@@ -79,12 +79,6 @@ type fusedDFA struct {
 	// against the fixed 1<<15 length, so the hottest load carries no
 	// bounds check. 32 KiB, derived on load, never serialized.
 	flat []uint8
-	// nocf1[b] means byte b alone is a complete noCF instruction and no
-	// component can match anything else from the start state — the walk's
-	// outcome is fully determined by one byte. Derived from the table
-	// (never serialized), it lets the engine skip the walk for the
-	// single-byte instructions (NOPs above all) that dominate real images.
-	nocf1 [256]bool
 	// fp memoizes the content hash of (start, tags, table) — the
 	// automaton's identity in verdict-cache keys (see cache.go).
 	fpOnce sync.Once
@@ -159,24 +153,18 @@ func (f *fusedDFA) lookahead() int {
 // flatStates is the padded state capacity of the flat table. Automata
 // with more states (possible only through custom table bundles; the
 // shipped fused product has 66) get no flat table and are verified by
-// the scalar-fused path alone.
+// the Figure-5 loop alone.
 const flatStates = 128
 
-// computeFast derives the never-serialized fast-path structures from a
-// checked automaton: the single-byte noCF table (entering a state whose
-// tag is exactly tagAccNoCF means noCF just accepted and every
-// component is resolved, so the priority decision is "noCF, length
-// 1") and the padded byte-wide restart-closed table with its
-// masked-pair remapping and event bit (skipped without a class-1 state,
-// when the lanes never run).
+// computeFast derives the never-serialized table the lanes walk from a
+// checked automaton: the padded byte-wide restart-closed table with its
+// masked-pair remapping and event bit (skipped with more than
+// flatStates states, when the lanes never run).
 func (f *fusedDFA) computeFast() {
-	row := &f.table[f.start]
-	for b := 0; b < 256; b++ {
-		f.nocf1[b] = f.tags[row[b]] == tagAccNoCF
-	}
 	if len(f.table) > flatStates {
 		return
 	}
+	row := &f.table[f.start]
 	f.flat = make([]uint8, flatStates*256)
 	for s := range f.table {
 		src := &f.table[s]
@@ -272,46 +260,6 @@ func reorderByClass(start int, tags []uint8, table [][256]uint16) *fusedDFA {
 		}
 	}
 	return f
-}
-
-// scan is the fused engine's inner step: one walk of the product
-// automaton from code[pos:], returning each component's earliest accept
-// length (0 = the component never accepts) — the same values the seed's
-// three sequential match calls would produce, in one pass. The walk
-// stops as soon as the priority decision is determined: a masked accept
-// wins outright; once masked can no longer accept, a recorded noCF
-// accept wins; once noCF is out too, a recorded direct accept; and a
-// state with nothing live and nothing recorded is the illegal case.
-// Quiet states skip all of that behind the state-number compare.
-func (f *fusedDFA) scan(code []byte, pos int) (lm, ln, ld int) {
-	table, tags := f.table, f.tags
-	quiet := uint16(f.quiet)
-	state := uint16(f.start)
-	off := pos
-	for off < len(code) {
-		state = table[state][code[off]]
-		off++
-		if state < quiet {
-			continue
-		}
-		tag := tags[state]
-		n := off - pos
-		if tag&tagAccMasked != 0 {
-			lm = n
-			break
-		}
-		if tag&tagAccNoCF != 0 && ln == 0 {
-			ln = n
-		}
-		if tag&tagAccDirect != 0 && ld == 0 {
-			ld = n
-		}
-		if tag&tagLiveMasked == 0 &&
-			(ln != 0 || tag&tagLiveNoCF == 0 && (ld != 0 || tag&tagLiveDirect == 0)) {
-			break
-		}
-	}
-	return lm, ln, ld
 }
 
 // validate bounds-checks a deserialized fused automaton as written, so

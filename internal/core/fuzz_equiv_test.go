@@ -102,12 +102,12 @@ func streamEdgeSeeds(f *testing.F, c *core.Checker, tile []byte) [][]byte {
 	return append(seeds, bad)
 }
 
-// FuzzFusedEquiv holds the fused engines to the reference three-DFA
-// engine on arbitrary byte strings: the default walk (four lanes with
-// the scalar rewind) and the forced scalar fused walk must each give
-// the same verdict, identical violation lists (offset, kind, detail,
-// window — byte for byte), the same uncapped total and the same
-// engine-invariant Stats, with and without the AlignedCalls extension.
+// FuzzFusedEquiv holds the fused engine to the reference three-DFA
+// engine on arbitrary byte strings: the default walk (four lanes that
+// rewind to the reference loop) must give the same verdict, identical
+// violation lists (offset, kind, detail, window — byte for byte), the
+// same uncapped total and the same engine-invariant Stats, with and
+// without the AlignedCalls extension.
 // This is the executable statement that the fusion and the lane
 // interleaving are pure performance transformations. Run longer with
 //
@@ -122,8 +122,7 @@ func FuzzFusedEquiv(f *testing.F) {
 // set: images from generator seed 53, the same edge inputs, and an
 // odd-length input shorter than one bundle. Its name dates from the
 // byte-class compacted tables, which went with the byte-pair tables;
-// the seeds still reach the lanes' scalar rewind and the short-input
-// path. Run longer with
+// the seeds still reach the lanes' rewind and the short-input path. Run longer with
 //
 //	go test -fuzz FuzzByteClassEquiv ./internal/core
 func FuzzByteClassEquiv(f *testing.F) {
@@ -207,7 +206,7 @@ func embedInFrame(img []byte) []byte {
 }
 
 // fuzzFusedAgainstReference is the check FuzzFusedEquiv and
-// FuzzByteClassEquiv share: each fused engine against EngineReference,
+// FuzzByteClassEquiv share: the fused engine against EngineReference,
 // plain and with AlignedCalls, on the input and on the input embedded
 // in a NOP frame.
 func fuzzFusedAgainstReference(f *testing.F) {
@@ -232,12 +231,12 @@ func fuzzFusedAgainstReference(f *testing.F) {
 	})
 }
 
-// engineEquiv holds the default fused engine and the scalar fused walk
-// to EngineReference under c on the input in, or with embed on the
-// input embedded in a NOP frame (embedInFrame; nothing to check if it
-// does not fit): the same verdict, identical violation lists (offset,
-// kind, detail, window), the same uncapped total and the same
-// engine-invariant Stats. Failures print in, not the frame.
+// engineEquiv holds the default fused engine to EngineReference under
+// c on the input in, or with embed on the input embedded in a NOP
+// frame (embedInFrame; nothing to check if it does not fit): the same
+// verdict, identical violation lists (offset, kind, detail, window),
+// the same uncapped total and the same engine-invariant Stats.
+// Failures print in, not the frame.
 func engineEquiv(t *testing.T, c *core.Checker, in []byte, embed bool, what string) {
 	t.Helper()
 	img := in
@@ -248,27 +247,19 @@ func engineEquiv(t *testing.T, c *core.Checker, in []byte, embed bool, what stri
 		what += fmt.Sprintf(" embedded at offset %d of a %d-byte NOP frame", laneFrameOffset, laneFrameBytes)
 	}
 	ref := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: core.EngineReference})
-	for _, eng := range []struct {
-		name string
-		e    core.EngineKind
-	}{
-		{"fused", core.EngineFused},
-		{"fused-scalar", core.EngineFusedScalar},
-	} {
-		got := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Engine: eng.e})
-		if got.Safe != ref.Safe {
-			t.Fatalf("%s %s: verdict %v, reference %v on % x", what, eng.name, got.Safe, ref.Safe, in)
-		}
-		if !reflect.DeepEqual(got.Violations, ref.Violations) || got.Total != ref.Total {
-			t.Fatalf("%s %s: reports diverged on % x\nref: %+v\ngot: %+v",
-				what, eng.name, in, ref.Violations, got.Violations)
-		}
-		// The engine-invariant Stats subset (bytes, bundles, instruction
-		// boundaries, per-kind census) must match too: a fused engine
-		// may take a different route through the bytes, but it must
-		// conclude exactly the same facts.
-		if gs, rs := got.Stats.EngineInvariant(), ref.Stats.EngineInvariant(); gs != rs {
-			t.Fatalf("%s %s: stats diverged on % x\nref: %+v\ngot: %+v", what, eng.name, in, rs, gs)
-		}
+	got := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
+	if got.Safe != ref.Safe {
+		t.Fatalf("%s: verdict %v, reference %v on % x", what, got.Safe, ref.Safe, in)
+	}
+	if !reflect.DeepEqual(got.Violations, ref.Violations) || got.Total != ref.Total {
+		t.Fatalf("%s: reports diverged on % x\nref: %+v\ngot: %+v",
+			what, in, ref.Violations, got.Violations)
+	}
+	// The engine-invariant Stats subset (bytes, bundles, instruction
+	// boundaries, per-kind census) must match too: the fused engine may
+	// take a different route through the bytes, but it must conclude
+	// exactly the same facts.
+	if gs, rs := got.Stats.EngineInvariant(), ref.Stats.EngineInvariant(); gs != rs {
+		t.Fatalf("%s: stats diverged on % x\nref: %+v\ngot: %+v", what, in, rs, gs)
 	}
 }

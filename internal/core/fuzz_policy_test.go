@@ -29,9 +29,8 @@ var fuzzPolicies = sync.OnceValues(func() ([]*core.Checker, error) {
 
 // FuzzPolicyEquiv extends the engine-equivalence property to
 // runtime-compiled policies: for each shipped policy (NaCl-32,
-// NaCl-16, REINS-style), the reference three-DFA loop, the scalar
-// fused walk and the default lane walk must produce byte-identical
-// reports on arbitrary inputs, both as given (mostly under four
+// NaCl-16, REINS-style), the reference three-DFA loop and the default
+// lane walk must produce byte-identical reports on arbitrary inputs, both as given (mostly under four
 // bundles: the single-lane walk) and embedded in a NOP frame (the
 // four-lane lockstep walk, its seams at the same offsets under every
 // bundle size). This is the executable statement that

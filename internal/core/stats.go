@@ -47,7 +47,7 @@ type Stats struct {
 	// Shards is the stage-1 shard count.
 	Shards int64 `json:"shards"`
 	// Engine names the stage-1 stepper the run used ("lanes",
-	// "fused-scalar", "reference", or "cache" for a cache serve) — the
+	// "reference", or "cache" for a cache serve) — the
 	// per-run face of the engine census. It describes how the bytes
 	// were matched, not what was concluded, so EngineInvariant blanks
 	// it alongside the parse-mode counters.
@@ -60,15 +60,14 @@ type Stats struct {
 	// it; ROADMAP.md's benchmark-notes item removes it with the
 	// benchmark's next change.
 	SWARBatches int64 `json:"swar_batches"`
-	// ScalarFallbacks counts shards parsed by a scalar loop without a
+	// ScalarFallbacks counts shards the Figure-5 loop parsed without a
 	// lane attempt: a shard with no whole bundle (only an image's last
 	// shard can be one), every shard of a checker whose bundle is over
-	// 64 bytes, and every shard under the fused-scalar and reference
-	// engines.
+	// 64 bytes, and every shard under the reference engine.
 	ScalarFallbacks int64 `json:"scalar_fallbacks"`
 	// Restarts counts shards where the lane parse found an
-	// irregularity, erased its optimistic writes, and the canonical
-	// scalar loop re-parsed the shard from the start.
+	// irregularity, erased its optimistic writes, and the Figure-5 loop
+	// re-parsed the shard from the start.
 	Restarts int64 `json:"restarts"`
 	// ContainedPanics counts stage-1 shard panics converted to
 	// InternalFault violations (always 0 unless something is wrong).
@@ -230,8 +229,8 @@ func init() {
 	coreMetrics.bundles = r.NewCounter("rocksalt_verify_bundles_total", "32-byte bundles processed")
 	coreMetrics.shards = r.NewCounter("rocksalt_verify_shards_total", "stage-1 shards parsed")
 	coreMetrics.laneBatches = r.NewCounter("rocksalt_verify_lane_batches_total", "shards proved regular by the 4-lane parser")
-	coreMetrics.scalarFallbacks = r.NewCounter("rocksalt_verify_scalar_fallbacks_total", "shards parsed scalar without a lane attempt")
-	coreMetrics.restarts = r.NewCounter("rocksalt_verify_restarts_total", "lane parses erased and re-parsed scalar")
+	coreMetrics.scalarFallbacks = r.NewCounter("rocksalt_verify_scalar_fallbacks_total", "shards the reference loop parsed without a lane attempt")
+	coreMetrics.restarts = r.NewCounter("rocksalt_verify_restarts_total", "lane parses erased and re-parsed by the reference loop")
 	coreMetrics.containedPanics = r.NewCounter("rocksalt_verify_contained_panics_total", "stage-1 shard panics contained as InternalFault")
 	coreMetrics.cacheWholeHits = r.NewCounter("rocksalt_cache_whole_hits_total", "runs answered entirely from the verdict cache")
 	coreMetrics.cacheChunkHits = r.NewCounter("rocksalt_cache_chunk_hits_total", "64KiB chunks restored from the verdict cache")
@@ -252,8 +251,7 @@ func init() {
 	coreMetrics.reconcileNanos = r.NewLabeledHistogram("rocksalt_stage_duration_ns", stageHelp, "stage", "reconcile")
 	coreMetrics.jumpsNanos = r.NewLabeledHistogram("rocksalt_stage_duration_ns", stageHelp, "stage", "jumps")
 	coreMetrics.engineNanos = map[string]*telemetry.Histogram{}
-	engines := []flight.Engine{flight.EngineLanes, flight.EngineScalar,
-		flight.EngineReference, flight.EngineCache}
+	engines := []flight.Engine{flight.EngineLanes, flight.EngineReference, flight.EngineCache}
 	for _, e := range engines {
 		coreMetrics.engineNanos[e.String()] = r.NewLabeledHistogram("rocksalt_engine_duration_ns",
 			"wall time per verification run, by resolved engine", "engine", e.String())

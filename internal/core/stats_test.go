@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rocksalt/internal/core"
+	"rocksalt/internal/flight"
 	"rocksalt/internal/nacl"
 	"rocksalt/internal/telemetry"
 	"rocksalt/internal/vcache"
@@ -64,7 +65,8 @@ func TestStatsDeterministic(t *testing.T) {
 // TestStatsEngineModes pins the lane/scalar/restart classification: a
 // large compliant image goes through the lane batches, the reference
 // engine is all scalar fallbacks, and a violating image forces lane
-// restarts (erase + scalar re-parse).
+// restarts (erase + re-parse by the Figure-5 loop), whose shard spans
+// name the reference engine.
 func TestStatsEngineModes(t *testing.T) {
 	c := checker(t)
 	gen := nacl.NewGenerator(56)
@@ -95,12 +97,30 @@ func TestStatsEngineModes(t *testing.T) {
 
 	bad := append([]byte(nil), img...)
 	bad[0] = 0xc3 // RET at an instruction start is always illegal
+	r := installRecorder(t)
 	badRep := c.VerifyWith(bad, core.VerifyOptions{Workers: 1})
 	if badRep.Safe {
 		t.Fatal("tampered image accepted")
 	}
-	if badRep.Stats.Restarts == 0 {
-		t.Error("violating shard did not record a lane restart")
+	if badRep.Stats.Restarts != 1 {
+		t.Errorf("violating shard recorded %d lane restarts, want 1", badRep.Stats.Restarts)
+	}
+	var spans int64
+	for _, ev := range r.Snapshot() {
+		if ev.Kind != flight.SpanShard {
+			continue
+		}
+		spans++
+		want := flight.EngineLanes
+		if ev.Shard == 0 {
+			want = flight.EngineReference
+		}
+		if ev.Engine != want {
+			t.Errorf("shard %d span engine %v, want %v", ev.Shard, ev.Engine, want)
+		}
+	}
+	if spans != badRep.Stats.Shards {
+		t.Errorf("%d shard spans, want %d", spans, badRep.Stats.Shards)
 	}
 	if badRep.Stats.ViolationsByKind[core.IllegalInstruction] == 0 {
 		t.Error("per-kind census missed the illegal instruction")

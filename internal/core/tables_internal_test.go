@@ -66,8 +66,9 @@ func chainDFA(b byte, k int) *grammar.DFA {
 
 // TestLargeAutomatonVerifiesScalar: the lanes walk a flat table of at
 // most flatStates states. A bundle whose fused product is larger — here
-// a 200-byte noCF chain — still loads, gets no flat table, and verifies
-// on the scalar path with the verdicts of the reference engine.
+// a 200-byte noCF chain — still loads, gets no flat table, and the
+// reference loop parses every shard, with the verdicts of the
+// reference engine.
 func TestLargeAutomatonVerifiesScalar(t *testing.T) {
 	set := &DFASet{MaskedJump: chainDFA(0xff, 1), NoControlFlow: chainDFA(0x00, 200), DirectJump: chainDFA(0xfe, 1)}
 	var b bytes.Buffer
@@ -89,7 +90,7 @@ func TestLargeAutomatonVerifiesScalar(t *testing.T) {
 			t.Errorf("%d zero bytes: default engine Safe=%v, reference Safe=%v", len(code), got.Safe, ref.Safe)
 		}
 		if got.Stats.LaneBatches != 0 || got.Stats.ScalarFallbacks+got.Stats.Restarts != got.Stats.Shards {
-			t.Errorf("%d zero bytes: parse modes %+v, want every shard scalar", len(code), got.Stats)
+			t.Errorf("%d zero bytes: parse modes %+v, want every shard on the reference loop", len(code), got.Stats)
 		}
 	}
 }

@@ -113,7 +113,6 @@ type Engine uint8
 const (
 	EngineNone Engine = iota
 	EngineLanes
-	EngineScalar
 	EngineReference
 	EngineCache
 
@@ -121,7 +120,7 @@ const (
 )
 
 var engineNames = [numEngines]string{
-	"", "lanes", "fused-scalar", "reference", "cache",
+	"", "lanes", "reference", "cache",
 }
 
 func (e Engine) String() string {

@@ -15,7 +15,7 @@ func TestRecordSnapshotRoundTrip(t *testing.T) {
 	run := r.BeginRun()
 	events := []Event{
 		{Kind: SpanRun, Engine: EngineLanes, Run: run, Start: 100, Dur: 900, Bytes: 1 << 20},
-		{Kind: SpanShard, Engine: EngineScalar, Worker: 3, Shard: 7, Run: run, Start: 150, Dur: 40, Bytes: 16384},
+		{Kind: SpanShard, Engine: EngineReference, Worker: 3, Shard: 7, Run: run, Start: 150, Dur: 40, Bytes: 16384},
 		{Kind: EventChunkMiss, Engine: EngineCache, Worker: 1, Shard: 2, Run: run, Start: 120},
 	}
 	for _, ev := range events {
@@ -165,7 +165,7 @@ func TestWritePostmortem(t *testing.T) {
 		TableBundle:       "RSLT4",
 		Spans: []Event{
 			{Kind: SpanShard, Engine: EngineLanes, Shard: 0, Start: 10, Dur: 20},
-			{Kind: SpanShard, Engine: EngineScalar, Shard: 1, Start: 30, Dur: 40},
+			{Kind: SpanShard, Engine: EngineReference, Shard: 1, Start: 30, Dur: 40},
 			{Kind: EventCacheServe, Engine: EngineCache, Start: 50},
 		},
 	}
@@ -188,7 +188,7 @@ func TestWritePostmortem(t *testing.T) {
 		t.Errorf("bundle identity fields wrong: %v", got)
 	}
 	census, _ := got["engine_census"].(map[string]any)
-	if census["lanes"] != 1.0 || census["fused-scalar"] != 1.0 || census["cache"] != 1.0 {
+	if census["lanes"] != 1.0 || census["reference"] != 1.0 || census["cache"] != 1.0 {
 		t.Errorf("engine census wrong: %v", census)
 	}
 	if spans, _ := got["spans"].([]any); len(spans) != 3 {
