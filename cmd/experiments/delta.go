@@ -10,7 +10,6 @@ import (
 
 	"rocksalt/internal/core"
 	"rocksalt/internal/nacl"
-	"rocksalt/internal/vcache"
 )
 
 // deltaChunk mirrors the engine's retained-chunk granularity (64 KiB,
@@ -22,10 +21,9 @@ const deltaChunk = 64 << 10
 // VerifyDelta round as a function of edit size on a large image,
 // against the cold full verify it replaces. It cross-checks every
 // delta verdict against a from-scratch run on the same bytes, times
-// the bounded-window streaming verifier on the same image, exercises
-// the vcache store-back satellite, writes host-stamped
-// BENCH_delta.json with the headline delta_speedup (4 KiB edit vs
-// cold full verify), and under -quick exits nonzero if any
+// the bounded-window streaming verifier on the same image, writes
+// host-stamped BENCH_delta.json with the headline delta_speedup (4 KiB
+// edit vs cold full verify), and under -quick exits nonzero if any
 // machine-invariant criterion fails.
 func benchDelta() {
 	header("delta", "incremental re-verification cost vs edit size (extension)",
@@ -168,18 +166,6 @@ func benchDelta() {
 		}
 	}
 
-	// Store-back satellite: a fresh delta round with a cache attached
-	// must warm the ordinary chunked path completely.
-	cache := vcache.New(256 << 20)
-	if _, _, err := c.VerifyDeltaWith(pristine, nil, nil, core.VerifyOptions{Workers: 1, Cache: cache}); err != nil {
-		panic(err)
-	}
-	warm := c.VerifyWith(pristine, core.VerifyOptions{Workers: 1, Cache: cache})
-	wantHits := int64(len(pristine)/deltaChunk - 1) // the final chunk is never cached
-	storeBackOK := warm.Safe && warm.Stats.CacheChunkHits == wantHits && warm.Stats.CacheChunkMisses == 0
-	fmt.Printf("   store-back: warm run hit %d/%d chunks, %d misses (hit ratio %.0f%%)\n",
-		warm.Stats.CacheChunkHits, wantHits, warm.Stats.CacheChunkMisses, 100*warm.Stats.ChunkHitRatio())
-
 	out := struct {
 		GeneratedBy  string   `json:"generated_by"`
 		Quick        bool     `json:"quick"`
@@ -192,7 +178,6 @@ func benchDelta() {
 		StreamMBPerS float64  `json:"stream_mb_per_s"`
 		Rows         []row    `json:"results"`
 		DeltaSpeedup float64  `json:"delta_speedup"`
-		StoreBackOK  bool     `json:"store_back_ok"`
 	}{
 		GeneratedBy:  "go run ./cmd/experiments -run delta",
 		Quick:        *quick,
@@ -205,7 +190,6 @@ func benchDelta() {
 		StreamMBPerS: mb / streamD.Seconds(),
 		Rows:         rows,
 		DeltaSpeedup: speedup,
-		StoreBackOK:  storeBackOK,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -218,17 +202,17 @@ func benchDelta() {
 		len(pristine)>>20, speedup)
 
 	// Machine-invariant criteria: every delta verdict byte-identical to
-	// the full run, a 1-byte edit reparsing at most its chunk and a
+	// the full run, and a 1-byte edit reparsing at most its chunk and a
 	// possible overhang neighbor (the final chunk replays like any
-	// other), and store-back complete.
-	ok := allEqual && oneByteChunks > 0 && oneByteChunks <= 2 && storeBackOK
+	// other).
+	ok := allEqual && oneByteChunks > 0 && oneByteChunks <= 2
 	if *quick {
-		fmt.Printf("   verdict: %s (quick: delta == full on every edit, 1 B edit <= 2 chunks, store-back complete)\n", pass(ok))
+		fmt.Printf("   verdict: %s (quick: delta == full on every edit, 1 B edit <= 2 chunks)\n", pass(ok))
 		if !ok {
 			os.Exit(1)
 		}
 		return
 	}
 	full := ok && speedup >= 50
-	fmt.Printf("   verdict: %s (delta == full, 1 B edit <= 2 chunks, store-back complete, 4 KiB edit >= 50x cold)\n", pass(full))
+	fmt.Printf("   verdict: %s (delta == full, 1 B edit <= 2 chunks, 4 KiB edit >= 50x cold)\n", pass(full))
 }

@@ -88,8 +88,8 @@ func benchStride() {
 	fmt.Printf("   %-22s %27.1f allocs/op\n", "Verify (lean, no cache)", leanAllocs)
 
 	// Verdict cache: cold (hash + parse + store), warm with rehash (hash
-	// + whole-image hit), warm keyed (lookup only — the caller holds the
-	// key from a prior Report).
+	// + whole-image hit; the trend gate tracks its MB/s), warm keyed
+	// (lookup only — the caller holds the key from a prior Report).
 	cache := vcache.New(256 << 20)
 	copts := core.VerifyOptions{Workers: 1, Cache: cache}
 	rep := c.VerifyWith(img, copts)
@@ -115,7 +115,7 @@ func benchStride() {
 	uncachedNs := fused.NsPerOp
 	rehashSpeedup := uncachedNs / float64(warmRehash.Nanoseconds())
 	keyedSpeedup := uncachedNs / float64(warmKeyed.Nanoseconds())
-	fmt.Printf("   warm re-verify (rehash) %v  %.1fx vs uncached\n", warmRehash, rehashSpeedup)
+	fmt.Printf("   warm re-verify (rehash) %v  %.1f MB/s, %.1fx vs uncached\n", warmRehash, mb/warmRehash.Seconds(), rehashSpeedup)
 	fmt.Printf("   warm re-verify (keyed)  %v  %.0fx vs uncached\n", warmKeyed, keyedSpeedup)
 
 	// The recorded sequential fused baseline this work is judged against

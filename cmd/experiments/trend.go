@@ -42,7 +42,7 @@ type trendMetric struct {
 // the repo promises not to silently lose.
 var trackedMetrics = []trendMetric{
 	{"fused_mb_per_s", true},
-	{"warm_cache_speedup", true},
+	{"warm_rehash_mb_per_s", true},
 	{"telemetry_overhead_pct", false},
 	{"recorder_overhead_pct", false},
 	{"delta_speedup", true},
@@ -147,8 +147,12 @@ func parseBench(path, name string, data []byte) (benchPoint, error) {
 				}
 			}
 		}
-		if v, ok := num("warm_rehash_speedup"); ok {
-			p.Metrics["warm_cache_speedup"] = v
+		// The rehash hit's own throughput (image bytes over its time): a
+		// ratio to the uncached verify would read a faster verify as a
+		// slower cache.
+		size, okb := num("bytes")
+		if ns, ok := num("warm_rehash_ns"); ok && okb && ns > 0 {
+			p.Metrics["warm_rehash_mb_per_s"] = size / ns * 1e3
 		}
 	case "delta":
 		if v, ok := num("delta_speedup"); ok {

@@ -14,18 +14,19 @@ func writeBench(t *testing.T, dir, name, body string) {
 	}
 }
 
-// strideDoc renders a minimal BENCH_stride.json with the given fused
-// throughput and timestamp.
-func strideDoc(stamp string, fusedMBs, warm float64) string {
+// strideDoc renders a minimal BENCH_stride.json with the given
+// timestamp, fused throughput and warm-rehash time over a 2 MB image.
+func strideDoc(stamp string, fusedMBs, rehashNs float64) string {
 	return fmt.Sprintf(`{
   "quick": false,
   "host": {"cpu_model": "TestCPU", "num_cpu": 1, "goos": "linux", "goarch": "amd64", "timestamp": %q},
+  "bytes": 2000000,
   "results": [
     {"name": "fused (default)", "mb_per_s": %g},
     {"name": "reference", "mb_per_s": 100}
   ],
-  "warm_rehash_speedup": %g
-}`, stamp, fusedMBs, warm)
+  "warm_rehash_ns": %g
+}`, stamp, fusedMBs, rehashNs)
 }
 
 // TestTrendDetectsInjectedRegression: two points on the same host where
@@ -35,12 +36,12 @@ func TestTrendDetectsInjectedRegression(t *testing.T) {
 	dir := t.TempDir()
 	// History lives beside the current file under distinct names — the
 	// collector matches any BENCH_*.json.
-	writeBench(t, dir, "BENCH_stride.json", strideDoc("2026-08-07T10:00:00Z", 250, 3.0))
+	writeBench(t, dir, "BENCH_stride.json", strideDoc("2026-08-07T10:00:00Z", 250, 1.6e6))
 	old := filepath.Join(dir, "history")
 	if err := os.Mkdir(old, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	writeBench(t, old, "BENCH_stride.json", strideDoc("2026-08-01T10:00:00Z", 360, 3.9))
+	writeBench(t, old, "BENCH_stride.json", strideDoc("2026-08-01T10:00:00Z", 360, 1.25e6))
 
 	points, err := collectBench(dir)
 	if err != nil {
@@ -57,11 +58,11 @@ func TestTrendDetectsInjectedRegression(t *testing.T) {
 		}
 		got[r.Metric] = r.Regressed
 	}
-	// fused dropped 360 -> 250 (-31%): regression. warm 3.9 -> 3.0
-	// (-23%): regression.
+	// fused dropped 360 -> 250 (-31%): regression. The warm rehash
+	// slowed from 1.25 to 1.6 ms, 1600 -> 1250 MB/s (-22%): regression.
 	for metric, want := range map[string]bool{
-		"fused_mb_per_s":     true,
-		"warm_cache_speedup": true,
+		"fused_mb_per_s":       true,
+		"warm_rehash_mb_per_s": true,
 	} {
 		if got[metric] != want {
 			t.Errorf("%s regressed = %v, want %v (rows %+v)", metric, got[metric], want, rows)
@@ -112,7 +113,7 @@ func TestTrendOverheadMetricAbsoluteMargin(t *testing.T) {
 // series, and points from different hosts never judge each other.
 func TestTrendSkipsQuickAndForeignHosts(t *testing.T) {
 	dir := t.TempDir()
-	writeBench(t, dir, "BENCH_stride.json", strideDoc("2026-08-07T10:00:00Z", 250, 3.0))
+	writeBench(t, dir, "BENCH_stride.json", strideDoc("2026-08-07T10:00:00Z", 250, 1.6e6))
 	sub := filepath.Join(dir, "a")
 	if err := os.Mkdir(sub, 0o755); err != nil {
 		t.Fatal(err)
@@ -121,16 +122,18 @@ func TestTrendSkipsQuickAndForeignHosts(t *testing.T) {
 	quick := `{
   "quick": true,
   "host": {"cpu_model": "TestCPU", "num_cpu": 1, "goos": "linux", "goarch": "amd64", "timestamp": "2026-08-01T10:00:00Z"},
+  "bytes": 2000000,
   "results": [{"name": "fused (default)", "mb_per_s": 9000}],
-  "warm_rehash_speedup": 99
+  "warm_rehash_ns": 1000
 }`
 	writeBench(t, sub, "BENCH_stride.json", quick)
 	// Same metrics from a different host: separate series.
 	foreign := `{
   "quick": false,
   "host": {"cpu_model": "OtherCPU", "num_cpu": 64, "goos": "linux", "goarch": "arm64", "timestamp": "2026-08-02T10:00:00Z"},
+  "bytes": 2000000,
   "results": [{"name": "fused (default)", "mb_per_s": 8000}],
-  "warm_rehash_speedup": 50
+  "warm_rehash_ns": 2000
 }`
 	sub2 := filepath.Join(dir, "b")
 	if err := os.Mkdir(sub2, 0o755); err != nil {

@@ -31,11 +31,13 @@
 // the -stats/-json engine field ("lanes" or "reference"). Anything
 // else exits 2.
 //
-// -cache N attaches an N-MiB content-addressed verdict cache for the
-// process lifetime and reports the image's content key. One-shot runs
-// mostly pay for the hashing; the flag is the CLI surface of the same
-// engine feature a long-lived embedder would use across many Verify
-// calls, and -stats/-json expose its hit/miss counters.
+// -cache N attaches an N-MiB content-addressed whole-image verdict
+// cache for the process lifetime and reports the image's content key,
+// the key an embedder hands back to skip the hashing pass. A one-shot
+// run always misses and pays for the hashing; the flag is the CLI
+// surface of the engine feature a long-lived embedder uses across many
+// Verify calls, and -stats/-json report a hit (cache_whole_hits,
+// cache_bytes_saved) when there is one. -delta and -stream ignore it.
 //
 // -delta old.bin verifies file.bin incrementally: it first verifies
 // old.bin (the previous revision of the image) to build the retained
@@ -50,11 +52,10 @@
 // with -delta.
 //
 // -stats prints the per-run engine record (bytes, bundles, instruction
-// boundaries, shard parse modes, cache effectiveness with the chunk
-// hit-ratio, delta reuse counters, per-stage wall times); -json
-// switches the whole verdict to a machine-readable JSON object on
-// stdout (including the cache_key under -cache and the chunk_hit_ratio
-// under -cache/-delta).
+// boundaries, shard parse modes, a cache hit, delta reuse counters,
+// per-stage wall times); -json switches the whole verdict to a
+// machine-readable JSON object on stdout (including the cache_key
+// under -cache and the chunk_hit_ratio under -delta).
 // -metrics-addr serves Prometheus metrics on /metrics, expvar on
 // /debug/vars and the pprof profiles on /debug/pprof/ for the life of
 // the process (use -linger to keep serving after the verdict, e.g. to
@@ -162,9 +163,8 @@ type jsonVerdict struct {
 	Total      int             `json:"total_violations"`
 	Violations []jsonViolation `json:"violations,omitempty"`
 	Stats      core.Stats      `json:"stats"`
-	// ChunkHitRatio is chunk-grade reuse effectiveness: cache chunk
-	// hits (under -cache) plus delta chunk replays (under -delta) over
-	// all chunk-grade opportunities; 0 when neither layer ran.
+	// ChunkHitRatio is the share of chunks a -delta round replayed from
+	// the retained state (Stats.ChunkHitRatio); 0 without -delta.
 	ChunkHitRatio float64 `json:"chunk_hit_ratio"`
 	CacheKey      string  `json:"cache_key,omitempty"`
 	ElapsedNS     int64   `json:"elapsed_ns"`

@@ -190,6 +190,45 @@ func TestDeltaStateFootprint(t *testing.T) {
 	}
 }
 
+// maxRejectedVerifyFootprint bounds the bytes one VerifyWith of a
+// heavily rejected image allocates: its Report with the capped
+// violations, and stage 2's working set.
+const maxRejectedVerifyFootprint = 1 << 20
+
+// TestRejectedVerifyFootprint pins the cost of diagnosing an image that
+// violates everywhere: a 4 MiB NOP image with an HLT at every shard
+// start leaves 130,816 bundle boundaries unreached, but the report keeps
+// 64 violations, so stage 2 builds the 256 shard-local ones and only the
+// first 64 of the rest. The mean bytes allocated per one-worker
+// VerifyWith stay within maxRejectedVerifyFootprint; a stage 2 that
+// builds a violation per unreached boundary allocates about 50 MB.
+func TestRejectedVerifyFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the bound only holds in normal builds")
+	}
+	c := checker(t)
+	img := bytes.Repeat([]byte{0x90}, 4<<20)
+	for s := 0; s < len(img); s += core.ShardBytes {
+		img[s] = 0xf4 // HLT
+	}
+	opts := core.VerifyOptions{Workers: 1}
+	if rep := c.VerifyWith(img, opts); rep.Safe || rep.Total != len(img)/core.BundleSize {
+		t.Fatalf("HLT image: safe=%v total=%d, want rejected with %d violations", rep.Safe, rep.Total, len(img)/core.BundleSize)
+	}
+	const n = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		c.VerifyWith(img, opts)
+	}
+	runtime.ReadMemStats(&after)
+	if mean := (after.TotalAlloc - before.TotalAlloc) / n; mean > maxRejectedVerifyFootprint {
+		t.Errorf("VerifyWith of the HLT image allocated %d bytes per call, want <= %d", mean, maxRejectedVerifyFootprint)
+	} else {
+		t.Logf("VerifyWith of the HLT image allocated %d bytes per call", mean)
+	}
+}
+
 // maxCheckerFootprint bounds the bytes one NewCheckerFromTables call on
 // the embedded bundle allocates: the loaded tables, the product check's
 // working set and the derived restart-closed and flat tables.

@@ -26,7 +26,8 @@ func (c *Checker) Analyze(code []byte) (valid, pairJmp []bool, ok bool) {
 
 // AnalyzeWith is VerifyWith plus the instruction-boundary bitmap and
 // masked-pair jump positions (see Analyze for their meaning). The
-// bitmaps are only meaningful when the report is Safe.
+// bitmaps are only meaningful when the report is Safe. opts.Cache is
+// ignored: a cached Report carries no bitmaps, so every call parses.
 func (c *Checker) AnalyzeWith(code []byte, opts VerifyOptions) (valid, pairJmp []bool, rep *Report) {
 	return c.AnalyzeContext(context.Background(), code, opts)
 }
@@ -38,14 +39,7 @@ func (c *Checker) AnalyzeContext(ctx context.Context, code []byte, opts VerifyOp
 	sc := getScratch(len(code), shardCount(len(code)))
 	defer putScratch(sc)
 	var st Stats
-	// Analyze uses the chunk layer only: a whole-image Report hit would
-	// skip filling the bitmap this entry point exists to return.
-	var cc *cacheCtx
-	if opts.Cache != nil && c.fused != nil {
-		_, chunks := c.cacheKeys(code)
-		cc = &cacheCtx{cache: opts.Cache, keys: chunks}
-	}
-	rep = c.report(c.run(ctx, code, opts, sc, &st, cc), len(code))
+	rep = c.report(c.run(ctx, code, opts, sc, &st), len(code))
 	rep.Stats = st
 	return sc.valid.Bools(), c.pairJumps(code, &sc.valid), rep
 }

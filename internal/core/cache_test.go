@@ -9,8 +9,8 @@ import (
 	"rocksalt/internal/vcache"
 )
 
-// cacheImage builds a compliant multi-chunk image (several 64KiB cache
-// chunks) so the chunk layer has something to do.
+// cacheImage builds a compliant image of several 64 KiB chunks, so a
+// delta round has chunks to replay and an edit has neighbours.
 func cacheImage(t *testing.T, seed int64, insns int) []byte {
 	t.Helper()
 	img, err := nacl.NewGenerator(seed).Random(insns)
@@ -18,7 +18,7 @@ func cacheImage(t *testing.T, seed int64, insns int) []byte {
 		t.Fatal(err)
 	}
 	if len(img) < 3*64<<10 {
-		t.Fatalf("generated image too small for chunk tests: %d bytes", len(img))
+		t.Fatalf("generated image too small for multi-chunk tests: %d bytes", len(img))
 	}
 	return img
 }
@@ -42,7 +42,8 @@ func sameVerdict(t *testing.T, got, want *core.Report, what string) {
 // verdict, through the content key and through a caller-held key, on
 // a safe image and on a rejected one. The cache shares no memory with
 // the reports it hands out: editing the cold report, or a served one,
-// in place never changes what a later hit returns.
+// in place never changes what a later hit returns. AnalyzeWith ignores
+// the warm cache: it parses, so its bitmaps are the uncached ones.
 func TestCacheWholeImageHit(t *testing.T) {
 	c := checker(t)
 	safe := cacheImage(t, 1, 60000)
@@ -93,6 +94,16 @@ func TestCacheWholeImageHit(t *testing.T) {
 			if keyed.Stats.CacheWholeHits != 1 {
 				t.Fatal("keyed run missed")
 			}
+
+			wantValid, wantPair, _ := c.AnalyzeWith(img, core.VerifyOptions{Workers: 1})
+			valid, pair, arep := c.AnalyzeWith(img, opts)
+			sameVerdict(t, arep, want, "Analyze with the warm cache")
+			if arep.Stats.CacheWholeHits != 0 {
+				t.Fatal("Analyze took a whole-image hit (it has bitmaps to fill)")
+			}
+			if !reflect.DeepEqual(valid, wantValid) || !reflect.DeepEqual(pair, wantPair) {
+				t.Fatal("Analyze with the warm cache returned bitmaps that differ from uncached")
+			}
 		})
 	}
 }
@@ -105,62 +116,6 @@ func scribble(rep *core.Report) {
 		if len(rep.Violations[i].Window) > 0 {
 			rep.Violations[i].Window[0] ^= 0xff
 		}
-	}
-}
-
-func TestCacheChunkReuseAfterEdit(t *testing.T) {
-	c := checker(t)
-	img := cacheImage(t, 2, 60000)
-	cache := vcache.New(64 << 20)
-	opts := core.VerifyOptions{Workers: 1, Cache: cache}
-
-	if rep := c.VerifyWith(img, opts); !rep.Safe {
-		t.Fatalf("generated image not safe: %v", rep.Err())
-	}
-
-	// Corrupt one byte in the middle of the last cacheable chunk — and
-	// keep flipping until the image actually rejects (a lone flip can
-	// land on another valid encoding). Every untouched chunk must come
-	// back from the cache; the verdict must be byte-identical to an
-	// uncached verification of the edited image.
-	edited := append([]byte(nil), img...)
-	var want *core.Report
-	for editAt := 2*64<<10 + 300; ; editAt++ {
-		edited[editAt] ^= 0xff
-		if want = c.VerifyWith(edited, core.VerifyOptions{Workers: 1}); !want.Safe {
-			break
-		}
-		edited[editAt] ^= 0xff
-	}
-	got := c.VerifyWith(edited, opts)
-	sameVerdict(t, got, want, "edited image via chunk cache")
-	if got.Stats.CacheWholeHits != 0 {
-		t.Fatal("edited image claimed a whole-image hit")
-	}
-	if got.Stats.CacheChunkHits == 0 {
-		t.Fatalf("no chunk hits on a one-byte edit: %+v", got.Stats)
-	}
-	if got.Stats.CacheChunkMisses == 0 {
-		t.Fatalf("the edited chunk should have missed: %+v", got.Stats)
-	}
-	if got.Stats.CacheBytesSaved != got.Stats.CacheChunkHits*64<<10 {
-		t.Fatalf("bytes saved %d inconsistent with %d chunk hits",
-			got.Stats.CacheBytesSaved, got.Stats.CacheChunkHits)
-	}
-
-	// Parallel workers must reach the same verdict with the same cache.
-	gotPar := c.VerifyWith(edited, core.VerifyOptions{Workers: 8, Cache: cache})
-	sameVerdict(t, gotPar, want, "edited image, parallel workers")
-
-	// A violating chunk is never stored: re-verifying the edited image
-	// after evicting its whole-image report must re-miss that chunk.
-	// (Fresh cache isolates the property.)
-	fresh := vcache.New(64 << 20)
-	r1 := c.VerifyWith(edited, core.VerifyOptions{Workers: 1, Cache: fresh})
-	r2 := c.VerifyWith(edited, core.VerifyOptions{Workers: 1, Cache: fresh})
-	sameVerdict(t, r2, want, "rejected image re-verified")
-	if r1.Safe || r2.Stats.CacheWholeHits != 1 {
-		t.Fatalf("rejected whole-image reports should still be cached: %+v", r2.Stats)
 	}
 }
 
@@ -203,85 +158,9 @@ func TestCacheConfigSeparation(t *testing.T) {
 	}
 }
 
-func TestCacheAnalyzeChunkLayer(t *testing.T) {
-	c := checker(t)
-	img := cacheImage(t, 4, 60000)
-	cache := vcache.New(64 << 20)
-	opts := core.VerifyOptions{Workers: 1, Cache: cache}
-
-	wantValid, wantPair, wantRep := c.AnalyzeWith(img, core.VerifyOptions{Workers: 1})
-	v1, p1, r1 := c.AnalyzeWith(img, opts)
-	v2, p2, r2 := c.AnalyzeWith(img, opts)
-	if r2.Stats.CacheChunkHits == 0 {
-		t.Fatalf("warm Analyze used no chunk hits: %+v", r2.Stats)
-	}
-	if r2.Stats.CacheWholeHits != 0 {
-		t.Fatal("Analyze must not take the whole-image path (it has bitmaps to fill)")
-	}
-	sameVerdict(t, r1, wantRep, "cold cached Analyze")
-	sameVerdict(t, r2, wantRep, "warm cached Analyze")
-	if !reflect.DeepEqual(v1, wantValid) || !reflect.DeepEqual(v2, wantValid) {
-		t.Fatal("cached Analyze boundary bitmap differs from uncached")
-	}
-	if !reflect.DeepEqual(p1, wantPair) || !reflect.DeepEqual(p2, wantPair) {
-		t.Fatal("cached Analyze pairJmp bitmap differs from uncached")
-	}
-}
-
-// TestCacheBadTargetReplay pins the subtlest chunk-cache invariant: a
-// chunk with no shard-local violation is stored and replayed, but its
-// shards may have proven in-shard jump targets bad — a fact that only
-// becomes a TargetNotBoundary violation at reconcile. The replay must
-// carry those bad targets, or a warm run would accept an image the cold
-// run rejects.
-func TestCacheBadTargetReplay(t *testing.T) {
-	c := checker(t)
-	// Three full 64KiB chunks of NOPs plus a tail, with one direct jump
-	// in chunk 0 whose target (offset 2) is inside the jump instruction
-	// itself: no shard-local violation, but reconcile must reject.
-	img := make([]byte, 3*64<<10+64)
-	for i := range img {
-		img[i] = 0x90
-	}
-	img[0] = 0xe9 // jmp rel32 to offset 2 = 5 + (-3)
-	rel := int32(-3)
-	img[1], img[2], img[3], img[4] = byte(rel), byte(rel>>8), byte(rel>>16), byte(rel>>24)
-
-	want := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
-	if want.Safe {
-		t.Fatal("jump into an instruction should reject")
-	}
-	if len(want.Violations) == 0 || want.Violations[0].Kind != core.TargetNotBoundary {
-		t.Fatalf("expected TargetNotBoundary, got %+v", want.Violations)
-	}
-
-	cache := vcache.New(64 << 20)
-	opts := core.VerifyOptions{Workers: 1, Cache: cache}
-	cold := c.VerifyWith(img, opts)
-	sameVerdict(t, cold, want, "cold run")
-
-	// Change only the non-cacheable tail so the whole-image key misses
-	// while every chunk key still hits; the replayed chunk 0 must carry
-	// its bad target into reconcile.
-	edited := append([]byte(nil), img...)
-	edited[len(edited)-1] = 0x50 // push eax: safe, single byte
-	want2 := c.VerifyWith(edited, core.VerifyOptions{Workers: 1})
-	warm := c.VerifyWith(edited, opts)
-	sameVerdict(t, warm, want2, "warm run with replayed bad target")
-	if warm.Stats.CacheWholeHits != 0 {
-		t.Fatal("tail edit should have missed the whole-image layer")
-	}
-	if warm.Stats.CacheChunkHits == 0 {
-		t.Fatalf("no chunk hits on a tail-only edit: %+v", warm.Stats)
-	}
-	if warm.Safe || len(warm.Violations) == 0 || warm.Violations[0].Kind != core.TargetNotBoundary {
-		t.Fatalf("replayed run lost the bad target: %+v", warm.Violations)
-	}
-}
-
+// TestCacheSmallImageAndTail: an image smaller than one shard, all of
+// it the final (tail) chunk, caches and hits like any other.
 func TestCacheSmallImageAndTail(t *testing.T) {
-	// Images smaller than one chunk exercise only the whole-image layer;
-	// the final chunk of any image is never chunk-cached.
 	c := checker(t)
 	img, err := nacl.NewGenerator(5).Random(50)
 	if err != nil {
@@ -292,8 +171,8 @@ func TestCacheSmallImageAndTail(t *testing.T) {
 	want := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
 	first := c.VerifyWith(img, opts)
 	sameVerdict(t, first, want, "small image cold")
-	if first.Stats.CacheChunkHits != 0 || first.Stats.CacheChunkMisses != 0 {
-		t.Fatalf("sub-chunk image touched the chunk layer: %+v", first.Stats)
+	if first.Stats.CacheWholeHits != 0 {
+		t.Fatal("small image hit an empty cache")
 	}
 	second := c.VerifyWith(img, opts)
 	sameVerdict(t, second, want, "small image warm")

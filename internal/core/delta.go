@@ -14,14 +14,14 @@ import (
 // This file is the incremental (delta) verifier: re-verification after
 // an edit in time proportional to the edited bytes, not the image.
 //
-// The substrate is the same decomposition the chunk cache rests on: a
-// stage-1 shard parse is a pure function of its chunk's bytes plus at
-// most lookahead()-1 bytes past the chunk end (see fusedDFA.lookahead),
-// the image size, and the checker configuration. A DeltaState retains
-// the whole-image stage-1 artifacts of the previous round — the packed
-// boundary bitmap and every shard's result (cross-shard targets,
-// proven-bad targets, parse-mode flags, instruction count): the
-// in-memory, whole-image form of the chunk cache's chunkEntry. A delta
+// The substrate is the shard decomposition: a stage-1 shard parse is a
+// pure function of its chunk's bytes plus at most lookahead()-1 bytes
+// past the chunk end (see fusedDFA.lookahead), the image size, and the
+// checker configuration. A DeltaState retains the whole-image stage-1
+// artifacts of the previous round in the engine's own scratch form —
+// the packed boundary bitmap and every shard's result (cross-shard
+// targets, proven-bad targets, parse-mode flags, instruction count),
+// the form the streaming verifier's carry state also takes. A delta
 // round re-parses only the chunks whose parse inputs may have changed
 // and then re-runs the ordinary stage-2 reconciliation over the merged
 // results.
@@ -64,6 +64,28 @@ import (
 //     artifact to re-examine.
 // FuzzDeltaEquiv exercises all of these against full verification.
 
+// chunkBytes is the delta verifier's reuse unit, and the streaming
+// verifier's window step: an aligned span of four stage-1 shards.
+// Coarse enough that the per-chunk bookkeeping stays small, fine enough
+// that a local edit re-parses little.
+const chunkBytes = 64 << 10
+
+// chunkShards is how many stage-1 shards one chunk covers.
+const chunkShards = chunkBytes / ShardBytes
+
+// chunkClean reports whether chunk i of sc parsed without a shard-local
+// violation. It is the one reuse rule: a delta round replays only clean
+// chunks, so a violating chunk is re-parsed every time it is verified
+// and no verdict is ever assembled from stale violations.
+func chunkClean(sc *scratch, i int) bool {
+	for s := i * chunkShards; s < (i+1)*chunkShards && s < len(sc.results); s++ {
+		if len(sc.results[s].violations) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Range describes one edited byte span of the image, [Off, Off+Len).
 // Ranges may overlap chunk boundaries, each other, or the image end
 // (they are clamped). An edit that moves bytes (an insertion or
@@ -97,9 +119,8 @@ type DeltaState struct {
 	overhang int
 	sc       scratch
 	// clean[i] records that chunk i's latest parse passed chunkClean,
-	// licensing replay next round — the rule that also decides what the
-	// chunk cache may store. Every chunk of the image is tracked, the
-	// final one included.
+	// licensing replay next round. Every chunk of the image is tracked,
+	// the final one included.
 	clean []bool
 	// dirty (per chunk) and reparse (shard indices) are the current
 	// round's dirty set, reused across rounds.
@@ -123,11 +144,9 @@ func (c *Checker) VerifyDelta(code []byte, changed []Range, prev *DeltaState) (*
 }
 
 // VerifyDeltaWith is VerifyDelta with explicit options. Engine and
-// Workers apply to the re-parsed shards; when Cache is set the round
-// also stores refreshed chunk entries back through the verdict cache,
-// so a delta session warms the ordinary keyed path. CacheKey is
-// ignored (a delta round never computes whole-image keys — that would
-// cost a full content hash).
+// Workers apply to the re-parsed shards. Cache and CacheKey are
+// ignored: a delta round never computes a whole-image key, which would
+// cost a hash of every byte, and the retained state is its own reuse.
 func (c *Checker) VerifyDeltaWith(code []byte, changed []Range, prev *DeltaState, opts VerifyOptions) (*Report, *DeltaState, error) {
 	return c.VerifyDeltaContext(context.Background(), code, changed, prev, opts)
 }
@@ -329,28 +348,6 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 	for i := range dirty {
 		if dirty[i] {
 			st.clean[i] = err == nil && chunkClean(&st.sc, i)
-		}
-	}
-
-	// Satellite of the chunk cache: bank the refreshed chunks so a delta
-	// session also warms the ordinary keyed Verify path. Only re-parsed
-	// clean chunks are hashed — O(changed bytes), like the parse — and
-	// only the cacheable prefix: the cache never holds the final chunk.
-	if opts.Cache != nil {
-		var ft0 int64
-		if k.fr != nil {
-			ft0 = k.fr.Now()
-		}
-		var storedBytes int64
-		for i := range dirty[:cacheableChunks(size)] {
-			if dirty[i] && st.clean[i] {
-				storeChunk(opts.Cache, c.chunkSum(cfg, code, i, overhang), &st.sc, i)
-				storedBytes += chunkBytes
-			}
-		}
-		if k.fr != nil && storedBytes > 0 {
-			k.fr.Record(flight.Event{Kind: flight.SpanCacheStore, Engine: flight.EngineCache,
-				Run: k.span.Run, Start: ft0, Dur: k.fr.Now() - ft0, Bytes: storedBytes})
 		}
 	}
 

@@ -9,7 +9,6 @@ import (
 	"rocksalt/internal/core"
 	"rocksalt/internal/nacl"
 	"rocksalt/internal/policy"
-	"rocksalt/internal/vcache"
 )
 
 // deltaChunk mirrors the engine's retained-chunk granularity (64 KiB);
@@ -185,55 +184,34 @@ func TestDeltaFinalChunk(t *testing.T) {
 	}
 }
 
-// TestDeltaWarmsChunkCache pins the store-back satellite: a delta
-// round with a cache attached must leave the ordinary keyed chunk
-// path fully warm, both after the initial round and after an edit.
-func TestDeltaWarmsChunkCache(t *testing.T) {
+// TestDeltaBadTargetReplay pins the subtlest replay invariant: a chunk
+// with no shard-local violation is clean and replays, but its shards
+// may have proven in-shard jump targets bad — a fact that only becomes
+// a TargetNotBoundary violation at reconcile. The retained results must
+// carry those bad targets, or a round that replays the chunk would
+// accept an image a full run rejects.
+func TestDeltaBadTargetReplay(t *testing.T) {
 	c := checker(t)
-	img := cacheImage(t, 6, 60000)
-	nc := int64(len(img) / deltaChunk)
-	if len(img)%deltaChunk == 0 {
-		nc--
-	}
-	cache := vcache.New(64 << 20)
-	opts := core.VerifyOptions{Workers: 1, Cache: cache}
+	// Three full 64 KiB chunks of NOPs plus a 64-byte tail, with one
+	// direct jump at offset 0 whose target (offset 2) is inside the jump
+	// itself: no shard-local violation, but reconcile must reject.
+	img := bytes.Repeat([]byte{0x90}, 3*deltaChunk+64)
+	img[0] = 0xe9 // jmp rel32 to offset 2 = 5 + (-3)
+	rel := int32(-3)
+	img[1], img[2], img[3], img[4] = byte(rel), byte(rel>>8), byte(rel>>16), byte(rel>>24)
 
-	if _, _, err := c.VerifyDeltaWith(img, nil, nil, opts); err != nil {
-		t.Fatal(err)
+	rep, state := deltaRound(t, c, img, nil, nil, "first round")
+	if rep.Safe || rep.Violations[0].Kind != core.TargetNotBoundary {
+		t.Fatalf("first round: want a leading TargetNotBoundary, got %+v", rep.Violations)
 	}
-	warm := c.VerifyWith(img, opts)
-	if warm.Stats.CacheChunkHits != nc || warm.Stats.CacheChunkMisses != 0 {
-		t.Fatalf("after delta store-back: %d chunk hits, %d misses (want %d hits, 0 misses)",
-			warm.Stats.CacheChunkHits, warm.Stats.CacheChunkMisses, nc)
+	// Edit only the tail: chunk 0 replays, and must bring its bad target.
+	img[len(img)-1] = 0x50 // push eax: safe, single byte
+	rep, _ = deltaRound(t, c, img, []core.Range{{Off: len(img) - 1, Len: 1}}, state, "tail-only edit")
+	if rep.Stats.DeltaChunksReparsed != 1 {
+		t.Fatalf("tail-only edit re-parsed %d chunks, want only the tail's", rep.Stats.DeltaChunksReparsed)
 	}
-	if r := warm.Stats.ChunkHitRatio(); r != 1 {
-		t.Fatalf("hit ratio %v, want 1", r)
-	}
-
-	// Overwrite one whole bundle well inside chunk 1 with nops — a
-	// compliance-preserving edit — through a fresh delta session; the
-	// refreshed chunk must be re-banked under its new content key while
-	// the untouched chunks still hit under their old ones.
-	edited := append([]byte(nil), img...)
-	off := deltaChunk + 1024
-	for i := 0; i < 32; i++ {
-		edited[off+i] = 0x90
-	}
-	_, state, err := c.VerifyDeltaWith(img, nil, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := c.VerifyDeltaWith(edited, []core.Range{{Off: off, Len: 32}}, state, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Safe {
-		t.Fatalf("nop-bundle edit should preserve compliance: %v", rep.Err())
-	}
-	warm = c.VerifyWith(edited, opts)
-	if warm.Stats.CacheChunkHits != nc || warm.Stats.CacheChunkMisses != 0 {
-		t.Fatalf("after edited-round store-back: %d chunk hits, %d misses (want %d hits, 0 misses)",
-			warm.Stats.CacheChunkHits, warm.Stats.CacheChunkMisses, nc)
+	if rep.Safe || rep.Violations[0].Kind != core.TargetNotBoundary {
+		t.Fatalf("replayed round lost the bad target: %+v", rep.Violations)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -75,12 +76,14 @@ type VerifyOptions struct {
 	// product automaton. Reports are engine-invariant byte for byte.
 	Engine EngineKind
 	// Cache, when non-nil, attaches the content-addressed verdict cache
-	// (see cache.go): Verify* runs first look up the whole image's
-	// content key and return the cached Report on a hit; on a miss the
-	// image's aligned 64KiB chunks are individually cached so a later
-	// run re-parses only what changed. Requires fused tables (every
-	// current bundle has them); ignored otherwise. Cached runs record
-	// their effectiveness in Stats.CacheWholeHits et al.
+	// (see cache.go): VerifyWith and VerifyContext first look up the
+	// whole image's content key and return the cached Report on a hit;
+	// on a miss they run the ordinary engine and store its Report. The
+	// Analyze and VerifyDelta families ignore it: an edited image is
+	// re-verified by VerifyDelta, which re-parses only what changed.
+	// Requires fused tables (every current bundle has them); ignored
+	// otherwise. A hit is recorded in Stats.CacheWholeHits and
+	// CacheBytesSaved.
 	Cache *vcache.Cache
 	// CacheKey, when non-nil, is a caller-computed key identifying this
 	// exact (checker configuration, image) pair — obtained from a prior
@@ -156,11 +159,10 @@ type shardResult struct {
 	// run's Stats at reconciliation. A shard sets at most one.
 	lane, scalar, restart bool
 	// insns is the shard's instruction count: the population of the
-	// boundary-bitmap words the shard owns, taken when its parse ends
-	// or when a cache restore or stream harvest installs its words (a
-	// delta round retains it with them). Reconcile sums it into
-	// Stats.Instructions, so the census costs O(shards), not a popcount
-	// of the whole image.
+	// boundary-bitmap words the shard owns, taken when its parse ends (a
+	// stream harvest copies it, and a delta round retains it, with the
+	// words). Reconcile sums it into Stats.Instructions, so the census
+	// costs O(shards), not a popcount of the whole image.
 	insns int32
 }
 
@@ -245,7 +247,7 @@ func (c *Checker) VerifyContext(ctx context.Context, code []byte, opts VerifyOpt
 	sc := getScratch(len(code), shardCount(len(code)))
 	defer putScratch(sc)
 	var st Stats
-	rep := c.report(c.run(ctx, code, opts, sc, &st, nil), len(code))
+	rep := c.report(c.run(ctx, code, opts, sc, &st), len(code))
 	rep.Stats = st
 	return rep
 }
@@ -264,7 +266,7 @@ func (c *Checker) verifyLean(code []byte) bool {
 	if telemetry.Enabled() {
 		st = &stv
 	}
-	out := c.run(context.Background(), code, VerifyOptions{Workers: 1}, sc, st, nil)
+	out := c.run(context.Background(), code, VerifyOptions{Workers: 1}, sc, st)
 	return out.ctxErr == nil && out.total == 0
 }
 
@@ -369,9 +371,9 @@ func (c *Checker) begin(size int, opts VerifyOptions, st *Stats) call {
 // result reports Canceled or Deadline. A completed plan runs stage 2
 // over sc, and the parse-mode census counts the shards this call
 // parsed (list, or every shard of sc when list is nil, as in
-// dispatch), never those restored from the chunk cache or retained by
-// a delta state. Either way finish records the wall time, publishes the
-// Stats and closes the call's flight span.
+// dispatch), never those retained by a delta state. Either way finish
+// records the wall time, publishes the Stats and closes the call's
+// flight span.
 func (c *Checker) finish(ctx context.Context, k *call, err error, code []byte, sc *scratch, list []int, st *Stats) runResult {
 	out := runResult{shards: k.shards, workers: k.workers, ctxErr: err}
 	if err == nil {
@@ -417,36 +419,23 @@ func (c *Checker) finish(ctx context.Context, k *call, err error, code []byte, s
 	return out
 }
 
-// run is Verify's stage-1 plan: every shard of the image, less those
-// the chunk cache restores. Shard workers poll ctx between shards and
+// run is Verify's stage-1 plan: every shard of the image. Shard workers poll ctx between shards and
 // panics inside a shard parse are converted to InternalFault
 // violations, so a hostile image (or a bug behind it) can stop the run
 // early or fail it closed, but can neither hang the pool nor crash the
 // process. st, when non-nil, receives the per-run Stats; everything
 // written to it is stack- or scratch-resident, so collecting it never
 // allocates.
-func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *scratch, st *Stats, cc *cacheCtx) runResult {
+func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *scratch, st *Stats) runResult {
 	k := c.begin(len(code), opts, st)
 	k.workers = clampWorkers(opts.Workers, k.shards)
-	cached := cc != nil && len(cc.keys) > 0
-	var list []int
-	if cached {
-		cc.fr, cc.frun = k.fr, k.span.Run
-		list = c.probeChunks(cc, sc, st)
-	}
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-	stage1{c: c, code: code, sc: sc, engine: k.engine, fr: k.fr, frun: k.span.Run}.dispatch(ctx, k.workers, list)
+	stage1{c: c, code: code, sc: sc, engine: k.engine, fr: k.fr, frun: k.span.Run}.dispatch(ctx, k.workers, nil)
 	endStage1()
 	if st != nil {
 		st.Stage1Wall = time.Since(k.t0)
 	}
-	err := ctx.Err()
-	if cached && err == nil {
-		// The run completed, so every freshly-parsed clean chunk's
-		// artifacts are final; bank them for the next run.
-		c.storeChunks(cc, sc, list)
-	}
-	return c.finish(ctx, &k, err, code, sc, list, st)
+	return c.finish(ctx, &k, ctx.Err(), code, sc, nil, st)
 }
 
 // runFlightEngine maps the run's engine to the flight recorder's enum,
@@ -808,10 +797,15 @@ func jumpTarget(code []byte, saved, pos int) (int64, bool) {
 // target against the merged boundary map, flag bundle boundaries the
 // parse never reached, and select the deterministic lowest-offset
 // violation ordering. A safe image takes the nil fast path: no slice is
-// allocated. When st is non-nil the uncapped per-kind violation census
-// is recorded before the report cap is applied, so Stats sees every
-// violation even when the Report is truncated, and Stats.Instructions
-// is the sum of the shards' own counts.
+// allocated. Only violations the capped report can show are built: each
+// bulk source (the deduped bad targets, the coverage scan) yields
+// ascending distinct offsets of one kind, so its first
+// MaxReportViolations hold every one of its violations that can rank in
+// the report, and the rest are only counted. Every shard-local violation
+// (at most one per shard) is kept. total and, when st is non-nil, the
+// per-kind census count every violation at its source, so Stats sees
+// them all even when the Report is truncated; Stats.Instructions is the
+// sum of the shards' own counts.
 func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *Stats, fr *flight.Recorder, frun uint32) (all []Violation, total int) {
 	// The image size comes from the scratch geometry, not len(code):
 	// the streaming verifier reconciles with code == nil (the window
@@ -823,8 +817,12 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 		all = append(all, sc.results[i].violations...)
 		insns += int64(sc.results[i].insns)
 	}
+	total = len(all)
 	if st != nil {
 		st.Instructions = insns
+		for i := range all {
+			st.ViolationsByKind[all[i].Kind]++
+		}
 	}
 	// Jump-target validation. In-shard targets were already resolved on
 	// the stage-1 workers (parseShardAt) with their failures banked in bad;
@@ -852,16 +850,11 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 			}
 		}
 	}
-	if len(badTargets) > 0 {
-		sort.Ints(badTargets)
-		prev := -1
-		for _, t := range badTargets {
-			if t == prev {
-				continue
-			}
-			prev = t
-			all = append(all, violation(code, t, TargetNotBoundary, "direct jump targets a non-boundary offset"))
-		}
+	found := len(badTargets)
+	sort.Ints(badTargets)
+	badTargets = slices.Compact(badTargets)
+	for _, t := range badTargets[:min(len(badTargets), MaxReportViolations)] {
+		all = append(all, violation(code, t, TargetNotBoundary, "direct jump targets a non-boundary offset"))
 	}
 	endJumps()
 	if st != nil {
@@ -869,7 +862,7 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 	}
 	if fr != nil {
 		fr.Record(flight.Event{Kind: flight.SpanJumps, Run: frun,
-			Start: fjt0, Dur: fr.Now() - fjt0, Bytes: int64(len(badTargets))})
+			Start: fjt0, Dur: fr.Now() - fjt0, Bytes: int64(found)})
 	}
 	// Every bundle boundary must be an instruction boundary. Shards the
 	// lane parser proved regular already had every bundle boundary
@@ -877,11 +870,10 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 	// the reference loop re-parses the shard), so the scan skips them —
 	// for a compliant image that removes the whole pass. The proof only
 	// covers a full shard: a short final shard may end in a tail the
-	// reference loop parsed, and a
-	// cache-restored shard (no parse flags set) replays bits without the
-	// pass-2 check, so both still scan. ShardBytes is a multiple of
-	// every supported bundle size, so the per-shard scan visits exactly
-	// the offsets the whole-image scan would.
+	// reference loop parsed, so it still scans. ShardBytes is a multiple
+	// of every supported bundle size, so the per-shard scan visits
+	// exactly the offsets the whole-image scan would.
+	unreached := 0
 	for s := range sc.results {
 		r := &sc.results[s]
 		start := s * ShardBytes
@@ -894,7 +886,10 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 		}
 		for i := start; i < end; i += c.params.bundle {
 			if !sc.valid.Get(i) {
-				all = append(all, violation(code, i, BundleStraddle, ""))
+				if unreached < MaxReportViolations {
+					all = append(all, violation(code, i, BundleStraddle, ""))
+				}
+				unreached++
 			}
 		}
 	}
@@ -910,11 +905,10 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 			return all[i].Kind < all[j].Kind
 		})
 	}
-	total = len(all)
+	total += len(badTargets) + unreached
 	if st != nil {
-		for i := range all {
-			st.ViolationsByKind[all[i].Kind]++
-		}
+		st.ViolationsByKind[TargetNotBoundary] += int64(len(badTargets))
+		st.ViolationsByKind[BundleStraddle] += int64(unreached)
 		st.ContainedPanics = st.ViolationsByKind[InternalFault]
 	}
 	if len(all) > MaxReportViolations {

@@ -129,33 +129,6 @@ func TestCacheServeCensus(t *testing.T) {
 	}
 }
 
-// TestFlightChunkEvents checks the chunk-cache instrumentation: after a
-// cold run populates the chunk layer, verifying an image with one
-// modified chunk records both chunk-hit and chunk-miss events.
-func TestFlightChunkEvents(t *testing.T) {
-	c := checker(t)
-	cache := vcache.New(64 << 20)
-	img := bytes.Repeat([]byte{0x90}, 4*64<<10) // 4 chunks
-	if rep := c.VerifyWith(img, core.VerifyOptions{Workers: 1, Cache: cache}); !rep.Safe {
-		t.Fatalf("cold run failed: %v", rep.Err())
-	}
-
-	r := installRecorder(t)
-	mod := append([]byte(nil), img...)
-	mod[0] = 0x91 // xchg eax,ecx — still safe, but changes chunk 0's key
-	rep := c.VerifyWith(mod, core.VerifyOptions{Workers: 1, Cache: cache})
-	if !rep.Safe {
-		t.Fatalf("modified run failed: %v", rep.Err())
-	}
-	kinds := kindsOf(r.Snapshot())
-	if kinds[flight.EventChunkHit] == 0 {
-		t.Errorf("no chunk-hit events; stats: %+v", rep.Stats)
-	}
-	if kinds[flight.EventChunkMiss] == 0 {
-		t.Errorf("no chunk-miss events; stats: %+v", rep.Stats)
-	}
-}
-
 // TestFlightDeltaReplayRuns: a delta round records one replay event per
 // maximal run of replayed chunks, not one per chunk, so a one-chunk
 // edit mid-image records two (the runs before and after the edit), and

@@ -95,14 +95,14 @@ type fusedDFA struct {
 // states, and eventful states that neither accepted masked nor went
 // fully dead). A shard or chunk parse therefore depends only on its own
 // bytes plus at most lookahead()-1 bytes beyond its end — the fact the
-// chunk cache and the delta verifier key on. The reference engine's
-// per-component walks read no further: each component automaton's
-// liveness is a projection of the product's, so its walks die (or
-// accept) no later than the product's stop rule. A cycle among
-// continuing states (impossible for the x86 grammars, whose instruction
-// length is bounded, but reachable through a custom table bundle) falls
-// back to the chunk size, which disables cross-chunk reuse rather than
-// unsoundly enabling it.
+// delta verifier's dirty set and the streaming window rest on. The
+// reference engine's per-component walks read no further: each
+// component automaton's liveness is a projection of the product's, so
+// its walks die (or accept) no later than the product's stop rule. A
+// cycle among continuing states (impossible for the x86 grammars, whose
+// instruction length is bounded, but reachable through a custom table
+// bundle) falls back to the chunk size, which disables cross-chunk
+// reuse rather than unsoundly enabling it.
 func (f *fusedDFA) lookahead() int {
 	f.laOnce.Do(func() {
 		cont := func(s uint16) bool {

@@ -79,12 +79,8 @@ type Stats struct {
 	// engine-invariance contract (they are zero in uncached runs, which
 	// is what the equivalence tests compare).
 	CacheWholeHits int64 `json:"cache_whole_hits"`
-	// CacheChunkHits / CacheChunkMisses count the cacheable 64KiB
-	// chunks restored from, respectively missing from, the chunk cache.
-	CacheChunkHits   int64 `json:"cache_chunk_hits"`
-	CacheChunkMisses int64 `json:"cache_chunk_misses"`
 	// CacheBytesSaved is how many image bytes stage 1 did not have to
-	// parse thanks to cache hits (the whole image on a whole-image hit).
+	// parse thanks to a cache hit: the whole image on a hit, else 0.
 	CacheBytesSaved int64 `json:"cache_bytes_saved"`
 	// DeltaChunksReparsed / DeltaChunksReplayed count, for a VerifyDelta
 	// round, the 64KiB chunks re-parsed (dirty under the edit set)
@@ -141,9 +137,8 @@ func (s Stats) String() string {
 		s.BytesScanned, s.Bundles, s.Instructions, s.Shards)
 	fmt.Fprintf(&b, "lane batches %d, scalar fallbacks %d, restarts %d, contained panics %d\n",
 		s.LaneBatches, s.ScalarFallbacks, s.Restarts, s.ContainedPanics)
-	if s.CacheWholeHits != 0 || s.CacheChunkHits != 0 || s.CacheChunkMisses != 0 {
-		fmt.Fprintf(&b, "cache: whole hits %d, chunk hits %d, chunk misses %d, bytes saved %d (hit ratio %.0f%%)\n",
-			s.CacheWholeHits, s.CacheChunkHits, s.CacheChunkMisses, s.CacheBytesSaved, 100*s.ChunkHitRatio())
+	if s.CacheWholeHits != 0 {
+		fmt.Fprintf(&b, "cache: whole hits %d, bytes saved %d\n", s.CacheWholeHits, s.CacheBytesSaved)
 	}
 	if s.DeltaChunksReparsed != 0 || s.DeltaChunksReplayed != 0 {
 		fmt.Fprintf(&b, "delta: chunks reparsed %d, replayed %d, bytes reparsed %d\n",
@@ -160,17 +155,15 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// ChunkHitRatio is the fraction of chunk-grade reuse opportunities
-// that were served from prior state: cache hits over hits+misses for a
-// cached run, replayed over replayed+reparsed chunks for a delta round.
-// It returns 0 when the run used neither layer.
+// ChunkHitRatio is the fraction of a VerifyDelta round's chunks
+// replayed from the retained state: replayed over replayed+reparsed.
+// It returns 0 for any other run.
 func (s Stats) ChunkHitRatio() float64 {
-	hits := s.CacheChunkHits + s.DeltaChunksReplayed
-	total := hits + s.CacheChunkMisses + s.DeltaChunksReparsed
+	total := s.DeltaChunksReplayed + s.DeltaChunksReparsed
 	if total == 0 {
 		return 0
 	}
-	return float64(hits) / float64(total)
+	return float64(s.DeltaChunksReplayed) / float64(total)
 }
 
 // kindSlugs are the Prometheus label values for ViolationKind, index-
@@ -199,8 +192,6 @@ var coreMetrics struct {
 	restarts        *telemetry.Counter
 	containedPanics *telemetry.Counter
 	cacheWholeHits  *telemetry.Counter
-	cacheChunkHits  *telemetry.Counter
-	cacheChunkMiss  *telemetry.Counter
 	cacheBytesSaved *telemetry.Counter
 	cacheServes     *telemetry.Counter
 	deltaRounds     *telemetry.Counter
@@ -233,9 +224,7 @@ func init() {
 	coreMetrics.restarts = r.NewCounter("rocksalt_verify_restarts_total", "lane parses erased and re-parsed by the reference loop")
 	coreMetrics.containedPanics = r.NewCounter("rocksalt_verify_contained_panics_total", "stage-1 shard panics contained as InternalFault")
 	coreMetrics.cacheWholeHits = r.NewCounter("rocksalt_cache_whole_hits_total", "runs answered entirely from the verdict cache")
-	coreMetrics.cacheChunkHits = r.NewCounter("rocksalt_cache_chunk_hits_total", "64KiB chunks restored from the verdict cache")
-	coreMetrics.cacheChunkMiss = r.NewCounter("rocksalt_cache_chunk_misses_total", "cacheable chunks not found in the verdict cache")
-	coreMetrics.cacheBytesSaved = r.NewCounter("rocksalt_cache_bytes_saved_total", "image bytes not re-parsed thanks to cache hits")
+	coreMetrics.cacheBytesSaved = r.NewCounter("rocksalt_cache_bytes_saved_total", "image bytes not parsed thanks to whole-image cache hits")
 	coreMetrics.cacheServes = r.NewCounter("rocksalt_cache_serves_total", "verifies answered entirely from the whole-image verdict cache")
 	coreMetrics.deltaRounds = r.NewCounter("rocksalt_delta_rounds_total", "VerifyDelta reconciliation rounds completed")
 	coreMetrics.deltaReparsed = r.NewCounter("rocksalt_delta_chunks_reparsed_total", "chunks re-parsed by VerifyDelta rounds")
@@ -308,29 +297,19 @@ func publishDeltaStats(st *Stats) {
 	m.deltaBytes.Add(st.DeltaBytesReparsed)
 }
 
-// publishCacheStats folds a cached run's cache effectiveness into the
-// process-wide metrics. Separate from publishStats because the
-// whole-image hit path never reaches run()/reconcile — it publishes
-// here and nowhere else.
+// publishCacheStats folds a whole-image cache serve into the
+// process-wide metrics. Separate from publishStats because a serve
+// never reaches run()/reconcile — it publishes here and nowhere else.
+// A miss runs the ordinary engine, which publishes through publishStats.
 func publishCacheStats(st *Stats) {
 	if !telemetry.Enabled() {
 		return
 	}
 	m := &coreMetrics
-	if st.CacheWholeHits > 0 {
-		m.cacheWholeHits.Add(st.CacheWholeHits)
-		m.cacheServes.Add(1)
-		if h := m.engineNanos[flight.EngineCache.String()]; h != nil {
-			h.Observe(int64(st.Wall))
-		}
-	}
-	if st.CacheChunkHits > 0 {
-		m.cacheChunkHits.Add(st.CacheChunkHits)
-	}
-	if st.CacheChunkMisses > 0 {
-		m.cacheChunkMiss.Add(st.CacheChunkMisses)
-	}
-	if st.CacheBytesSaved > 0 {
-		m.cacheBytesSaved.Add(st.CacheBytesSaved)
+	m.cacheWholeHits.Add(st.CacheWholeHits)
+	m.cacheServes.Add(1)
+	m.cacheBytesSaved.Add(st.CacheBytesSaved)
+	if h := m.engineNanos[flight.EngineCache.String()]; h != nil {
+		h.Observe(int64(st.Wall))
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"rocksalt/internal/flight"
 	"rocksalt/internal/nacl"
 	"rocksalt/internal/telemetry"
-	"rocksalt/internal/vcache"
 )
 
 // TestStatsDeterministic pins the acceptance criterion that
@@ -127,30 +126,42 @@ func TestStatsEngineModes(t *testing.T) {
 	}
 }
 
-// TestStatsUncappedCensus: ViolationsByKind must count past the
-// MaxReportViolations cap — its sum equals Report.Total, not
-// len(Report.Violations).
+// TestStatsUncappedCensus: Report.Total and ViolationsByKind count past
+// the MaxReportViolations cap, exactly, for both bulk sources stage 2
+// draws on (the bundle-coverage scan and the bad jump targets), while
+// the report keeps the first MaxReportViolations.
 func TestStatsUncappedCensus(t *testing.T) {
 	c := checker(t)
-	// An image of 0xC3 (RET) bytes violates at every bundle boundary;
-	// 200 bundles overflows the 64-violation report cap comfortably.
-	img := make([]byte, 200*core.BundleSize)
-	for i := range img {
-		img[i] = 0xc3
+	// 200 bundles of 0xC3 (RET): the shard stops at offset 0, and each
+	// of the other 199 bundle boundaries is unreached.
+	rets := bytes.Repeat([]byte{0xc3}, 200*core.BundleSize)
+	// 100 bundles, each opening with a jmp rel32 into its own second
+	// byte: no shard-local violation, 100 bad targets.
+	jumps := bytes.Repeat([]byte{0x90}, 100*core.BundleSize)
+	for b := 0; b < len(jumps); b += core.BundleSize {
+		copy(jumps[b:], []byte{0xe9, 0xfd, 0xff, 0xff, 0xff})
 	}
-	rep := c.VerifyWith(img, core.VerifyOptions{Workers: 1})
-	if rep.Safe {
-		t.Fatal("garbage image accepted")
-	}
-	if rep.Total <= core.MaxReportViolations {
-		t.Fatalf("test image too tame: total %d", rep.Total)
-	}
-	sum := int64(0)
-	for _, n := range rep.Stats.ViolationsByKind {
-		sum += n
-	}
-	if sum != int64(rep.Total) {
-		t.Errorf("census sums to %d, want the uncapped total %d", sum, rep.Total)
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		want map[core.ViolationKind]int64
+	}{
+		{"rets", rets, map[core.ViolationKind]int64{core.IllegalInstruction: 1, core.BundleStraddle: 199}},
+		{"self-jumps", jumps, map[core.ViolationKind]int64{core.TargetNotBoundary: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := c.VerifyWith(tc.img, core.VerifyOptions{Workers: 1})
+			total := int64(0)
+			for k, n := range rep.Stats.ViolationsByKind {
+				if n != tc.want[core.ViolationKind(k)] {
+					t.Errorf("%v: census %d, want %d", core.ViolationKind(k), n, tc.want[core.ViolationKind(k)])
+				}
+				total += n
+			}
+			if int64(rep.Total) != total || len(rep.Violations) != core.MaxReportViolations {
+				t.Errorf("Total %d, %d violations shown; want %d and %d", rep.Total, len(rep.Violations), total, core.MaxReportViolations)
+			}
+		})
 	}
 }
 
@@ -191,23 +202,23 @@ func TestContainedPanicMetric(t *testing.T) {
 
 // TestInstructionsParity: Stats.Instructions is the sum of per-shard
 // counts taken wherever a shard's boundary words are installed — by a
-// parse, a chunk-cache restore, a stream-window harvest, or delta
-// retention — so every path must report exactly what a cold VerifyWith
-// of the same bytes reports: on a safe image, a rejected one, and one
-// whose shard panicked (the contained panic fails the run closed).
-// The parse-mode census, by contrast, covers only the shards the call
-// itself parsed, each counted once as a lane batch, a scalar fallback
-// or a restart: every shard cold and streamed, none that the chunk
-// cache restored, and only the re-parsed ones in a delta round.
+// parse, a stream-window harvest, or delta retention — so every path
+// must report exactly what a cold VerifyWith of the same bytes
+// reports: on a safe image, a rejected one, and one whose shard
+// panicked (the contained panic fails the run closed). The parse-mode
+// census, by contrast, covers only the shards the call itself parsed,
+// each counted once as a lane batch, a scalar fallback or a restart:
+// every shard cold and streamed, and only the re-parsed ones in a delta
+// round.
 func TestInstructionsParity(t *testing.T) {
 	c := checker(t)
 	safe := cacheImage(t, 13, 60000)
 	// A bare RET at a bundle start in chunk 1 is an illegal instruction;
-	// the other chunks stay clean, so the warm run restores them.
+	// the other chunks stay clean, so a delta round replays them.
 	rejected := append([]byte(nil), safe...)
 	rejected[deltaChunk+4*core.BundleSize] = 0xc3
 	// Shard 5 sits in chunk 1 as well: the panicking chunk is never
-	// cached or retained, so every path re-parses it.
+	// retained, so every path re-parses it.
 	const panicShard = 5
 
 	for _, tc := range []struct {
@@ -268,23 +279,6 @@ func TestInstructionsParity(t *testing.T) {
 			cold := c.VerifyWith(tc.img, core.VerifyOptions{Workers: 4})
 			check("cold, 4 workers", tc.img, cold)
 			parsed("cold, 4 workers", cold, cold.Stats.Shards)
-
-			// Chunk-cache warm: prime with the image, then verify a copy
-			// whose final (never cached) bundle is rewritten as NOPs, so
-			// the whole-image key misses and the cacheable chunks are
-			// restored instead of parsed.
-			cache := vcache.New(64 << 20)
-			c.VerifyWith(tc.img, core.VerifyOptions{Workers: 1, Cache: cache})
-			warmImg := append([]byte(nil), tc.img...)
-			for i := len(warmImg) - core.BundleSize; i < len(warmImg); i++ {
-				warmImg[i] = 0x90
-			}
-			warm := c.VerifyWith(warmImg, core.VerifyOptions{Workers: 1, Cache: cache})
-			if warm.Stats.CacheChunkHits == 0 {
-				t.Fatalf("warm run restored no chunks: %+v", warm.Stats)
-			}
-			check("chunk-cache warm", warmImg, warm)
-			parsed("chunk-cache warm", warm, warm.Stats.Shards-4*warm.Stats.CacheChunkHits)
 
 			srep, err := c.VerifyReader(bytes.NewReader(tc.img), core.VerifyOptions{StreamSize: int64(len(tc.img))})
 			if err != nil {

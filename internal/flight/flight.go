@@ -57,8 +57,8 @@ const (
 	// SpanJumps covers the jump-target validation section inside
 	// reconcile; Bytes carries the number of bad targets found.
 	SpanJumps
-	// SpanCacheStore covers banking parse artifacts into the verdict
-	// cache (chunk entries after stage 1, or the whole-image Report).
+	// SpanCacheStore covers banking a completed run's Report into the
+	// whole-image verdict cache; Bytes carries the image size.
 	SpanCacheStore
 	// SpanDelta covers one VerifyDelta reconciliation round, dirty-set
 	// computation to verdict; Bytes carries the bytes re-parsed.
@@ -68,10 +68,6 @@ const (
 	// because the benchmark module (bench/) reads it; ROADMAP.md's
 	// benchmark-notes item removes it with the benchmark's next change.
 	EventSWARBackoff
-	// EventChunkHit / EventChunkMiss mark one cacheable 64 KiB chunk
-	// restored from, respectively missing from, the chunk cache.
-	EventChunkHit
-	EventChunkMiss
 	// EventCacheServe marks a Verify answered entirely from the
 	// whole-image verdict cache (no byte was scanned).
 	EventCacheServe
@@ -87,7 +83,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"invalid", "run", "shard", "reconcile", "jumps", "cache-store", "delta",
-	"swar-backoff", "chunk-hit", "chunk-miss", "cache-serve", "chunk-replay",
+	"swar-backoff", "cache-serve", "chunk-replay",
 }
 
 func (k Kind) String() string {

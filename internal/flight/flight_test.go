@@ -16,7 +16,7 @@ func TestRecordSnapshotRoundTrip(t *testing.T) {
 	events := []Event{
 		{Kind: SpanRun, Engine: EngineLanes, Run: run, Start: 100, Dur: 900, Bytes: 1 << 20},
 		{Kind: SpanShard, Engine: EngineReference, Worker: 3, Shard: 7, Run: run, Start: 150, Dur: 40, Bytes: 16384},
-		{Kind: EventChunkMiss, Engine: EngineCache, Worker: 1, Shard: 2, Run: run, Start: 120},
+		{Kind: EventChunkReplay, Engine: EngineCache, Worker: 1, Shard: 2, Run: run, Start: 120},
 	}
 	for _, ev := range events {
 		r.Record(ev)
@@ -109,7 +109,7 @@ func TestChromeTraceShape(t *testing.T) {
 	events := []Event{
 		{Kind: SpanRun, Engine: EngineLanes, Run: 1, Start: 1000, Dur: 5000, Bytes: 1 << 20},
 		{Kind: SpanShard, Engine: EngineLanes, Worker: 2, Shard: 3, Run: 1, Start: 1200, Dur: 300},
-		{Kind: EventChunkHit, Engine: EngineCache, Run: 1, Start: 1100, Bytes: 65536},
+		{Kind: EventChunkReplay, Engine: EngineCache, Run: 1, Start: 1100, Bytes: 65536},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, events); err != nil {
@@ -144,7 +144,7 @@ func TestChromeTraceShape(t *testing.T) {
 	if phases["run"] != "X" || phases["shard"] != "X" {
 		t.Errorf("span kinds must be complete (X) events, got %v", phases)
 	}
-	if phases["chunk-hit"] != "i" {
+	if phases["chunk-replay"] != "i" {
 		t.Errorf("instant kinds must be instant (i) events, got %v", phases)
 	}
 	for _, te := range doc.TraceEvents {

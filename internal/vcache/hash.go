@@ -14,8 +14,8 @@ import (
 // a cache that holds at most millions of entries.
 //
 // Every key is domain-separated: the domain string and each part's
-// length are hashed along with the content, so "chunk at offset x of
-// image A" can never alias "whole image B" even when the bytes agree.
+// length are hashed along with the content, so a configuration key can
+// never alias an image key even when the bytes agree.
 
 // Sum computes the Key for the given domain and parts. Parts are
 // length-prefixed, so the partition into parts is part of the identity

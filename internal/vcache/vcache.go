@@ -1,11 +1,10 @@
 // Package vcache is a content-addressed verdict cache: a sharded,
 // byte-capacity LRU keyed by strong hashes of verified content. The
-// verification engine uses it at two granularities — whole-image
-// verdicts (a Report keyed by the image's content hash) and per-64KiB
-// chunk parse artifacts (boundary bitmap words and jump targets keyed
-// by the chunk's content and position) — so re-verifying an unchanged
-// image is a lookup, and re-verifying a locally-edited image re-parses
-// only the chunks that changed.
+// verification engine stores whole-image verdicts in it (a Report keyed
+// by the hash of the checker configuration and the image), so
+// re-verifying an unchanged image is a hash and a lookup, or only a
+// lookup for a caller that kept the key. An edited image is a new key;
+// re-verifying it cheaply is the engine's delta verifier's job.
 //
 // The cache stores opaque values (`any`) so it has no dependency on the
 // engine's types; the engine decides what a hit means. Keys are 128-bit
