@@ -45,7 +45,7 @@ var trackedMetrics = []trendMetric{
 	{"warm_rehash_mb_per_s", true},
 	{"telemetry_overhead_pct", false},
 	{"recorder_overhead_pct", false},
-	{"delta_speedup", true},
+	{"delta_round_mb_per_s", true},
 }
 
 // benchPoint is one parsed BENCH file: where it came from, which host
@@ -155,8 +155,19 @@ func parseBench(path, name string, data []byte) (benchPoint, error) {
 			p.Metrics["warm_rehash_mb_per_s"] = size / ns * 1e3
 		}
 	case "delta":
-		if v, ok := num("delta_speedup"); ok {
-			p.Metrics["delta_speedup"] = v
+		// The 4 KiB-edit round's own throughput (image bytes over its
+		// time), for the reason the rehash hit's is: a ratio to the cold
+		// verify would read a faster verify as a slower round.
+		size, okb := num("bytes")
+		rows, _ := doc["results"].([]any)
+		for _, r := range rows {
+			row, ok := r.(map[string]any)
+			if !ok || row["edit_bytes"] != float64(4096) {
+				continue
+			}
+			if ns, ok := row["delta_ns"].(float64); ok && okb && ns > 0 {
+				p.Metrics["delta_round_mb_per_s"] = size / ns * 1e3
+			}
 		}
 	case "obsv":
 		if v, ok := num("overhead_pct"); ok {

@@ -70,6 +70,52 @@ func TestTrendDetectsInjectedRegression(t *testing.T) {
 	}
 }
 
+// TestTrendDeltaRoundThroughput: the delta series is the 4 KiB-edit
+// round's own throughput, so a faster cold verify (a smaller
+// delta_speedup) is no regression, and a slower round is one.
+func TestTrendDeltaRoundThroughput(t *testing.T) {
+	deltaDoc := func(stamp string, coldNs, roundNs float64) string {
+		return fmt.Sprintf(`{
+  "quick": false,
+  "host": {"cpu_model": "TestCPU", "num_cpu": 1, "goos": "linux", "goarch": "amd64", "timestamp": %q},
+  "bytes": 64000000,
+  "cold_full_ns": %g,
+  "results": [
+    {"edit_bytes": 1, "delta_ns": 1},
+    {"edit_bytes": 4096, "delta_ns": %g}
+  ],
+  "delta_speedup": %g
+}`, stamp, coldNs, roundNs, coldNs/roundNs)
+	}
+	for _, tc := range []struct {
+		what          string
+		coldNs, round float64
+		regressed     bool
+	}{
+		{"faster cold verify, same round", 80e6, 1e6, false},
+		{"same cold verify, round 25% slower", 120e6, 1.25e6, true},
+	} {
+		dir := t.TempDir()
+		writeBench(t, dir, "BENCH_delta.json", deltaDoc("2026-08-07T10:00:00Z", tc.coldNs, tc.round))
+		old := filepath.Join(dir, "history")
+		if err := os.Mkdir(old, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeBench(t, old, "BENCH_delta.json", deltaDoc("2026-08-01T10:00:00Z", 120e6, 1e6))
+		points, err := collectBench(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := judgeTrend(points, 0.10)
+		if len(rows) != 1 || rows[0].Metric != "delta_round_mb_per_s" || !rows[0].HasPrev {
+			t.Fatalf("%s: rows %+v, want one delta_round_mb_per_s series of two points", tc.what, rows)
+		}
+		if rows[0].Regressed != tc.regressed {
+			t.Errorf("%s: regressed = %v, want %v (%+v)", tc.what, rows[0].Regressed, tc.regressed, rows[0])
+		}
+	}
+}
+
 // TestTrendOverheadMetricAbsoluteMargin: overhead percentages are
 // judged by absolute points, so a swing inside the margin around zero
 // never trips the gate, and a real blowup does.

@@ -218,12 +218,14 @@ func (sc *scratch) reset(size, shards int) {
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 // parseBuf is the working memory of one in-flight shard parse: the
-// lanes' pass-1 state buffer (one byte per shard byte) and every
-// in-image direct-jump target the parse found. Stage-1 workers parse
+// lanes' pass-1 state buffer (one byte per shard byte), pass 2's list of
+// the words holding a direct-jump end, and every in-image direct-jump
+// target the parse found. Stage-1 workers parse
 // shards of the same run concurrently, so each parse takes its own from
 // parseBufPool, which holds the steady state at one per worker.
 type parseBuf struct {
 	states  [ShardBytes]byte
+	jumps   [ShardBytes / 64]jumpWord
 	targets []int32
 }
 
@@ -733,35 +735,51 @@ func (c *Checker) straddles(sc *scratch, res *shardResult, code []byte, saved, p
 	return true
 }
 
-// directJump applies the policy checks shared by both engines to a
-// direct-jump match occupying code[saved:pos]; it reports whether the
-// shard parse must stop. Targets are classified in absolute image
-// coordinates (the window-relative destination shifted by sc.base) so
-// a windowed parse agrees with a whole-image parse; in-image targets
-// are collected in pb window-relative, matching the bitmap the caller
-// owns.
+// directJump applies the direct-jump checks (checkJump) to a match
+// occupying code[saved:pos] for the Figure-5 loop; it reports whether
+// the shard parse must stop, after recording the violation.
 func (c *Checker) directJump(sc *scratch, res *shardResult, pb *parseBuf, code []byte, saved, pos int) (stop bool) {
+	kind, tAbs, ok := c.checkJump(sc, pb, code, saved, pos)
+	switch {
+	case ok:
+		return false
+	case kind == MisalignedCall:
+		stopShard(res, code, pos, kind, "call leaves a misaligned return address")
+	case kind == IllegalInstruction:
+		stopShard(res, code, saved, kind, "unrecognized direct jump form")
+	case c.params.guard != 0 && uint32(tAbs) < c.params.guard:
+		stopShard(res, code, saved, kind, fmt.Sprintf("direct jump targets %#x, inside the guard region below %#x", uint32(tAbs), c.params.guard))
+	default:
+		stopShard(res, code, saved, kind, fmt.Sprintf("direct jump targets %#x, outside the image", uint32(tAbs)))
+	}
+	return true
+}
+
+// checkJump applies the policy checks every engine makes on the direct
+// jump occupying code[saved:pos]: under AlignedCalls a call must end on
+// a bundle boundary, the jump must decode (jumpTarget), and a target
+// outside the image must be allowed (targetAllowed). Targets are
+// classified in absolute image coordinates (the window-relative
+// destination shifted by sc.base) so a windowed parse agrees with a
+// whole-image parse; an in-image target is collected in pb
+// window-relative, matching the bitmap the caller owns. On a failed
+// check it returns ok false, the kind of the violation and, for
+// TargetOutOfImage, the absolute target.
+func (c *Checker) checkJump(sc *scratch, pb *parseBuf, code []byte, saved, pos int) (kind ViolationKind, tAbs int64, ok bool) {
 	if c.AlignedCalls && code[saved] == 0xe8 && pos%c.params.bundle != 0 {
-		stopShard(res, code, pos, MisalignedCall, "call leaves a misaligned return address")
-		return true
+		return MisalignedCall, 0, false
 	}
 	t, ok := jumpTarget(code, saved, pos)
 	if !ok {
-		stopShard(res, code, saved, IllegalInstruction, "unrecognized direct jump form")
-		return true
+		return IllegalInstruction, 0, false
 	}
-	tAbs := t + int64(sc.base)
+	tAbs = t + int64(sc.base)
 	if tAbs >= 0 && tAbs < int64(sc.imgSize) {
 		pb.targets = append(pb.targets, int32(t))
 	} else if !c.targetAllowed(uint32(tAbs)) {
-		detail := fmt.Sprintf("direct jump targets %#x, outside the image", uint32(tAbs))
-		if c.params.guard != 0 && uint32(tAbs) < c.params.guard {
-			detail = fmt.Sprintf("direct jump targets %#x, inside the guard region below %#x", uint32(tAbs), c.params.guard)
-		}
-		stopShard(res, code, saved, TargetOutOfImage, detail)
-		return true
+		return TargetOutOfImage, tAbs, false
 	}
-	return false
+	return 0, 0, true
 }
 
 // targetAllowed reports whether an out-of-image direct-jump target is

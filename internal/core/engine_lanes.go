@@ -1,6 +1,9 @@
 package core
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // This file is the two-pass lockstep fast path of the fused engine: the
 // walk the default EngineFused runs over every shard's whole-bundle
@@ -22,11 +25,15 @@ import "encoding/binary"
 // byte it consumes ends up holding the resulting state number. Thanks
 // to the four-band state numbering (see fusedDFA) and the flat table's
 // remapping, the only states that interrupt the walk are the truly
-// eventful ones [rec, n): the call form of a masked pair, direct jumps, dead walks
-// and the rare history-dependent continuations. The table marks them
-// with bit 7, so one OR of the four looked-up bytes detects an event on
-// any lane. Every other masked pair ends in a class-1 state, like a
-// plain instruction. Recording states — an accept noted
+// eventful ones: the call form of a masked pair, dead walks, and the
+// rare history-dependent continuations (among them a direct accept the
+// stop rule cannot yet decide). The table marks them with bit 7, so one
+// OR of the four looked-up bytes detects an event on any lane. Every
+// other masked pair ends in a class-1 state, like a plain instruction,
+// and every direct jump the stop rule always takes ends in D, the
+// flat-only state at the top of the class-1 band: it ends the
+// instruction like a class-1 state, and pass 2 applies its policy
+// checks. Recording states — an accept noted
 // mid-instruction while a masked pair is still live — are absorbed
 // into the inline path entirely: the accept they would record is
 // recovered later from the state bytes, by scanning the current
@@ -43,16 +50,21 @@ import "encoding/binary"
 //
 // Pass 2 turns the state buffer into the instruction-boundary bitmap
 // with branch-free SWAR: eight state bytes are range-checked against the
-// class-1 band [quiet, nc) per 64-bit load (a class-1 state marks "an
-// instruction ended after this byte"), the per-byte results are packed
-// into one bit per byte, and the words are OR-ed into the shared valid
-// bitmap. The same pass enforces the policy's structural demand
+// class-1 band [quiet, fnc) per 64-bit load (a class-1 state or D marks
+// "an instruction ended after this byte"), the per-byte results are
+// packed into one bit per byte, and the words are OR-ed into the shared
+// valid bitmap. The same pass enforces the policy's structural demand
 // posteriorly: every bundle boundary in the region (16-, 32- or 64-byte
 // bundles, a mask over each word) must carry a boundary bit. If any
 // does not — an instruction straddled a bundle boundary, or a lane's
 // walk ended mid-instruction at its seam (the region-end rule) — the
 // parse reports failure, the dispatcher erases the shard's partial
-// writes, and the Figure-5 loop re-parses the shard.
+// writes, and the Figure-5 loop re-parses the shard. The same loads
+// also test each byte for D, and the words holding one are listed; once
+// the bundle check has passed, each listed D byte's jump, which starts
+// at the latest boundary at or below it in the same word, gets the
+// direct-jump checks (checkJump, shared with the Figure-5 loop), and a
+// failed check fails the parse the same way.
 //
 // Equivalence argument. When parseShardLanes returns true, its
 // boundary bits and collected jump targets are exactly those of the
@@ -80,6 +92,18 @@ import "encoding/binary"
 //     resolves by priority. Events apply the loop's priority rule and
 //     its policy checks (AlignedCalls, jumpTarget, targetAllowed), or
 //     fail the lane parse.
+//   - D stands for a pure direct accept P (direct accepted, nothing
+//     live) that no walk from the start state reaches past an earlier
+//     noCF or direct accept in the same instruction (directEnds). At P
+//     the loop's masked and noCF matches have failed, and its direct
+//     match ends right there, so laneEvent would resolve a direct jump
+//     ending at that byte and restart: D's row is the start row, and
+//     its byte marks the boundary. Its checks are the ones laneEvent
+//     would apply, deferred to pass 2, which runs them on every D byte
+//     of a region that passed its bundle check; an instruction never
+//     crosses a bundle boundary there, so the start pass 2 reads, the
+//     latest boundary at or below the D byte, is the jump's own. Only
+//     the order of the collected targets changes.
 //   - Lanes share only the index, never state: each reads and writes
 //     its own part of the state buffer, and laneEvent's recovery scans
 //     stop at the lane's start. Walking them in lockstep rather than
@@ -110,9 +134,9 @@ import "encoding/binary"
 //     next lane) leaves the seam's bit unset and restarts the shard. A
 //     single-lane region has no seams.
 //   - Any canonical violation in the range (illegal instruction,
-//     misaligned call, bad jump target, bundle straddle) either fails a
-//     lane event directly or leaves a bundle boundary bit unset, so it
-//     can never be reported here: the Figure-5 loop re-parses the shard
+//     misaligned call, bad jump target, bundle straddle) fails a lane
+//     event directly, fails a D check in pass 2, or leaves a bundle
+//     boundary bit unset, so it can never be reported here: the Figure-5 loop re-parses the shard
 //     and diagnoses it, so reports stay byte-identical, which
 //     FuzzFusedEquiv and the fault-injection cross-check enforce.
 
@@ -122,29 +146,30 @@ import "encoding/binary"
 // still fit in amd64's registers.
 const laneCount = 4
 
-// laneEventBit marks a flat-table entry whose target is eventful
-// (>= rec); the low 7 bits are the target state.
+// laneEventBit marks a flat-table entry whose target is eventful (at or
+// above rec in the flat numbering); the low 7 bits are the target
+// state.
 const laneEventBit = 0x80
 
 // laneCtx is the shared state of one lane parse, stack-allocated by
 // parseShardLanes and threaded through the event helpers by pointer.
 type laneCtx struct {
 	code []byte
-	buf  []byte // state byte per parsed byte; index = offset - base
-	tags []uint8
+	buf  []byte  // state byte per parsed byte; index = offset - base
+	tags []uint8 // in the flat numbering
 	flat *[flatStates * 256]uint8
 	pb   *parseBuf
 	sc   *scratch
 	base int // region-range start (the shard start)
 	q    int // lane length; lane k starts at base+k*q
-	// Class-1 band test on state bytes: b is class-1 iff b-qb < c1w
-	// (unsigned byte arithmetic).
+	// Class-1 band test on state bytes: b is class-1 or D iff b-qb <
+	// c1w (unsigned byte arithmetic).
 	qb, c1w uint8
 	fstart  uint16
 	failed  bool
 }
 
-// laneEvent handles a walk entering an eventful state s (>= rec) with
+// laneEvent handles a walk entering an eventful state s (flat number) with
 // the event byte at absolute offset o-1; rs is the lane's region start.
 // It returns the state and absolute offset to continue from; on an
 // irregularity it marks the parse failed and returns o.
@@ -155,8 +180,8 @@ type laneCtx struct {
 // accept, a recorded noCF accept wins; once noCF is out too, a recorded
 // direct accept; and a state with nothing live and nothing recorded is
 // the illegal case. The recorded accepts come from the state buffer:
-// the instruction start is the last class-1 byte before the event (the
-// region start if none), and the earliest noCF/direct accept positions
+// the instruction start is the last class-1 or D byte before the event
+// (the region start if none), and the earliest noCF/direct accept positions
 // are read off the stored states' tags. Until the decision is
 // determined the walk continues.
 func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs int) (uint16, int) {
@@ -207,19 +232,7 @@ func (c *Checker) laneEvent(lc *laneCtx, s uint16, o, rs int) (uint16, int) {
 				lc.failed = true
 				return lc.fstart, o
 			}
-			if c.AlignedCalls && lc.code[saved] == 0xe8 && pos%c.params.bundle != 0 {
-				lc.failed = true
-				return lc.fstart, o
-			}
-			t, ok := jumpTarget(lc.code, saved, pos)
-			if !ok {
-				lc.failed = true
-				return lc.fstart, o
-			}
-			tAbs := t + int64(lc.sc.base)
-			if tAbs >= 0 && tAbs < int64(lc.sc.imgSize) {
-				lc.pb.targets = append(lc.pb.targets, int32(t))
-			} else if !c.targetAllowed(uint32(tAbs)) {
+			if _, _, ok := c.checkJump(lc.sc, lc.pb, lc.code, saved, pos); !ok {
 				lc.failed = true
 				return lc.fstart, o
 			}
@@ -255,17 +268,17 @@ func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, 
 	lc := laneCtx{
 		code:   code,
 		buf:    pb.states[:L],
-		tags:   f.tags,
+		tags:   f.ftags,
 		flat:   (*[flatStates * 256]uint8)(f.flat),
 		pb:     pb,
 		sc:     sc,
 		base:   start,
 		q:      q,
 		qb:     uint8(f.quiet),
-		c1w:    uint8(f.nc - f.quiet),
-		fstart: uint16(f.start),
+		c1w:    uint8(f.fnc - f.quiet),
+		fstart: uint16(f.fstart),
 	}
-	st := uint8(f.start)
+	st := uint8(f.fstart)
 	s := [laneCount]uint8{st, st, st, st}
 	if q > 0 {
 		// The lockstep loop reads each code byte from the state buffer
@@ -281,7 +294,7 @@ func (c *Checker) parseShardLanes(code []byte, start, fullEnd int, sc *scratch, 
 	if !lc.failed {
 		c.laneWalk(&lc, uint16(s[laneCount-1]), start+laneCount*q, fullEnd, start+(laneCount-1)*q)
 	}
-	return !lc.failed && c.laneExtract(&pb.states, sc, start, L)
+	return !lc.failed && c.laneExtract(code, pb, sc, start, L)
 }
 
 // laneLockstep is pass 1's inner loop: lanes holds the code of the four
@@ -354,29 +367,34 @@ func (c *Checker) laneWalk(lc *laneCtx, s uint16, o, end, rs int) uint16 {
 }
 
 // laneExtract is pass 2: SWAR-extract the boundary bits from the state
-// buffer (buf[:L] holds the region's states) into the shared valid
-// bitmap and enforce that every bundle boundary in [start, start+L] is
-// an instruction boundary. Bit offset start+j+1 is set iff buf[j] is a
-// class-1 state (the instruction ended after that byte); bit `start` is
+// buffer (pb.states[:L] holds the region's states) into the shared
+// valid bitmap, enforce that every bundle boundary in [start, start+L]
+// is an instruction boundary, and apply the direct-jump checks to every
+// jump ending in D. Bit offset start+j+1 is set iff pb.states[j] is in
+// the class-1 band (the instruction ended after that byte); bit `start` is
 // set unconditionally (the region start is an instruction start by
 // construction). The bit for offset start+L belongs to the following
 // parse and is only checked (the walk must have ended exactly at an
 // instruction boundary), never written.
 //
-// Each 64-bit bitmap word takes one 64-byte view of buf and eight
-// unrolled SWAR steps. The bundle-boundary demand is a per-word mask:
+// Each 64-bit bitmap word takes one 64-byte view of the states and
+// eight unrolled SWAR steps, and a word holding a D byte is listed in
+// pb.jumps without a branch. The checks run after the loop, which calls
+// nothing, so its values stay in registers. The bundle-boundary demand is a per-word mask:
 // with bundle size 2^k (16, 32 or 64 here; larger bundles never reach
 // the lanes), boundary offsets within a word sit at fixed bit positions
 // 0, 2^k, ..., so the pass accumulates the mask bits each word leaves
 // unset and checks them once at the end.
-func (c *Checker) laneExtract(buf *[ShardBytes]byte, sc *scratch, start, L int) bool {
+func (c *Checker) laneExtract(code []byte, pb *parseBuf, sc *scratch, start, L int) bool {
 	f := c.fused
-	// Range test x in [quiet, nc) per byte lane: state bytes are < 128,
+	// Range test x in [quiet, fnc) per byte lane: state bytes are < 128,
 	// so x+128-quiet carries into the high bit iff x >= quiet and
-	// x+128-nc iff x >= nc; no carry crosses byte lanes.
+	// x+128-fnc iff x >= fnc; no carry crosses byte lanes. The D test
+	// x in [fd, fnc) reuses x+128-fnc.
 	const ones = 0x0101010101010101
 	A := ones * uint64(128-f.quiet)
-	B := ones * uint64(128-f.nc)
+	B := ones * uint64(128-f.fnc)
+	D := ones * uint64(128-f.fd)
 	var bmask uint64
 	for b := 0; b < 64; b += c.params.bundle {
 		bmask |= 1 << uint(b)
@@ -384,17 +402,25 @@ func (c *Checker) laneExtract(buf *[ShardBytes]byte, sc *scratch, start, L int) 
 	words := sc.valid.Words()[start/64:][:(L+63)/64] // shard starts are 64-aligned
 	carry := uint64(1)
 	var miss uint64 // bundle-boundary bits some word left unset
+	n := 0          // words holding a D byte, listed in pb.jumps
 	for w := range words {
-		p := (*[64]byte)(buf[w*64:])
-		bits := class1Bits(binary.LittleEndian.Uint64(p[0:]), A, B) |
-			class1Bits(binary.LittleEndian.Uint64(p[8:]), A, B)<<8 |
-			class1Bits(binary.LittleEndian.Uint64(p[16:]), A, B)<<16 |
-			class1Bits(binary.LittleEndian.Uint64(p[24:]), A, B)<<24 |
-			class1Bits(binary.LittleEndian.Uint64(p[32:]), A, B)<<32 |
-			class1Bits(binary.LittleEndian.Uint64(p[40:]), A, B)<<40 |
-			class1Bits(binary.LittleEndian.Uint64(p[48:]), A, B)<<48 |
-			class1Bits(binary.LittleEndian.Uint64(p[56:]), A, B)<<56
-		keep, last := ^uint64(0), 63
+		p := (*[64]byte)(pb.states[w*64:])
+		ends, ds := laneBits(binary.LittleEndian.Uint64(p[0:]), A, B, D, 0)
+		e, d := laneBits(binary.LittleEndian.Uint64(p[8:]), A, B, D, 1)
+		ends, ds = ends|e<<8, ds|d
+		e, d = laneBits(binary.LittleEndian.Uint64(p[16:]), A, B, D, 2)
+		ends, ds = ends|e<<16, ds|d
+		e, d = laneBits(binary.LittleEndian.Uint64(p[24:]), A, B, D, 3)
+		ends, ds = ends|e<<24, ds|d
+		e, d = laneBits(binary.LittleEndian.Uint64(p[32:]), A, B, D, 4)
+		ends, ds = ends|e<<32, ds|d
+		e, d = laneBits(binary.LittleEndian.Uint64(p[40:]), A, B, D, 5)
+		ends, ds = ends|e<<40, ds|d
+		e, d = laneBits(binary.LittleEndian.Uint64(p[48:]), A, B, D, 6)
+		ends, ds = ends|e<<48, ds|d
+		e, d = laneBits(binary.LittleEndian.Uint64(p[56:]), A, B, D, 7)
+		ends, ds = ends|e<<56, ds|d
+		keep, dkeep, top := ^uint64(0), ^uint64(0), 63
 		if r := L - w*64; r < 64 {
 			// Partial final word: a region shorter than a shard is a
 			// multiple of the bundle size, not of 64, so it can end 16,
@@ -404,22 +430,55 @@ func (c *Checker) laneExtract(buf *[ShardBytes]byte, sc *scratch, start, L int) 
 			// region's bits, and every bit they yield is masked off.
 			// Bit r is the offset start+L bit, checked via the final
 			// carry.
-			keep, last = 1<<uint(r)-1, r-1
+			keep, dkeep, top = 1<<uint(r)-1, ones*(1<<uint(r/8)-1), r-1
 		}
-		v := bits<<1 | carry
+		v := ends<<1 | carry
 		words[w] |= v & keep
-		carry = bits >> uint(last) & 1
+		carry = ends >> uint(top) & 1
 		miss |= bmask & keep &^ v
+		// Listed without a branch: the entry counts only if it holds a D.
+		pb.jumps[n] = jumpWord{ds & dkeep, v, start + w*64}
+		if ds&dkeep != 0 {
+			n++
+		}
 	}
 	// The walk must have tiled the region exactly: the last byte's state
 	// is class-1, i.e. offset start+L is an instruction boundary.
-	return miss == 0 && carry == 1
+	if miss != 0 || carry != 1 {
+		return false
+	}
+	// Every word now starts with an instruction boundary (its first byte
+	// is a bundle boundary), so a direct jump ending in a word also
+	// starts in it, at the latest boundary at or below its D byte.
+	for _, j := range pb.jumps[:n] {
+		for ds := j.ds; ds != 0; ds &= ds - 1 {
+			b := bits.TrailingZeros64(ds)
+			i := b&7<<3 | b>>3
+			saved := j.base + 63 - bits.LeadingZeros64(j.v&(2<<uint(i)-1))
+			if _, _, ok := c.checkJump(sc, pb, code, saved, j.base+i+1); !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
-// class1Bits packs the class-1 test of eight state bytes (x, little
-// endian) into its low eight bits, one per byte; A and B are
-// laneExtract's byte-replicated 128-quiet and 128-nc.
-func class1Bits(x, A, B uint64) uint64 {
-	m := ((x + A) &^ (x + B)) & 0x8080808080808080
-	return m >> 7 * 0x0102040810204080 >> 56
+// jumpWord is a word of pass 2 that holds D bytes: ds marks them, the
+// byte at base+8k+j as bit 8j+k (a transposed layout, which costs
+// laneBits no packing), and v holds the word's boundary bits (bit i: an
+// instruction starts at base+i).
+type jumpWord struct {
+	ds, v uint64
+	base  int
+}
+
+// laneBits tests the eight state bytes x (little endian) that start k*8
+// bytes into a word of pass 2 (laneExtract), whose byte-replicated
+// 128-quiet, 128-fnc and 128-fd are A, B and D. It packs the class-1
+// band test into the low eight bits of its first result, one per byte,
+// and returns the D test of byte j as bit 8j+k of its second.
+func laneBits(x, A, B, D uint64, k uint) (uint64, uint64) {
+	const h = 0x8080808080808080
+	xb := x + B
+	return ((x + A) &^ xb) & h >> 7 * 0x0102040810204080 >> 56, ((x + D) &^ xb) & h >> (7 - k)
 }

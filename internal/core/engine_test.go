@@ -268,7 +268,9 @@ func TestReportShape(t *testing.T) {
 // AlignedCalls; for a mask ending exactly on a lane seam, where the
 // lane ends with the pair undecided and its seam bit unset (the
 // region-end rule); and for a violation inside a full shard's lanes.
-// Each restart hands the shard to the Figure-5 loop.
+// Each restart hands the shard to the Figure-5 loop. The last rows
+// (directJumpRows) place direct jumps, which the lanes end in D and
+// check in pass 2, on that pass's seams.
 func TestLaneMaskedCalls(t *testing.T) {
 	type row struct {
 		what          string
@@ -362,6 +364,27 @@ func TestLaneMaskedCalls(t *testing.T) {
 				rows = append(rows, row{fmt.Sprintf("%s: %s", com.Spec.Name, d.what), d.c, d.pat, p.size, p.off, false, p.restart})
 			}
 		}
+	}
+	// Direct jumps, which the lanes end in D and check in pass 2.
+	reins, err := policy.Compile(policy.REINS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range directJumpRows {
+		c, err := core.NewChecker()
+		if j.reins {
+			c, err = core.NewCheckerFromPolicy(reins)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AlignedCalls = j.aligned
+		c.Entries = map[uint32]bool{}
+		for _, e := range j.entries {
+			c.Entries[e] = true
+		}
+		what := fmt.Sprintf("%s: alignedCalls=%v: %s", c.PolicyInfo().Name, j.aligned, j.what)
+		rows = append(rows, row{what, c, j.pat, j.size, j.off, j.safe, j.restart})
 	}
 	for _, r := range rows {
 		img := bytes.Repeat([]byte{0x90}, r.size)

@@ -61,24 +61,35 @@ type fusedDFA struct {
 	tags  []uint8
 	table [][256]uint16
 	// flat is the restart-closed transition table the lane engine
-	// walks, flattened, padded to 128 state rows and one byte wide. The
-	// low 7 bits of flat[s<<8|b] are table[s][b], except that class-1
-	// states (pure noCF accept, nothing live — the instruction just
-	// ended and nothing else can match) transition as if from the start
-	// state, and that a transition into a masked-pair accept on any byte
-	// but the call form's modrm (FF /2, the only form a policy check
-	// follows) goes to the first class-1 state instead: the pair has top
-	// priority, so it ends exactly like a plain instruction. Bit 7 is set
-	// exactly when that target is eventful (>= rec), so the pass-1 walk
-	// detects an event on any of its four lanes with one OR of the four
-	// bytes it looked up. A walk over the table never stops at the
-	// common instruction end; it flows straight into the next
-	// instruction, and the engine recovers the boundary positions from
-	// the state numbers it passes through. The walk indexes it as
+	// walks, flattened, padded to 128 state rows and one byte wide, in
+	// the flat numbering: the states above plus a pseudo-state D, which
+	// ends a direct jump. D takes number nc, at the top of the class-1
+	// band, and the states from nc on shift up by one; ftags and fstart
+	// are the tags and the start state in that numbering, [quiet, fnc)
+	// is its class-1 band, D included, and [fd, fnc) is D alone (empty
+	// when the automaton has no D; see computeFast). The low 7 bits of
+	// the entry for state s and byte b are table[s][b] renumbered, except
+	// that class-1 states (pure noCF accept, nothing live — the
+	// instruction just ended and nothing else can match) and D transition
+	// as if from the start state; that a transition into a masked-pair
+	// accept on any byte but the call form's modrm (FF /2, the only form
+	// a policy check follows) goes to the first class-1 state instead:
+	// the pair has top priority, so it ends exactly like a plain
+	// instruction; and that a transition into a pure direct accept the
+	// stop rule always takes (directEnds) goes to D, whose checks pass 2
+	// applies. Bit 7 is set exactly when that target is eventful (at or
+	// above rec in the flat numbering), so the pass-1 walk detects an
+	// event on any of its four lanes with one OR of the four bytes it
+	// looked up. A walk over the table never stops at the common
+	// instruction end or at a direct jump; it flows straight into the
+	// next instruction, and the engine recovers the boundary positions
+	// from the state numbers it passes through. The walk indexes it as
 	// flat[int(s&127)<<8|int(b)], which the compiler can prove in-bounds
 	// against the fixed 1<<15 length, so the hottest load carries no
 	// bounds check. 32 KiB, derived on load, never serialized.
-	flat []uint8
+	flat            []uint8
+	ftags           []uint8
+	fstart, fd, fnc int
 	// fp memoizes the content hash of (start, tags, table) — the
 	// automaton's identity in verdict-cache keys (see cache.go).
 	fpOnce sync.Once
@@ -105,13 +116,6 @@ type fusedDFA struct {
 // reuse rather than unsoundly enabling it.
 func (f *fusedDFA) lookahead() int {
 	f.laOnce.Do(func() {
-		cont := func(s uint16) bool {
-			if int(s) < f.quiet {
-				return true
-			}
-			tag := f.tags[s]
-			return tag&tagAccMasked == 0 && tag&tagLiveAny != 0
-		}
 		// depth[s]: 0 unvisited, -1 on the current DFS path (cycle when
 		// re-entered), otherwise 2 + longest remaining walk from s.
 		depth := make([]int, len(f.table))
@@ -131,7 +135,7 @@ func (f *fusedDFA) lookahead() int {
 			for b := 0; b < 256 && !cyclic; b++ {
 				t := row[b]
 				steps := 1
-				if cont(t) {
+				if f.continues(t) {
 					steps += walk(t)
 				}
 				if steps > best {
@@ -157,30 +161,114 @@ func (f *fusedDFA) lookahead() int {
 const flatStates = 128
 
 // computeFast derives the never-serialized table the lanes walk from a
-// checked automaton: the padded byte-wide restart-closed table with its
-// masked-pair remapping and event bit (skipped with more than
-// flatStates states, when the lanes never run).
+// checked automaton: the padded byte-wide restart-closed table in the
+// flat numbering, with its masked-pair remapping, its direct-jump end D
+// and its event bit (skipped with more than flatStates states, when the
+// lanes never run). The automaton gets a D only if some state qualifies
+// (directEnds) and a row is left for it; otherwise the flat numbering
+// is the automaton's own and every direct jump stays an event.
 func (f *fusedDFA) computeFast() {
-	if len(f.table) > flatStates {
+	n := len(f.table)
+	if n > flatStates {
 		return
 	}
+	ends, shift := f.directEnds()
+	num := func(s int) int {
+		if s >= f.nc {
+			return s + shift
+		}
+		return s
+	}
+	f.fstart, f.fd, f.fnc = num(f.start), f.nc, f.nc+shift
+	rec := num(f.rec)
 	row := &f.table[f.start]
 	f.flat = make([]uint8, flatStates*256)
+	f.ftags = make([]uint8, n+shift)
 	for s := range f.table {
 		src := &f.table[s]
 		if s >= f.quiet && s < f.nc {
 			src = row
 		}
-		dst := f.flat[s<<8 : (s+1)<<8]
+		r := num(s)
+		f.ftags[r] = f.tags[s]
+		dst := f.flat[r<<8 : (r+1)<<8]
 		for b, t := range src {
-			if f.nc > f.quiet && f.tags[t]&tagAccMasked != 0 && b>>3&7 != 2 {
-				t = uint16(f.quiet)
+			v := num(int(t))
+			switch {
+			case ends[t]:
+				v = f.fd
+			case f.nc > f.quiet && f.tags[t]&tagAccMasked != 0 && b>>3&7 != 2:
+				v = f.quiet
 			}
-			if dst[b] = uint8(t); int(t) >= f.rec {
+			if dst[b] = uint8(v); v >= rec {
 				dst[b] |= laneEventBit
 			}
 		}
 	}
+	if shift == 1 {
+		// D ends the instruction like a class-1 state.
+		f.ftags[f.fd] = tagAccDirect
+		copy(f.flat[f.fd<<8:(f.fd+1)<<8], f.flat[f.quiet<<8:])
+	}
+}
+
+// directEnds marks the states the flat table folds into D: the pure
+// direct accepts (tag exactly tagAccDirect) where laneEvent's stop rule
+// always resolves a direct jump ending at that byte. It does so unless
+// a noCF or direct accept came earlier in the same instruction, so a
+// state qualifies only if no walk from the start state reaches it past
+// such an accept. The walks are a breadth-first search over (state,
+// whether an accept has been passed) through every state the stop rule
+// may continue from (continues). shift is 1 when some state qualifies,
+// the flat table has a row left for D and a class-1 row for D to copy,
+// 0 otherwise (and then no state is marked).
+func (f *fusedDFA) directEnds() (ends [flatStates]bool, shift int) {
+	n := len(f.table)
+	if n >= flatStates || f.nc == f.quiet {
+		return ends, 0
+	}
+	accepted := func(s uint16) int {
+		if f.tags[s]&(tagAccNoCF|tagAccDirect) != 0 {
+			return 1
+		}
+		return 0
+	}
+	var seen [flatStates][2]bool
+	var late [flatStates]bool
+	var queue [2 * flatStates]uint16 // state<<1 | passed an accept
+	h := accepted(uint16(f.start))
+	seen[f.start][h] = true
+	queue[0] = uint16(f.start<<1 | h)
+	for head, tail := 0, 1; head < tail; head++ {
+		s, h := queue[head]>>1, int(queue[head]&1)
+		for _, t := range &f.table[s] {
+			if h == 1 && f.tags[t] == tagAccDirect {
+				late[t] = true
+			}
+			if th := h | accepted(t); f.continues(t) && !seen[t][th] {
+				seen[t][th] = true
+				queue[tail] = t<<1 | uint16(th)
+				tail++
+			}
+		}
+	}
+	for s := 0; s < n; s++ {
+		if f.tags[s] == tagAccDirect && !late[s] {
+			ends[s], shift = true, 1
+		}
+	}
+	return ends, shift
+}
+
+// continues reports whether the stop rule may continue a walk from
+// state s: s is quiet, or no component has accepted masked and some
+// component is still live.
+func (f *fusedDFA) continues(s uint16) bool {
+	if int(s) < f.quiet {
+		return true
+	}
+	g := f.tags[s]
+	return g&tagAccMasked == 0 && g&tagLiveAny != 0
 }
 
 // eventfulTag reports whether a walk must inspect the state's tag: a

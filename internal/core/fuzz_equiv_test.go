@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -158,6 +159,66 @@ func addFusedEdgeSeeds(f *testing.F) {
 	for _, off := range maskedCallOffsets {
 		f.Add(maskedCallImage(256, off))
 	}
+	for _, r := range directJumpRows {
+		f.Add(r.image())
+	}
+}
+
+// directJumpRow is a direct jump placed at off in a size-byte NOP
+// image, the checker settings it is verified under, and the verdict and
+// lane restart expected. The lanes end a direct jump in the flat-only
+// state D and pass 2 applies its checks, so the rows sit on pass 2's
+// seams. TestLaneMaskedCalls checks each row; the fused-engine fuzzers
+// take each image as a seed.
+type directJumpRow struct {
+	what          string
+	size, off     int
+	pat           []byte
+	reins         bool     // REINS-16 (a 64 KiB guard region), not NaCl-32
+	entries       []uint32 // whitelisted out-of-image targets
+	aligned       bool     // AlignedCalls
+	safe, restart bool
+}
+
+func (r directJumpRow) image() []byte {
+	img := bytes.Repeat([]byte{0x90}, r.size)
+	copy(img[r.off:], r.pat)
+	return img
+}
+
+// rel32 is the five-byte direct jump or call op at off reaching target.
+func rel32(op byte, off, target int) []byte {
+	return binary.LittleEndian.AppendUint32([]byte{op}, uint32(target-(off+5)))
+}
+
+// directJumpRows: a jump ending on a lane seam and one starting a lane
+// (its start is the word's first bit, carried from the previous word),
+// in a full shard (four 4 KiB lanes) and in 256 bytes (four 64-byte
+// lanes); a rel32 jump across a 64-byte word, whose start lies in the
+// previous word (a word edge is a bundle boundary, so the region fails
+// and the reference loop reports the straddle); a jump in an image's
+// trailing partial bundle, which the loop parses after the lanes, and
+// one ending the lanes' region in a partial final word; out-of-image
+// targets, one whitelisted in Entries, one not, and one whitelisted in
+// REINS's guard region; and a call under AlignedCalls ending off and on
+// the bundle grid.
+var directJumpRows = []directJumpRow{
+	{what: "jmp rel8 ending on a lane seam", size: core.ShardBytes, off: core.ShardBytes/4 - 2, pat: []byte{0xeb, 0x00}, safe: true},
+	{what: "jmp rel8 ending on a lane seam", size: 256, off: 62, pat: []byte{0xeb, 0x00}, safe: true},
+	{what: "jmp rel8 starting a lane", size: core.ShardBytes, off: core.ShardBytes / 4, pat: []byte{0xeb, 0x00}, safe: true},
+	{what: "jmp rel8 starting a lane", size: 256, off: 128, pat: []byte{0xeb, 0xfe}, safe: true},
+	{what: "jmp rel32 across a 64-byte word", size: core.ShardBytes, off: 126, pat: rel32(0xe9, 126, 0), restart: true},
+	{what: "jmp rel8 in the trailing partial bundle", size: 9*core.BundleSize + 7, off: 9*core.BundleSize + 1, pat: []byte{0xeb, 0x02}, safe: true},
+	// A shard of jumps leaves D states throughout the pooled state
+	// buffer; the next row's region ends 32 bytes into its last word,
+	// over those stale states.
+	{what: "jmp rel8 filling a shard", size: core.ShardBytes, pat: bytes.Repeat([]byte{0xeb, 0x00}, core.ShardBytes/2-1), safe: true},
+	{what: "jmp rel8 ending the lanes in a partial final word", size: 9*core.BundleSize + 7, off: 9*core.BundleSize - 2, pat: []byte{0xeb, 0x00}, safe: true},
+	{what: "jmp rel32 to a whitelisted entry", size: 256, off: 100, pat: rel32(0xe9, 100, 0x20000), entries: []uint32{0x20000}, safe: true},
+	{what: "jmp rel32 to an entry not whitelisted", size: 256, off: 100, pat: rel32(0xe9, 100, 0x30000), entries: []uint32{0x20000}, restart: true},
+	{what: "jmp rel32 to a whitelisted entry in the guard region", size: 256, off: 100, pat: rel32(0xe9, 100, 0x8000), reins: true, entries: []uint32{0x8000}, restart: true},
+	{what: "call rel32 ending off the bundle grid", size: 256, off: 100, pat: rel32(0xe8, 100, 0), aligned: true, restart: true},
+	{what: "call rel32 ending on the bundle grid", size: 256, off: 123, pat: rel32(0xe8, 123, 0), aligned: true, safe: true},
 }
 
 // maskedCallOffsets place a masked call in a 256-byte image, which the

@@ -193,7 +193,6 @@ var coreMetrics struct {
 	containedPanics *telemetry.Counter
 	cacheWholeHits  *telemetry.Counter
 	cacheBytesSaved *telemetry.Counter
-	cacheServes     *telemetry.Counter
 	deltaRounds     *telemetry.Counter
 	deltaReparsed   *telemetry.Counter
 	deltaReplayed   *telemetry.Counter
@@ -225,7 +224,6 @@ func init() {
 	coreMetrics.containedPanics = r.NewCounter("rocksalt_verify_contained_panics_total", "stage-1 shard panics contained as InternalFault")
 	coreMetrics.cacheWholeHits = r.NewCounter("rocksalt_cache_whole_hits_total", "runs answered entirely from the verdict cache")
 	coreMetrics.cacheBytesSaved = r.NewCounter("rocksalt_cache_bytes_saved_total", "image bytes not parsed thanks to whole-image cache hits")
-	coreMetrics.cacheServes = r.NewCounter("rocksalt_cache_serves_total", "verifies answered entirely from the whole-image verdict cache")
 	coreMetrics.deltaRounds = r.NewCounter("rocksalt_delta_rounds_total", "VerifyDelta reconciliation rounds completed")
 	coreMetrics.deltaReparsed = r.NewCounter("rocksalt_delta_chunks_reparsed_total", "chunks re-parsed by VerifyDelta rounds")
 	coreMetrics.deltaReplayed = r.NewCounter("rocksalt_delta_chunks_replayed_total", "chunks replayed from retained delta state")
@@ -307,7 +305,6 @@ func publishCacheStats(st *Stats) {
 	}
 	m := &coreMetrics
 	m.cacheWholeHits.Add(st.CacheWholeHits)
-	m.cacheServes.Add(1)
 	m.cacheBytesSaved.Add(st.CacheBytesSaved)
 	if h := m.engineNanos[flight.EngineCache.String()]; h != nil {
 		h.Observe(int64(st.Wall))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -95,14 +96,20 @@ func TestLargeAutomatonVerifiesScalar(t *testing.T) {
 	}
 }
 
-// TestFlatMaskedRemap: in the lanes' flat table every transition into
-// a masked-pair accept on a byte that is not the call form's modrm (FF
+// TestFlatMaskedRemap: the lanes' flat table is the restart-closed
+// table in the flat numbering, where the direct-jump end D takes nc and
+// the states from nc on move up by one. In it every transition into a
+// masked-pair accept on a byte that is not the call form's modrm (FF
 // /2) goes to a class-1 state, so such a pair ends like a plain
 // instruction and never stops the lanes; every call-form one stays the
-// eventful accept (>= rec), where laneEvent applies the AlignedCalls
-// check; and every other entry is the restart-closed table's. Those are
-// the low 7 bits of each byte-wide entry; bit 7 (laneEventBit) is set
-// exactly when that target is eventful (>= rec).
+// eventful accept (at or above rec), where laneEvent applies the
+// AlignedCalls check; every transition into the pure direct accept P
+// goes to D with no event bit, so a direct jump never stops the lanes
+// either; D's row is the class-1 row; and every other entry is the
+// restart-closed table's, renumbered. Those are the low 7 bits of each
+// byte-wide entry; bit 7 (laneEventBit) is set exactly when that target
+// is eventful. Each shipped automaton has exactly one P, and its guard
+// (directEnds) passes.
 func TestFlatMaskedRemap(t *testing.T) {
 	embedded, err := NewChecker()
 	if err != nil {
@@ -120,39 +127,184 @@ func TestFlatMaskedRemap(t *testing.T) {
 	}
 	for name, c := range checkers {
 		f := c.fused
-		remapped, calls := 0, 0
+		if f.fd != f.nc || f.fnc != f.nc+1 {
+			t.Fatalf("%s: D band [%d, %d), want D alone at nc %d", name, f.fd, f.fnc, f.nc)
+		}
+		num := func(s uint16) uint16 {
+			if int(s) >= f.nc {
+				return s + 1
+			}
+			return s
+		}
+		rec := int(num(uint16(f.rec)))
+		var ps []uint16
+		for s, g := range f.tags {
+			if g == tagAccDirect {
+				ps = append(ps, uint16(s))
+			}
+		}
+		if len(ps) != 1 {
+			t.Fatalf("%s: pure direct accepts %v, want exactly one", name, ps)
+		}
+		if f.fstart != int(num(uint16(f.start))) || len(f.ftags) != len(f.tags)+1 || f.ftags[f.fd] != tagAccDirect {
+			t.Fatalf("%s: flat start %d and %d flat tags (D's %#x), want %d, %d and %#x",
+				name, f.fstart, len(f.ftags), f.ftags[f.fd], num(uint16(f.start)), len(f.tags)+1, tagAccDirect)
+		}
+		remapped, calls, directs := 0, 0, 0
 		for s := range f.table {
 			src := &f.table[s]
 			if s >= f.quiet && s < f.nc {
 				src = &f.table[f.start]
 			}
+			r := int(num(uint16(s)))
+			if f.ftags[r] != f.tags[s] {
+				t.Fatalf("%s: flat tag %d = %#x, want state %d's %#x", name, r, f.ftags[r], s, f.tags[s])
+			}
 			for b, want := range src {
-				e := f.flat[s<<8|b]
+				e := f.flat[r<<8|b]
 				got := uint16(e &^ laneEventBit)
-				if eventful := int(got) >= f.rec; eventful != (e&laneEventBit != 0) {
+				if eventful := int(got) >= rec; eventful != (e&laneEventBit != 0) {
 					t.Fatalf("%s: flat[%d][%#x] = %#x: event bit %v, but target %d against rec %d",
-						name, s, b, e, e&laneEventBit != 0, got, f.rec)
+						name, r, b, e, e&laneEventBit != 0, got, rec)
 				}
 				switch {
+				case want == ps[0]:
+					directs++
+					if int(got) != f.fd {
+						t.Fatalf("%s: flat[%d][%#x] = %d, want D (%d) for the pure direct accept %d", name, r, b, got, f.fd, want)
+					}
 				case f.tags[want]&tagAccMasked == 0:
-					if got != want {
-						t.Fatalf("%s: flat[%d][%#x] = %d, want %d", name, s, b, got, want)
+					if got != num(want) {
+						t.Fatalf("%s: flat[%d][%#x] = %d, want %d", name, r, b, got, num(want))
 					}
 				case b>>3&7 == 2:
 					calls++
-					if got != want || int(got) < f.rec {
-						t.Fatalf("%s: call-form flat[%d][%#x] = %d, want the eventful %d (rec %d)", name, s, b, got, want, f.rec)
+					if got != num(want) || int(got) < rec {
+						t.Fatalf("%s: call-form flat[%d][%#x] = %d, want the eventful %d (rec %d)", name, r, b, got, num(want), rec)
 					}
 				default:
 					remapped++
 					if int(got) < f.quiet || int(got) >= f.nc {
-						t.Fatalf("%s: masked flat[%d][%#x] = %d, want a class-1 state in [%d, %d)", name, s, b, got, f.quiet, f.nc)
+						t.Fatalf("%s: masked flat[%d][%#x] = %d, want a class-1 state in [%d, %d)", name, r, b, got, f.quiet, f.nc)
 					}
 				}
 			}
 		}
-		if remapped == 0 || calls == 0 {
-			t.Fatalf("%s: %d remapped and %d call-form masked transitions, want both", name, remapped, calls)
+		if d, c1 := f.flat[f.fd<<8:][:256], f.flat[f.quiet<<8:][:256]; !bytes.Equal(d, c1) {
+			t.Fatalf("%s: D's row differs from the class-1 row", name)
+		}
+		if remapped == 0 || calls == 0 || directs == 0 {
+			t.Fatalf("%s: %d remapped and %d call-form masked transitions and %d into P, want all three", name, remapped, calls, directs)
+		}
+	}
+}
+
+// trieDFA accepts exactly the given byte strings: state 0 is the start
+// and 1 the reject sink.
+func trieDFA(words ...[]byte) *grammar.DFA {
+	d := &grammar.DFA{}
+	node := func() uint16 {
+		var row [256]uint16
+		for b := range row {
+			row[b] = 1
+		}
+		d.Table = append(d.Table, row)
+		d.Accepts = append(d.Accepts, false)
+		d.Rejects = append(d.Rejects, false)
+		return uint16(len(d.Table) - 1)
+	}
+	node()
+	node()
+	d.Rejects[1] = true
+	for _, w := range words {
+		s := 0
+		for _, b := range w {
+			if d.Table[s][b] == 1 {
+				n := node()
+				d.Table[s][b] = n
+			}
+			s = int(d.Table[s][b])
+		}
+		d.Accepts[s] = true
+	}
+	return d
+}
+
+// TestDirectEndGuard: a pure direct accept becomes D only if no walk
+// reaches it after an earlier noCF or direct accept in the same
+// instruction, where the stop rule takes that earlier accept. Two
+// hand-built automata share a masked pair (eb 01 02) and a direct jump
+// (eb 90, jmp -112). In the guarded one noCF also accepts eb alone, so
+// eb 90 is two instructions, and the direct accept after it is reached
+// only past a recorded noCF accept (masked is still live after eb): it
+// must stay eventful. In the other, noCF accepts only the NOP, and the
+// direct accept becomes D. Each places eb 90 in a 256-byte NOP image
+// (four 64-byte lanes) and must match EngineReference with the restart
+// count pinned: every jump whose target leaves the image, and eb 90
+// across the first lane seam, restart the shard.
+func TestDirectEndGuard(t *testing.T) {
+	pair, jump := []byte{0xeb, 0x01, 0x02}, []byte{0xeb, 0x90}
+	for _, tc := range []struct {
+		name    string
+		noCF    *grammar.DFA
+		d       bool
+		restart map[int]bool
+	}{
+		{"guarded", trieDFA([]byte{0x90}, []byte{0xeb}), false, map[int]bool{0: false, 30: false, 63: true, 100: false, 200: false}},
+		{"direct end", trieDFA([]byte{0x90}), true, map[int]bool{0: true, 30: true, 63: true, 100: true, 200: false}},
+	} {
+		set := &DFASet{MaskedJump: trieDFA(pair), NoControlFlow: tc.noCF, DirectJump: trieDFA(jump)}
+		var b bytes.Buffer
+		if err := set.WriteTables(&b, PolicyInfo{Name: tc.name, BundleSize: 32, MaskLen: 2}, false); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCheckerFromTables(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := c.fused
+		if hasD := f.fnc > f.fd; hasD != tc.d {
+			t.Fatalf("%s: D band [%d, %d), want a D: %v", tc.name, f.fd, f.fnc, tc.d)
+		}
+		// Entries into the pure direct accept (eventful, so at its own
+		// number moved up by D's row, if any): every one an event in the
+		// guarded automaton, none left in the other.
+		into := 0
+		for s := range f.table {
+			if f.tags[s] != tagAccDirect {
+				continue
+			}
+			for r := range f.ftags {
+				for by := 0; by < 256; by++ {
+					if e := f.flat[r<<8|by]; int(e&^laneEventBit) == s+f.fnc-f.fd {
+						into++
+						if e&laneEventBit == 0 {
+							t.Fatalf("%s: flat[%d][%#x] enters the pure direct accept without an event", tc.name, r, by)
+						}
+					}
+				}
+			}
+		}
+		if (into > 0) == tc.d {
+			t.Fatalf("%s: %d flat entries into the pure direct accept, want some only without a D", tc.name, into)
+		}
+		for off, restart := range tc.restart {
+			img := bytes.Repeat([]byte{0x90}, 256)
+			copy(img[off:], jump)
+			what := fmt.Sprintf("%s: eb 90 at offset %d", tc.name, off)
+			ref := c.VerifyWith(img, VerifyOptions{Workers: 1, Engine: EngineReference})
+			got := c.VerifyWith(img, VerifyOptions{Workers: 1})
+			if got.Safe != ref.Safe || got.Total != ref.Total || !reflect.DeepEqual(got.Violations, ref.Violations) ||
+				got.Stats.EngineInvariant() != ref.Stats.EngineInvariant() {
+				t.Fatalf("%s: reports diverged\nref: %+v %+v\ngot: %+v %+v", what, ref.Violations, ref.Stats, got.Violations, got.Stats)
+			}
+			var want int64
+			if restart {
+				want = 1
+			}
+			if got.Stats.Restarts != want || got.Stats.LaneBatches != 1-want {
+				t.Errorf("%s: %d restarts and %d lane batches, want %d and %d", what, got.Stats.Restarts, got.Stats.LaneBatches, want, 1-want)
+			}
 		}
 	}
 }
