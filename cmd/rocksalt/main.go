@@ -36,8 +36,8 @@
 // the key an embedder hands back to skip the hashing pass. A one-shot
 // run always misses and pays for the hashing; the flag is the CLI
 // surface of the engine feature a long-lived embedder uses across many
-// Verify calls, and -stats/-json report a hit (cache_whole_hits,
-// cache_bytes_saved) when there is one. -delta and -stream ignore it.
+// Verify calls, and -stats/-json report a hit (cache_whole_hits) when
+// there is one. -delta and -stream ignore it.
 //
 // -delta old.bin verifies file.bin incrementally: it first verifies
 // old.bin (the previous revision of the image) to build the retained

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -63,6 +64,48 @@ func BenchmarkVerifySmall(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkVerifyDelta is one VerifyDelta round on a 16 MiB image
+// after a 4 KiB slot rewrite, with default workers. The image tiles a
+// generated unit padded to the slot, so every jump stays in its slot,
+// and each iteration writes the other of two compliant contents into
+// one mid-image slot, so every round re-parses that slot's chunk and
+// replays the other 255.
+func BenchmarkVerifyDelta(b *testing.B) {
+	c, err := core.NewChecker()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const slot = 4 << 10
+	var contents [2][]byte
+	for i := range contents {
+		unit, err := nacl.NewGenerator(int64(21 + i)).Random(700)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(unit) > slot {
+			b.Fatalf("unit of %d bytes does not fit a %d-byte slot", len(unit), slot)
+		}
+		contents[i] = append(unit, bytes.Repeat([]byte{0x90}, slot-len(unit))...)
+	}
+	img := bytes.Repeat(contents[0], (16<<20)/slot)
+	off := len(img)/2 + 3*slot
+	edit := []core.Range{{Off: off, Len: slot}}
+	_, state, err := c.VerifyDeltaWith(img, nil, nil, core.VerifyOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(img[off:], contents[(i+1)%2])
+		var rep *core.Report
+		rep, state, err = c.VerifyDeltaWith(img, edit, state, core.VerifyOptions{})
+		if err != nil || !rep.Safe {
+			b.Fatalf("delta round: safe=%v err=%v", rep != nil && rep.Safe, err)
+		}
 	}
 }
 

@@ -110,7 +110,6 @@ func (c *Checker) verifyCached(ctx context.Context, code []byte, opts VerifyOpti
 		st.Engine = flight.EngineCache.String()
 		st.LaneBatches, st.ScalarFallbacks, st.Restarts = 0, 0, 0
 		st.CacheWholeHits = 1
-		st.CacheBytesSaved = int64(len(code))
 		st.Stage1Wall, st.Stage2Wall, st.JumpsWall = 0, 0, 0
 		st.Wall = time.Since(lookupStart)
 		publishCacheStats(st)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"rocksalt/internal/flight"
@@ -19,19 +20,23 @@ import (
 // past the chunk end (see fusedDFA.lookahead), the image size, and the
 // checker configuration. A DeltaState retains the whole-image stage-1
 // artifacts of the previous round in the engine's own scratch form —
-// the packed boundary bitmap and every shard's result (cross-shard
-// targets, proven-bad targets, parse-mode flags, instruction count),
-// the form the streaming verifier's carry state also takes. A delta
-// round re-parses only the chunks whose parse inputs may have changed
-// and then re-runs the ordinary stage-2 reconciliation over the merged
+// the packed boundary bitmap, every shard's result (cross-shard
+// targets, proven-bad targets, parse-mode flags, instruction count) and
+// its stage-2 summary byte, and the running instruction total — the
+// form the streaming verifier's carry state also takes. A delta round
+// re-parses only the chunks whose parse inputs may have changed and
+// then re-runs the ordinary stage-2 reconciliation over the merged
 // results.
 // Every chunk is retained, the final one included: its parse also
 // depends on where the image ends (the end-of-image straddle allowance,
 // target classification), but those inputs move only with the size,
-// and a size change re-parses it (below). No step of a round passes
-// over the image's bytes or bitmaps: the dirty set is O(chunks), the
-// re-parse O(edit), and stage 2 O(shards + cross-shard targets), with
-// Stats.Instructions a sum of retained per-shard counts.
+// and a size change re-parses it (below). No step of a same-size round
+// passes over the image's bytes, bitmaps or chunks: the dirty set is
+// built from the edit ranges and the retained list of unclean chunks,
+// the re-parse is O(edit), and stage 2 reads the summary bytes a word
+// (eight shards) at a time and visits only the flagged shards, with
+// Stats.Instructions the running total. A round that changes the size
+// still applies the O(chunks) rules below.
 //
 // Verdicts are byte-identical to a from-scratch Verify because both
 // stages are reproduced exactly:
@@ -43,11 +48,14 @@ import (
 //     dispatch (stage1.dispatch), after their bitmap words and results
 //     are erased — the same erase-then-reparse discipline the lane
 //     engine uses for restarts.
-//   - Stage 2: reconcile runs unchanged over all shard results, so
+//   - Stage 2: reconcile runs unchanged over the shard results, so
 //     cross-chunk jump validation, bundle-boundary coverage and the
 //     deterministic (offset, kind) ordering are recomputed against the
-//     current merged state every round. Stale cross-chunk conclusions
-//     cannot survive: stage 2 never reads the previous round's output.
+//     current merged state every round. The shards it skips are those
+//     whose summary byte says they hold nothing to check, the same rule
+//     a full run applies, and the byte is rewritten with every parse.
+//     Stale cross-chunk conclusions cannot survive: stage 2 never reads
+//     the previous round's output.
 //
 // Image size changes need care beyond byte ranges, because stage 1
 // classifies direct-jump targets against the image size:
@@ -108,9 +116,11 @@ type Range struct {
 // footprint is size/8 bytes of boundary bitmap, ~100 bytes per 16 KiB
 // shard and 4 bytes per cross-shard jump target: 0.131 x size on an
 // image whose jumps stay in their shards (TestDeltaStateFootprint).
-// The per-shard bytes include the round's dirty set and re-parse list,
-// kept as scratch so a steady-state round allocates nothing that grows
-// with the image.
+// The per-shard bytes include the shard's result and summary byte, and
+// room for reconcile's flagged-shard list and the round's re-parse
+// list; the chunk lists (dirty, unclean) take at most 8 bytes per
+// 64 KiB chunk. All of it is kept as scratch so a steady-state round
+// allocates nothing that grows with the image.
 //
 // A DeltaState must not be used concurrently: one round at a time.
 type DeltaState struct {
@@ -118,14 +128,23 @@ type DeltaState struct {
 	size     int
 	overhang int
 	sc       scratch
-	// clean[i] records that chunk i's latest parse passed chunkClean,
-	// licensing replay next round. Every chunk of the image is tracked,
-	// the final one included.
-	clean []bool
-	// dirty (per chunk) and reparse (shard indices) are the current
+	// unclean lists, ascending, the chunks whose latest parse failed
+	// chunkClean or was interrupted; every other chunk of the image, the
+	// final one included, passed it, which licenses its replay.
+	unclean []int
+	// dirty (chunk indices) and reparse (shard indices) are the current
 	// round's dirty set, reused across rounds.
-	dirty   []bool
+	dirty   []int
 	reparse []int
+}
+
+// resize returns s at length n, keeping its first min(len(s), n)
+// elements; any it adds are zero.
+func resize[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // Size returns the image size the state currently describes.
@@ -180,28 +199,19 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 	k := c.begin(size, opts, &stats)
 	shards := k.shards
 
-	// The dirty set: chunks whose retained artifacts cannot be trusted
-	// this round. The final chunk is tracked like any other: its parse
-	// depends on the image end, but the size-change rules below dirty it
-	// whenever the size moves, so a same-size round may replay it.
-	dirty := st.dirty
-	if cap(dirty) < nc {
-		dirty = make([]bool, nc)
-	} else {
-		dirty = dirty[:nc]
-		clear(dirty)
-	}
-	st.dirty = dirty
+	// The dirty set, as ascending chunk indices: the chunks whose retained
+	// artifacts cannot be trusted this round. The final chunk is tracked
+	// like any other: its parse depends on the image end, but the
+	// size-change rules below dirty it whenever the size moves, so a
+	// same-size round may replay it. A same-size round builds the set
+	// from the retained unclean list and the edit ranges alone.
+	dirty := st.dirty[:0]
 	if fresh {
-		for i := range dirty {
-			dirty[i] = true
+		for i := 0; i < nc; i++ {
+			dirty = append(dirty, i)
 		}
 	} else {
-		for i := range dirty {
-			if i >= len(st.clean) || !st.clean[i] {
-				dirty[i] = true
-			}
-		}
+		dirty = append(dirty, st.unclean...)
 		for _, r := range changed {
 			// Clamp to the image without computing Off+Len, which
 			// overflows for a range meant to run to the end.
@@ -214,21 +224,14 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 			}
 			// Chunk i's parse reads [i*chunkBytes, (i+1)*chunkBytes +
 			// overhang); it is dirty iff the edit intersects that window.
-			i := (lo - overhang) / chunkBytes
-			if i < 0 {
-				i = 0
-			}
-			for ; i < nc && i*chunkBytes < hi; i++ {
+			for i := max((lo-overhang)/chunkBytes, 0); i < nc && i*chunkBytes < hi; i++ {
 				if lo < (i+1)*chunkBytes+overhang {
-					dirty[i] = true
+					dirty = append(dirty, i)
 				}
 			}
 		}
 		if size != st.size {
-			lo, hi := st.size, size
-			if lo > hi {
-				lo, hi = hi, lo
-			}
+			lo, hi := min(st.size, size), max(st.size, size)
 			all := false
 			for e, ok := range c.Entries {
 				if ok && int64(e) >= int64(lo) && int64(e) < int64(hi) {
@@ -236,97 +239,78 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 					break
 				}
 			}
-			for i := range dirty {
-				if all || (i+1)*chunkBytes+overhang > lo {
-					dirty[i] = true
-				}
-			}
-			// A retained target at or beyond the new size would have been
-			// classified out-of-image by a full run; re-parse its chunk.
 			for i := 0; i < nc; i++ {
-				if dirty[i] {
-					continue
+				d := all || (i+1)*chunkBytes+overhang > lo
+				// A retained target at or beyond the new size would have
+				// been classified out-of-image by a full run; re-parse its
+				// chunk. A chunk short of lo has all its shards retained.
+				for s := i * chunkShards; !d && s < (i+1)*chunkShards; s++ {
+					d = slices.ContainsFunc(st.sc.results[s].targets, func(t int32) bool { return int(t) >= lo })
 				}
-				for s := i * chunkShards; s < (i+1)*chunkShards && s < len(st.sc.results); s++ {
-					for _, t := range st.sc.results[s].targets {
-						if int(t) >= lo {
-							dirty[i] = true
-							break
-						}
-					}
-					if dirty[i] {
-						break
-					}
+				if d {
+					dirty = append(dirty, i)
 				}
 			}
 		}
+		slices.Sort(dirty)
+		dirty = slices.Compact(dirty)
+		// A shrink leaves unclean chunks past the new end.
+		for len(dirty) > 0 && dirty[len(dirty)-1] >= nc {
+			dirty = dirty[:len(dirty)-1]
+		}
 	}
+	st.dirty = dirty
 
 	// Resize the retained state to the new geometry, preserving the
 	// clean chunks' bits; anything near or past min(old, new) size is
-	// in the dirty set and about to be erased anyway.
+	// in the dirty set and about to be erased anyway. Shards cut off by
+	// a shrink leave the instruction total.
 	st.sc.valid.Resize(size)
-	if cap(st.sc.results) < shards {
-		res := make([]shardResult, shards)
-		copy(res, st.sc.results)
-		st.sc.results = res
-	} else {
-		old := len(st.sc.results)
-		st.sc.results = st.sc.results[:shards]
-		for s := old; s < shards; s++ {
-			st.sc.results[s].reset()
-		}
+	for s := shards; s < len(st.sc.results); s++ {
+		st.sc.insns -= int64(st.sc.results[s].insns)
 	}
+	st.sc.results = resize(st.sc.results, shards)
+	st.sc.check = resize(st.sc.check, shards)
 	st.sc.base, st.sc.imgSize = 0, size
 
 	// Erase-then-reparse: list the dirty shards and clear their bitmap
-	// words and results, so the parse appends onto clean slates.
+	// words, results and instruction counts, so the parse appends onto
+	// clean slates. An erased shard stays flagged until it is parsed.
 	reparse := st.reparse[:0]
-	for i := range dirty {
-		if dirty[i] {
-			for s := i * chunkShards; s < (i+1)*chunkShards && s < shards; s++ {
-				reparse = append(reparse, s)
-			}
+	var reparsedBytes int64
+	for _, i := range dirty {
+		for s := i * chunkShards; s < (i+1)*chunkShards && s < shards; s++ {
+			lo, hi := s*ShardBytes, min((s+1)*ShardBytes, size)
+			st.sc.valid.ClearRange(lo, hi)
+			st.sc.insns -= int64(st.sc.results[s].insns)
+			st.sc.results[s].reset()
+			st.sc.check[s] = 1
+			reparse = append(reparse, s)
+			reparsedBytes += int64(hi - lo)
 		}
 	}
 	st.reparse = reparse
-	var reparsedBytes int64
-	for _, s := range reparse {
-		lo, hi := s*ShardBytes, (s+1)*ShardBytes
-		if hi > size {
-			hi = size
-		}
-		st.sc.valid.ClearRange(lo, hi)
-		st.sc.results[s].reset()
-		reparsedBytes += int64(hi - lo)
-	}
 
-	dirtyChunks := 0
-	for i := range dirty {
-		if dirty[i] {
-			dirtyChunks++
-		}
-	}
-	stats.DeltaChunksReparsed = int64(dirtyChunks)
-	stats.DeltaChunksReplayed = int64(nc - dirtyChunks)
+	stats.DeltaChunksReparsed = int64(len(dirty))
+	stats.DeltaChunksReplayed = int64(nc - len(dirty))
 	stats.DeltaBytesReparsed = reparsedBytes
 
 	if k.fr != nil {
-		// One replay event per maximal run of replayed chunks, so a round's
-		// trace grows with the edit, not with the image.
-		for i := 0; i < nc; {
-			if dirty[i] {
-				i++
-				continue
+		// One replay event per maximal run of replayed chunks (the gaps
+		// between dirty chunks), so a round's trace grows with the edit,
+		// not with the image.
+		i := 0
+		for d := 0; d <= len(dirty); d++ {
+			j := nc
+			if d < len(dirty) {
+				j = dirty[d]
 			}
-			j := i + 1
-			for j < nc && !dirty[j] {
-				j++
+			if i < j {
+				k.fr.Record(flight.Event{Kind: flight.EventChunkReplay, Engine: flight.EngineCache,
+					Shard: uint32(i * chunkShards), Run: k.span.Run, Start: k.fr.Now(),
+					Bytes: int64(min(j*chunkBytes, size) - i*chunkBytes)})
 			}
-			k.fr.Record(flight.Event{Kind: flight.EventChunkReplay, Engine: flight.EngineCache,
-				Shard: uint32(i * chunkShards), Run: k.span.Run, Start: k.fr.Now(),
-				Bytes: int64(min(j*chunkBytes, size) - i*chunkBytes)})
-			i = j
+			i = j + 1
 		}
 	}
 	k.span.Kind, k.span.Engine, k.span.Bytes = flight.SpanDelta, flight.EngineNone, reparsedBytes
@@ -337,17 +321,15 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 	endStage1()
 	stats.Stage1Wall = time.Since(k.t0)
 
-	// The clean bits track the new geometry from here on; an interrupted
-	// round distrusts its whole dirty set.
-	if len(st.clean) < nc {
-		st.clean = append(st.clean, make([]bool, nc-len(st.clean))...)
-	}
-	st.clean = st.clean[:nc]
+	// Every chunk outside the dirty set kept its clean parse, so the
+	// unclean list is the dirty chunks that failed chunkClean; an
+	// interrupted round distrusts its whole dirty set.
 	st.size = size
 	err := ctx.Err()
-	for i := range dirty {
-		if dirty[i] {
-			st.clean[i] = err == nil && chunkClean(&st.sc, i)
+	st.unclean = st.unclean[:0]
+	for _, i := range dirty {
+		if err != nil || !chunkClean(&st.sc, i) {
+			st.unclean = append(st.unclean, i)
 		}
 	}
 

@@ -264,14 +264,21 @@ func TestDeltaConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestDeltaInterrupted: a canceled round reports Canceled, and the
-// returned state stays sound — the next round re-parses whatever the
-// canceled one touched and matches a full verify.
+// TestDeltaInterrupted: an interrupted round leaves a state that stays
+// sound — the next round re-parses whatever the interrupted one touched
+// and matches a full verify, instruction count included. Three seams: a
+// cancel before the round starts; a cancel after the first re-parsed
+// shard of a three-chunk edit, which leaves the rest of the dirty set
+// erased and never parsed; and a contained panic in a re-parsed shard.
+// The edits re-declare unchanged bytes and the rounds after the last
+// two declare no range, so only the state's own record of its unclean
+// chunks makes them re-parse anything.
 func TestDeltaInterrupted(t *testing.T) {
 	c := checker(t)
 	img := cacheImage(t, 8, 60000)
+	opts := core.VerifyOptions{Workers: 1}
 
-	_, state, err := c.VerifyDeltaWith(img, nil, nil, core.VerifyOptions{Workers: 1})
+	_, state, err := c.VerifyDeltaWith(img, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,14 +286,60 @@ func TestDeltaInterrupted(t *testing.T) {
 	edited[deltaChunk/2] ^= 0xff
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, state, err := c.VerifyDeltaContext(ctx, edited, []core.Range{{Off: deltaChunk / 2, Len: 1}}, state, core.VerifyOptions{Workers: 1})
+	rep, state, err := c.VerifyDeltaContext(ctx, edited, []core.Range{{Off: deltaChunk / 2, Len: 1}}, state, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Outcome != core.OutcomeCanceled || !rep.Interrupted() {
 		t.Fatalf("canceled round reported %v", rep.Outcome)
 	}
-	deltaRound(t, c, edited, []core.Range{{Off: deltaChunk / 2, Len: 1}}, state, "round after cancel")
+	_, state = deltaRound(t, c, edited, []core.Range{{Off: deltaChunk / 2, Len: 1}}, state, "round after cancel")
+	copy(edited, img)
+	_, state = deltaRound(t, c, edited, []core.Range{{Off: deltaChunk / 2, Len: 1}}, state, "revert")
+
+	// Chunks 0, 1 and 2.
+	threeChunks := []core.Range{{Off: deltaChunk / 2, Len: 2 * deltaChunk}}
+	ctx, cancel = context.WithCancel(context.Background())
+	core.SetShardHook(func(int) { cancel() })
+	rep, state, err = c.VerifyDeltaContext(ctx, img, threeChunks, state, opts)
+	core.SetShardHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome != core.OutcomeCanceled {
+		t.Fatalf("round canceled mid-stage-1 reported %v", rep.Outcome)
+	}
+	rep, state = deltaRound(t, c, img, nil, state, "round after a mid-round cancel")
+	if rep.Stats.DeltaChunksReparsed != 3 {
+		t.Fatalf("round after a mid-round cancel re-parsed %d chunks, want the 3 the cancel left", rep.Stats.DeltaChunksReparsed)
+	}
+
+	// Shard 5 lies in chunk 1; a full verify under the same hook
+	// contains the same panic.
+	core.SetShardHook(func(shard int) {
+		if shard == 5 {
+			panic("injected")
+		}
+	})
+	rep, state, err = c.VerifyDeltaWith(img, threeChunks, state, opts)
+	want := c.VerifyWith(img, opts)
+	core.SetShardHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*core.Report{rep, want} {
+		if r.Stats.ContainedPanics != 1 {
+			t.Fatalf("panicking shard: %d contained panics, want 1", r.Stats.ContainedPanics)
+		}
+		for i := range r.Violations {
+			r.Violations[i].Stack = "" // the two call paths differ
+		}
+	}
+	deltaRoundEqual(t, rep, want, "round with a contained panic")
+	rep, _ = deltaRound(t, c, img, nil, state, "round after a contained panic")
+	if rep.Stats.DeltaChunksReparsed != 1 {
+		t.Fatalf("round after a contained panic re-parsed %d chunks, want the panicking shard's", rep.Stats.DeltaChunksReparsed)
+	}
 }
 
 // TestDeltaRejectsNegativeRange: malformed ranges error out without

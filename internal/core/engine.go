@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -40,10 +42,10 @@ import (
 // identical no matter how many workers ran stage 1 and which engine
 // matched the bytes.
 //
-// All per-run mutable state (the packed boundary bitmap and the shard
-// result array) lives in a pooled scratch, and each in-flight shard
-// parse borrows a pooled parseBuf, so steady-state Verify runs without
-// allocating.
+// All per-run mutable state (the packed boundary bitmap, the shard
+// result array and the shards' stage-2 summary bytes) lives in a pooled
+// scratch, and each in-flight shard parse borrows a pooled parseBuf, so
+// steady-state Verify runs without allocating.
 
 // EngineKind selects the stage-1 matcher.
 type EngineKind uint8
@@ -82,8 +84,7 @@ type VerifyOptions struct {
 	// Analyze and VerifyDelta families ignore it: an edited image is
 	// re-verified by VerifyDelta, which re-parses only what changed.
 	// Requires fused tables (every current bundle has them); ignored
-	// otherwise. A hit is recorded in Stats.CacheWholeHits and
-	// CacheBytesSaved.
+	// otherwise. A hit is recorded in Stats.CacheWholeHits.
 	Cache *vcache.Cache
 	// CacheKey, when non-nil, is a caller-computed key identifying this
 	// exact (checker configuration, image) pair — obtained from a prior
@@ -161,8 +162,8 @@ type shardResult struct {
 	// insns is the shard's instruction count: the population of the
 	// boundary-bitmap words the shard owns, taken when its parse ends (a
 	// stream harvest copies it, and a delta round retains it, with the
-	// words). Reconcile sums it into Stats.Instructions, so the census
-	// costs O(shards), not a popcount of the whole image.
+	// words). finish adds it to the scratch's running total, so the
+	// census costs nothing in the shards a call did not parse.
 	insns int32
 }
 
@@ -174,12 +175,30 @@ func (r *shardResult) reset() {
 	r.insns = 0
 }
 
+// summary is the shard's stage-2 summary byte for a shard of n bytes:
+// 1 when reconcile has work there — a violation, a banked bad target, a
+// cross-shard target, or a coverage scan, which every shard but a full
+// one the lanes proved needs — else 0.
+func (r *shardResult) summary(n int) byte {
+	if len(r.violations)+len(r.bad)+len(r.targets) > 0 || !r.lane || n != ShardBytes {
+		return 1
+	}
+	return 0
+}
+
 // scratch is the reusable per-run state: the packed boundary bitmap
 // and the shard result array. A sync.Pool recycles it across runs so a
 // warmed checker verifies without allocating.
 type scratch struct {
 	valid   bitset.Set
 	results []shardResult
+	// check holds each shard's summary byte, written wherever its result
+	// is; flagged is the list of set ones reconcile scans them into.
+	// insns is the sum of the results' instruction counts, kept as
+	// results are parsed and erased.
+	check   []byte
+	flagged []int
+	insns   int64
 	// base/imgSize place the byte slice handed to the parser inside the
 	// logical image: the slice covers image offsets [base, base+len).
 	// Ordinary runs parse the whole image, so base is 0 and imgSize is
@@ -201,18 +220,40 @@ func getScratch(size, shards int) *scratch {
 }
 
 // reset readies sc for an image of size bytes in shards shards,
-// keeping the capacity of its bitmap and result slices.
+// keeping the capacity of its bitmap and result slices. Every shard
+// starts flagged, so reconcile never skips one no parse summarized.
 func (sc *scratch) reset(size, shards int) {
 	sc.valid.Reset(size)
-	sc.base, sc.imgSize = 0, size
+	sc.base, sc.imgSize, sc.insns = 0, size, 0
 	if cap(sc.results) < shards {
 		sc.results = make([]shardResult, shards)
 	} else {
 		sc.results = sc.results[:shards]
 	}
+	sc.check = slices.Grow(sc.check[:0], shards)[:shards]
 	for i := range sc.results {
 		sc.results[i].reset()
+		sc.check[i] = 1
 	}
+}
+
+// flaggedShards lists the shards whose summary byte is set, ascending,
+// reading the bytes eight at a time. A summary byte is 0 or 1, so
+// clearing a word's lowest set bit clears one shard.
+func (sc *scratch) flaggedShards() []int {
+	f, b, i := sc.flagged[:0], sc.check, 0
+	for ; i+8 <= len(b); i += 8 {
+		for w := binary.LittleEndian.Uint64(b[i:]); w != 0; w &= w - 1 {
+			f = append(f, i+bits.TrailingZeros64(w)/8)
+		}
+	}
+	for ; i < len(b); i++ {
+		if b[i] != 0 {
+			f = append(f, i)
+		}
+	}
+	sc.flagged = f
+	return f
 }
 
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
@@ -368,16 +409,33 @@ func (c *Checker) begin(size int, opts VerifyOptions, st *Stats) call {
 }
 
 // finish closes a call once its stage-1 plan is done; err is ctx.Err()
-// as the plan saw it after its last dispatch. An interrupted plan may
-// have left shards unparsed, so none of it reaches stage 2 and the
-// result reports Canceled or Deadline. A completed plan runs stage 2
-// over sc, and the parse-mode census counts the shards this call
-// parsed (list, or every shard of sc when list is nil, as in
-// dispatch), never those retained by a delta state. Either way finish
-// records the wall time, publishes the Stats and closes the call's
-// flight span.
+// as the plan saw it after its last dispatch. The shards this call
+// parsed (list, or every shard of sc when list is nil, as in dispatch)
+// join sc's instruction total, interrupted or not, so a delta state's
+// total stays the sum of its results. An interrupted plan may have left
+// shards unparsed, so none of it reaches stage 2 and the result reports
+// Canceled or Deadline. A completed plan runs stage 2 over sc, and the
+// parse-mode census counts the parsed shards, never those retained by a
+// delta state. Either way finish records the wall time, publishes the
+// Stats and closes the call's flight span.
 func (c *Checker) finish(ctx context.Context, k *call, err error, code []byte, sc *scratch, list []int, st *Stats) runResult {
 	out := runResult{shards: k.shards, workers: k.workers, ctxErr: err}
+	census := err == nil && st != nil
+	for i := 0; i < planLen(list, sc); i++ {
+		r := &sc.results[pick(i, list)]
+		sc.insns += int64(r.insns)
+		if census {
+			if r.lane {
+				st.LaneBatches++
+			}
+			if r.scalar {
+				st.ScalarFallbacks++
+			}
+			if r.restart {
+				st.Restarts++
+			}
+		}
+	}
 	if err == nil {
 		var t1 time.Time
 		if st != nil {
@@ -395,18 +453,6 @@ func (c *Checker) finish(ctx context.Context, k *call, err error, code []byte, s
 				Start: frt1, Dur: k.fr.Now() - frt1, Bytes: int64(out.total)})
 		}
 		if st != nil {
-			for i := 0; i < planLen(list, sc); i++ {
-				r := &sc.results[pick(i, list)]
-				if r.lane {
-					st.LaneBatches++
-				}
-				if r.scalar {
-					st.ScalarFallbacks++
-				}
-				if r.restart {
-					st.Restarts++
-				}
-			}
 			st.Stage2Wall = time.Since(t1)
 		}
 	}
@@ -604,9 +650,11 @@ func (c *Checker) parseShardAt(code []byte, s, gs int, sc *scratch, engine Engin
 				Stack:  string(debug.Stack()),
 			})
 		}
-		// Counted after recovery, so a contained panic still counts the
-		// boundaries the shard wrote before it.
+		// Counted and summarized after recovery, so a contained panic
+		// still counts the boundaries the shard wrote before it, and
+		// flags its violation.
 		res.insns = int32(sc.valid.CountRange(start, end))
+		sc.check[s] = res.summary(end - start)
 	}()
 	if testShardHook != nil {
 		testShardHook(gs)
@@ -814,8 +862,11 @@ func jumpTarget(code []byte, saved, pos int) (int64, bool) {
 // reconcile is stage 2: merge shard results, validate every direct-jump
 // target against the merged boundary map, flag bundle boundaries the
 // parse never reached, and select the deterministic lowest-offset
-// violation ordering. A safe image takes the nil fast path: no slice is
-// allocated. Only violations the capped report can show are built: each
+// violation ordering. It visits only the shards whose summary byte is
+// set (scratch.check): a full shard the lanes proved, with no violation
+// and no target left to check, holds nothing for any of its passes. A
+// safe image takes the nil fast path: no slice is allocated. Only
+// violations the capped report can show are built: each
 // bulk source (the deduped bad targets, the coverage scan) yields
 // ascending distinct offsets of one kind, so its first
 // MaxReportViolations hold every one of its violations that can rank in
@@ -823,21 +874,20 @@ func jumpTarget(code []byte, saved, pos int) (int64, bool) {
 // (at most one per shard) is kept. total and, when st is non-nil, the
 // per-kind census count every violation at its source, so Stats sees
 // them all even when the Report is truncated; Stats.Instructions is the
-// sum of the shards' own counts.
+// scratch's running total.
 func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *Stats, fr *flight.Recorder, frun uint32) (all []Violation, total int) {
 	// The image size comes from the scratch geometry, not len(code):
 	// the streaming verifier reconciles with code == nil (the window
 	// bytes are gone), in which case stage-2 violations simply carry no
 	// Window excerpt (violation guards the slice access).
 	size := sc.imgSize
-	var insns int64
-	for i := range sc.results {
-		all = append(all, sc.results[i].violations...)
-		insns += int64(sc.results[i].insns)
+	flagged := sc.flaggedShards()
+	for _, s := range flagged {
+		all = append(all, sc.results[s].violations...)
 	}
 	total = len(all)
 	if st != nil {
-		st.Instructions = insns
+		st.Instructions = sc.insns
 		for i := range all {
 			st.ViolationsByKind[all[i].Kind]++
 		}
@@ -857,8 +907,8 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 	}
 	endJumps := telemetry.Region(ctx, "rocksalt.stage2.jumps")
 	var badTargets []int
-	for i := range sc.results {
-		r := &sc.results[i]
+	for _, s := range flagged {
+		r := &sc.results[s]
 		for _, t := range r.bad {
 			badTargets = append(badTargets, int(t))
 		}
@@ -892,7 +942,7 @@ func (c *Checker) reconcile(ctx context.Context, code []byte, sc *scratch, st *S
 	// of every supported bundle size, so the per-shard scan visits
 	// exactly the offsets the whole-image scan would.
 	unreached := 0
-	for s := range sc.results {
+	for _, s := range flagged {
 		r := &sc.results[s]
 		start := s * ShardBytes
 		end := start + ShardBytes

@@ -69,6 +69,22 @@ func FuzzDeltaEquiv(f *testing.F) {
 		f.Add(img, []byte{0x02, 0x00, 0x04, 0xff, 0x90, 0x00, 0x00, 0x01, 0x01, 0xcc})
 	}
 	f.Add([]byte{0xe9, 0x00, 0x10, 0x00, 0x00}, []byte{0x03, 0x00, 0x02})
+	// Tiles whose jumps cross shard boundaries: a NOP shard before
+	// twelve NOP shards that each open with a jmp rel32 into the shard
+	// before, 100 bytes past its start. Target-side edits put a
+	// mov eax, imm32 over a target and take it back, so the round
+	// re-parses the target's chunk and replays the jump's: shard 4's
+	// jump, in chunk 1, lands in shard 3 (offset 0xc064), and shard 2's
+	// in shard 1 (0x4064). A second script truncates mid-shard, below
+	// the shard 2 boundary, and grows back by 64 KiB.
+	tiled := bytes.Repeat([]byte{0x90}, 13*core.ShardBytes)
+	for s := 1; s < 13; s++ {
+		off := s * core.ShardBytes
+		rel := int32(100 - core.ShardBytes - 5)
+		tiled[off], tiled[off+1], tiled[off+2], tiled[off+3], tiled[off+4] = 0xe9, byte(rel), byte(rel>>8), byte(rel>>16), byte(rel>>24)
+	}
+	f.Add(tiled, []byte{0x00, 0xc0, 0x63, 0x00, 0xb8, 0x00, 0xc0, 0x63, 0x00, 0x90, 0x00, 0x40, 0x63, 0x00, 0xb8, 0x00, 0xc0, 0x62, 0x01, 0x90})
+	f.Add(tiled, []byte{0x03, 0x7f, 0xd8, 0x00, 0x00, 0x02, 0x00, 0x00, 0xff, 0x90, 0x00, 0x40, 0x63, 0x00, 0xb8})
 
 	f.Fuzz(func(t *testing.T, img, script []byte) {
 		if len(img) > 512<<10 || len(script) > 30 {

@@ -79,9 +79,6 @@ type Stats struct {
 	// engine-invariance contract (they are zero in uncached runs, which
 	// is what the equivalence tests compare).
 	CacheWholeHits int64 `json:"cache_whole_hits"`
-	// CacheBytesSaved is how many image bytes stage 1 did not have to
-	// parse thanks to a cache hit: the whole image on a hit, else 0.
-	CacheBytesSaved int64 `json:"cache_bytes_saved"`
 	// DeltaChunksReparsed / DeltaChunksReplayed count, for a VerifyDelta
 	// round, the 64KiB chunks re-parsed (dirty under the edit set)
 	// versus replayed from the retained delta state; they sum to the
@@ -138,7 +135,7 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "lane batches %d, scalar fallbacks %d, restarts %d, contained panics %d\n",
 		s.LaneBatches, s.ScalarFallbacks, s.Restarts, s.ContainedPanics)
 	if s.CacheWholeHits != 0 {
-		fmt.Fprintf(&b, "cache: whole hits %d, bytes saved %d\n", s.CacheWholeHits, s.CacheBytesSaved)
+		fmt.Fprintf(&b, "cache: whole hits %d\n", s.CacheWholeHits)
 	}
 	if s.DeltaChunksReparsed != 0 || s.DeltaChunksReplayed != 0 {
 		fmt.Fprintf(&b, "delta: chunks reparsed %d, replayed %d, bytes reparsed %d\n",
@@ -192,7 +189,6 @@ var coreMetrics struct {
 	restarts        *telemetry.Counter
 	containedPanics *telemetry.Counter
 	cacheWholeHits  *telemetry.Counter
-	cacheBytesSaved *telemetry.Counter
 	deltaRounds     *telemetry.Counter
 	deltaReparsed   *telemetry.Counter
 	deltaReplayed   *telemetry.Counter
@@ -223,7 +219,6 @@ func init() {
 	coreMetrics.restarts = r.NewCounter("rocksalt_verify_restarts_total", "lane parses erased and re-parsed by the reference loop")
 	coreMetrics.containedPanics = r.NewCounter("rocksalt_verify_contained_panics_total", "stage-1 shard panics contained as InternalFault")
 	coreMetrics.cacheWholeHits = r.NewCounter("rocksalt_cache_whole_hits_total", "runs answered entirely from the verdict cache")
-	coreMetrics.cacheBytesSaved = r.NewCounter("rocksalt_cache_bytes_saved_total", "image bytes not parsed thanks to whole-image cache hits")
 	coreMetrics.deltaRounds = r.NewCounter("rocksalt_delta_rounds_total", "VerifyDelta reconciliation rounds completed")
 	coreMetrics.deltaReparsed = r.NewCounter("rocksalt_delta_chunks_reparsed_total", "chunks re-parsed by VerifyDelta rounds")
 	coreMetrics.deltaReplayed = r.NewCounter("rocksalt_delta_chunks_replayed_total", "chunks replayed from retained delta state")
@@ -305,7 +300,6 @@ func publishCacheStats(st *Stats) {
 	}
 	m := &coreMetrics
 	m.cacheWholeHits.Add(st.CacheWholeHits)
-	m.cacheBytesSaved.Add(st.CacheBytesSaved)
 	if h := m.engineNanos[flight.EngineCache.String()]; h != nil {
 		h.Observe(int64(st.Wall))
 	}

@@ -124,7 +124,7 @@ func (c *Checker) VerifyReaderContext(ctx context.Context, r io.Reader, opts Ver
 		base := (gs - ws) * ShardBytes
 		src, dst := &wsc.results[ws], &ssc.results[gs]
 		dst.lane, dst.scalar, dst.restart = src.lane, src.scalar, src.restart
-		dst.insns = src.insns
+		dst.insns, ssc.check[gs] = src.insns, wsc.check[ws]
 		for _, v := range src.violations {
 			v.Offset += base
 			dst.violations = append(dst.violations, v)
