@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"time"
 
 	"rocksalt/internal/core"
 	"rocksalt/internal/nacl"
@@ -65,31 +64,19 @@ func benchDelta() {
 	fmt.Printf("   image: %d bytes (%d x %d-byte tile), %d chunks\n",
 		len(pristine), copies, len(tile), len(pristine)/deltaChunk)
 
-	bestOf := func(f func()) time.Duration {
-		f() // warm tables, scratch pool, page cache
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
 	sameReport := func(a, b *core.Report) bool {
 		return a.Safe == b.Safe && a.Outcome == b.Outcome && a.Total == b.Total &&
 			reflect.DeepEqual(a.Violations, b.Violations)
 	}
 
 	sopts := core.VerifyOptions{Workers: 1}
-	cold := bestOf(func() { c.VerifyWith(pristine, sopts) })
+	cold := bestOf(rounds, func() { c.VerifyWith(pristine, sopts) })
 	fmt.Printf("   %-26s %12.2f ms %9.1f MB/s\n", "cold full verify", float64(cold.Nanoseconds())/1e6, mb/cold.Seconds())
 
 	// Streaming: the same image through the bounded 512 KiB window, on
 	// one worker like the cold row above.
 	ropts := core.VerifyOptions{StreamSize: int64(len(pristine)), Workers: 1}
-	streamD := bestOf(func() {
+	streamD := bestOf(rounds, func() {
 		rep, rerr := c.VerifyReader(bytes.NewReader(pristine), ropts)
 		if rerr != nil || !rep.Safe {
 			panic("streaming verify disagreed on the pristine image")
@@ -136,7 +123,7 @@ func benchDelta() {
 		full := c.VerifyWith(img, sopts)
 		equal := sameReport(rep, full)
 		allEqual = allEqual && equal
-		d := bestOf(func() {
+		d := bestOf(rounds, func() {
 			rep, state, err = c.VerifyDeltaWith(img, ranges, state, sopts)
 			if err != nil {
 				panic(err)

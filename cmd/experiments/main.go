@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,53 +33,88 @@ import (
 
 var quick = flag.Bool("quick", false, "smaller workloads for a fast pass")
 
-func main() {
-	run := flag.String("run", "", "comma-separated experiment ids (e1..e8, rtl, tso, fault, bench, obsv, stride, policy, scale, delta, campaign, trend); empty = all")
-	flag.Parse()
+// experiment is one -run id and the function that runs it.
+type experiment struct {
+	id string
+	fn func()
+	// explicit experiments run only when named, never in the default
+	// full pass: the campaign is a soak, not a benchmark.
+	explicit bool
+}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*run, ",") {
-		if id != "" {
-			want[strings.ToLower(strings.TrimSpace(id))] = true
+// experiments is the -run table, in the order a full pass runs it.
+var experiments = []experiment{
+	{"e1", e1Throughput, false},
+	{"e2", e2CheckerComparison, false},
+	{"e3", e3ArmorComparison, false},
+	{"e4", e4DFASizes, false},
+	{"e5", e5ModelValidation, false},
+	{"e6", e6Agreement, false},
+	{"e7", e7CheckerSize, false},
+	{"e8", e8GrammarMetatheory, false},
+	{"rtl", rtlStats, false},
+	{"tso", tsoLitmus, false},
+	{"fault", faultCampaign, false},
+	{"stride", benchStride, false},
+	{"policy", benchPolicy, false},
+	{"scale", benchScale, false},
+	{"delta", benchDelta, false},
+	{"campaign", runCampaign, true},
+}
+
+// experimentIDs lists the table's ids, comma-separated, or only the
+// explicit ones.
+func experimentIDs(explicitOnly bool) string {
+	var ids []string
+	for _, e := range experiments {
+		if !explicitOnly || e.explicit {
+			ids = append(ids, e.id)
 		}
 	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
+	return strings.Join(ids, ",")
+}
 
-	type exp struct {
-		id string
-		fn func()
-	}
-	for _, e := range []exp{
-		{"e1", e1Throughput},
-		{"e2", e2CheckerComparison},
-		{"e3", e3ArmorComparison},
-		{"e4", e4DFASizes},
-		{"e5", e5ModelValidation},
-		{"e6", e6Agreement},
-		{"e7", e7CheckerSize},
-		{"e8", e8GrammarMetatheory},
-		{"rtl", rtlStats},
-		{"tso", tsoLitmus},
-		{"fault", faultCampaign},
-		{"bench", benchFused},
-		{"obsv", obsvOverhead},
-		{"stride", benchStride},
-		{"policy", benchPolicy},
-		{"scale", benchScale},
-		{"delta", benchDelta},
-		{"campaign", runCampaign},
-		{"trend", trendGate},
-	} {
-		// The campaign is a soak, not a benchmark, and the trend gate
-		// judges artifacts rather than producing them: each only runs
-		// when named explicitly, never as part of the default full pass.
-		if (e.id == "campaign" || e.id == "trend") && !want[e.id] {
+// selectExperiments resolves a comma-separated -run list against the
+// table, in table order. An empty list selects every experiment that
+// is not explicit; an id the table does not hold is an error that
+// names the known ones, so a stale id cannot pass by running nothing.
+func selectExperiments(run string) ([]experiment, error) {
+	want := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(run, ",") {
+		id = strings.ToLower(strings.TrimSpace(id))
+		if id == "" || want[id] {
 			continue
 		}
-		if sel(e.id) {
-			e.fn()
-			fmt.Println()
+		want[id] = true
+		if !slices.ContainsFunc(experiments, func(e experiment) bool { return e.id == id }) {
+			unknown = append(unknown, id)
 		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown -run id %s (known: %s)", strings.Join(unknown, ","), experimentIDs(false))
+	}
+	var sel []experiment
+	for _, e := range experiments {
+		if want[e.id] || (len(want) == 0 && !e.explicit) {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
+}
+
+func main() {
+	run := flag.String("run", "", "comma-separated experiment ids ("+experimentIDs(false)+"); empty = all but "+experimentIDs(true))
+	flag.Parse()
+
+	sel, err := selectExperiments(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
+	for _, e := range sel {
+		e.fn()
+		fmt.Println()
 	}
 }
 
@@ -620,6 +656,22 @@ func benchmark(f func()) time.Duration {
 		}
 		reps *= 4
 	}
+}
+
+// bestOf runs f once to warm it (tables, scratch pool, page cache),
+// then rounds more times, and returns the fastest run: on a shared
+// host the run least disturbed is the honest estimate of what f costs.
+func bestOf(rounds int, f func()) time.Duration {
+	f()
+	best := time.Duration(1<<63 - 1)
+	for i := 0; i < rounds; i++ {
+		start := time.Now()
+		f()
+		if d := time.Since(start); d < best {
+			best = d
+		}
+	}
+	return best
 }
 
 func pass(ok bool) string {

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"rocksalt/internal/core"
+	"rocksalt/internal/flight"
 	"rocksalt/internal/nacl"
 	"rocksalt/internal/ncval"
+	"rocksalt/internal/telemetry"
 )
 
 var bigImg []byte
@@ -32,6 +34,37 @@ func BenchmarkVerifyBig(b *testing.B) {
 		if !c.Verify(img) {
 			b.Fatal("rejected")
 		}
+	}
+}
+
+// BenchmarkVerifyObserved is BenchmarkVerifyBig with an observability
+// layer on: global telemetry enabled, or a flight recorder installed.
+// Set beside BenchmarkVerifyBig, it reads the layer's overhead on the
+// lean path; both globals are restored afterwards.
+func BenchmarkVerifyObserved(b *testing.B) {
+	img := getBig(b)
+	c, _ := core.NewChecker()
+	defer telemetry.SetEnabled(telemetry.Enabled())
+	defer flight.SetGlobal(flight.Active())
+	for _, layer := range []struct {
+		name      string
+		telemetry bool
+		recorder  *flight.Recorder
+	}{
+		{"telemetry", true, nil},
+		{"recorder", false, flight.NewRecorder(0)},
+	} {
+		b.Run(layer.name, func(b *testing.B) {
+			telemetry.SetEnabled(layer.telemetry)
+			flight.SetGlobal(layer.recorder)
+			b.SetBytes(int64(len(img)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !c.Verify(img) {
+					b.Fatal("rejected")
+				}
+			}
+		})
 	}
 }
 

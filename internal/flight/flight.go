@@ -14,7 +14,7 @@
 // stores into a preallocated ring — no allocation, no lock, no channel —
 // so Verify keeps its zero-allocs-per-op guarantee either way and the
 // recorder-on overhead stays low-single-digit percent (measured by
-// cmd/experiments -run obsv).
+// BenchmarkVerifyObserved in internal/core, beside BenchmarkVerifyBig).
 //
 // Concurrency: writers are the stage-1 shard workers plus the
 // orchestrating goroutine. Each event is published under a per-slot
