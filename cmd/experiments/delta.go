@@ -73,8 +73,8 @@ func benchDelta() {
 	cold := bestOf(rounds, func() { c.VerifyWith(pristine, sopts) })
 	fmt.Printf("   %-26s %12.2f ms %9.1f MB/s\n", "cold full verify", float64(cold.Nanoseconds())/1e6, mb/cold.Seconds())
 
-	// Streaming: the same image through the bounded 512 KiB window, on
-	// one worker like the cold row above.
+	// Streaming: the same image through the two bounded 256 KiB window
+	// buffers, on one worker like the cold row above.
 	ropts := core.VerifyOptions{StreamSize: int64(len(pristine)), Workers: 1}
 	streamD := bestOf(rounds, func() {
 		rep, rerr := c.VerifyReader(bytes.NewReader(pristine), ropts)
@@ -82,7 +82,7 @@ func benchDelta() {
 			panic("streaming verify disagreed on the pristine image")
 		}
 	})
-	fmt.Printf("   %-26s %12.2f ms %9.1f MB/s\n", "streaming (512 KiB window)", float64(streamD.Nanoseconds())/1e6, mb/streamD.Seconds())
+	fmt.Printf("   %-26s %12.2f ms %9.1f MB/s\n", "streaming (2 x 256 KiB)", float64(streamD.Nanoseconds())/1e6, mb/streamD.Seconds())
 
 	// Build the initial delta state (a full parse that retains its
 	// artifacts), then measure steady-state rounds per edit size.

@@ -104,6 +104,10 @@ func selectExperiments(run string) ([]experiment, error) {
 }
 
 func main() {
+	if os.Getenv(classifyChildEnv) != "" {
+		fmt.Println(classifyForms())
+		return
+	}
 	run := flag.String("run", "", "comma-separated experiment ids ("+experimentIDs(false)+"); empty = all but "+experimentIDs(true))
 	flag.Parse()
 

@@ -116,9 +116,10 @@ type Range = core.Range
 // state and returns the next. See core.DeltaState.
 //
 // Checker.VerifyReader streams an image of a declared size
-// (VerifyOptions.StreamSize) through a bounded 512 KiB window on the
-// same machinery, parsing each window on the stage-1 workers, for
-// images too large to hold in memory.
+// (VerifyOptions.StreamSize) through two bounded 256 KiB window
+// buffers on the same machinery, parsing one window on the stage-1
+// workers while it reads the next, for images too large to hold in
+// memory.
 type DeltaState = core.DeltaState
 
 // ---------- The x86 model ----------

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"rocksalt/internal/core"
@@ -94,6 +95,63 @@ func TestVerifyZeroAllocGenerated(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Verify allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestTwoWorkerAllocs pins what a call on the stage-1 pool allocates:
+// at two workers, the fewest bytes any of 20 warm calls allocated is
+// the same for images of about 1 MiB and 8 MiB, for VerifyWith and for
+// VerifyReader. A call's pool is one object whose workers claim shards
+// from a cursor, and a stream starts it once; a job queue sized by the
+// shard count, or workers started per window, grow with the image.
+// Taking the minimum leaves out the calls where a per-P pool missed,
+// and the two sizes take turns, so anything else the process allocates
+// meanwhile falls on both.
+func TestTwoWorkerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the bound only holds in normal builds")
+	}
+	c := checker(t)
+	paths := []struct {
+		name string
+		call func(t *testing.T, img []byte)
+	}{
+		{"VerifyWith", func(t *testing.T, img []byte) {
+			if !c.VerifyWith(img, core.VerifyOptions{Workers: 2}).Safe {
+				t.Fatalf("image of %d bytes rejected", len(img))
+			}
+		}},
+		{"VerifyReader", func(t *testing.T, img []byte) {
+			rep, err := c.VerifyReader(bytes.NewReader(img), core.VerifyOptions{StreamSize: int64(len(img)), Workers: 2})
+			if err != nil || !rep.Safe {
+				t.Fatalf("stream of %d bytes: safe=%v err=%v", len(img), rep != nil && rep.Safe, err)
+			}
+		}},
+	}
+	images := [2][]byte{streamTiles(t, 15, 1<<20), streamTiles(t, 15, 8<<20)}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			for _, img := range images {
+				p.call(t, img)
+				p.call(t, img)
+			}
+			var perCall [2][]uint64
+			var before, after runtime.MemStats
+			for i := 0; i < 20; i++ {
+				for k, img := range images {
+					runtime.ReadMemStats(&before)
+					p.call(t, img)
+					runtime.ReadMemStats(&after)
+					perCall[k] = append(perCall[k], after.TotalAlloc-before.TotalAlloc)
+				}
+			}
+			if small, big := slices.Min(perCall[0]), slices.Min(perCall[1]); small != big {
+				t.Errorf("%s at two workers allocated at least %d bytes a call on %d bytes and %d on %d, want equal; per call:\n%v\n%v",
+					p.name, small, len(images[0]), big, len(images[1]), perCall[0], perCall[1])
+			} else {
+				t.Logf("%s at two workers allocated %d bytes per call", p.name, small)
+			}
+		})
 	}
 }
 

@@ -45,7 +45,7 @@ import (
 //     size and configuration are unchanged (anything else dirties it),
 //     so its retained artifacts are exactly what re-parsing it would
 //     produce. Dirty chunks are re-parsed through the identical engine
-//     dispatch (stage1.dispatch), after their bitmap words and results
+//     plan (stage1.parsePlan), after their bitmap words and results
 //     are erased — the same erase-then-reparse discipline the lane
 //     engine uses for restarts.
 //   - Stage 2: reconcile runs unchanged over the shard results, so
@@ -72,8 +72,8 @@ import (
 //     artifact to re-examine.
 // FuzzDeltaEquiv exercises all of these against full verification.
 
-// chunkBytes is the delta verifier's reuse unit, and the streaming
-// verifier's window step: an aligned span of four stage-1 shards.
+// chunkBytes is the delta verifier's reuse unit: an aligned span of
+// four stage-1 shards.
 // Coarse enough that the per-chunk bookkeeping stays small, fine enough
 // that a local edit re-parses little.
 const chunkBytes = 64 << 10
@@ -317,7 +317,7 @@ func (c *Checker) VerifyDeltaContext(ctx context.Context, code []byte, changed [
 
 	k.workers = clampWorkers(opts.Workers, len(reparse))
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-	stage1{c: c, code: code, sc: &st.sc, engine: k.engine, fr: k.fr, frun: k.span.Run}.dispatch(ctx, k.workers, reparse)
+	stage1{c: c, code: code, sc: &st.sc, engine: k.engine, fr: k.fr, frun: k.span.Run}.parsePlan(ctx, k.workers, reparse)
 	endStage1()
 	stats.Stage1Wall = time.Since(k.t0)
 

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rocksalt/internal/bitset"
@@ -409,8 +410,8 @@ func (c *Checker) begin(size int, opts VerifyOptions, st *Stats) call {
 }
 
 // finish closes a call once its stage-1 plan is done; err is ctx.Err()
-// as the plan saw it after its last dispatch. The shards this call
-// parsed (list, or every shard of sc when list is nil, as in dispatch)
+// as the plan saw it after its last shard. The shards this call
+// parsed (list, or every shard of sc when list is nil, as in parsePlan)
 // join sc's instruction total, interrupted or not, so a delta state's
 // total stays the sum of its results. An interrupted plan may have left
 // shards unparsed, so none of it reaches stage 2 and the result reports
@@ -478,7 +479,7 @@ func (c *Checker) run(ctx context.Context, code []byte, opts VerifyOptions, sc *
 	k := c.begin(len(code), opts, st)
 	k.workers = clampWorkers(opts.Workers, k.shards)
 	endStage1 := telemetry.Region(ctx, "rocksalt.stage1.parse")
-	stage1{c: c, code: code, sc: sc, engine: k.engine, fr: k.fr, frun: k.span.Run}.dispatch(ctx, k.workers, nil)
+	stage1{c: c, code: code, sc: sc, engine: k.engine, fr: k.fr, frun: k.span.Run}.parsePlan(ctx, k.workers, nil)
 	endStage1()
 	if st != nil {
 		st.Stage1Wall = time.Since(k.t0)
@@ -520,35 +521,19 @@ type stage1 struct {
 	fr     *flight.Recorder
 	frun   uint32
 	g0     int
-	// after, when non-nil, runs on the worker that parsed local shard
-	// s (image shard gs), right after the parse: the streaming
-	// verifier's harvest.
-	after func(s, gs int)
 }
 
 func (p *stage1) parse(s, w int) {
 	p.c.parseShardAt(p.code, s, p.g0+s, p.sc, p.engine, p.fr, p.frun, w)
-	if p.after != nil {
-		p.after(s, p.g0+s)
-	}
 }
 
-// dispatch is stage 1's worker pool, the one loop Verify, VerifyDelta
-// and VerifyReader all parse through. It parses the plan's local shards
-// — list, or every shard of p.sc when list is nil — on workers
-// goroutines, and returns once they are done. One worker parses
-// in-line, with no goroutines or channel, so the lean path stays
-// allocation-free.
-//
-// Workers write disjoint [start,end) bit ranges of the shared bitmaps
-// and disjoint result entries; ShardBytes is a multiple of 64, so the
-// ranges are also word-disjoint and no synchronization is needed beyond
-// the pool's. Workers poll ctx.Err between shards: one atomic load per
-// 16 KiB shard parse, observed synchronously (a cancel that
-// happened-before a shard starts is always seen). A caller that finds
-// ctx done afterwards must treat the pass as interrupted: the shards
-// skipped after the cancel hold no artifacts.
-func (p stage1) dispatch(ctx context.Context, workers int, list []int) {
+// parsePlan is Verify's and VerifyDelta's stage 1: it parses the plan's
+// local shards — list, or every shard of p.sc when list is nil — on
+// workers workers and returns once they are done. One worker parses
+// in-line, with no goroutine or pool, so the lean path stays
+// allocation-free; more run the plan on a pool whose workers claim it
+// shard by shard while the caller waits.
+func (p stage1) parsePlan(ctx context.Context, workers int, list []int) {
 	n := planLen(list, p.sc)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
@@ -559,16 +544,25 @@ func (p stage1) dispatch(ctx context.Context, workers int, list []int) {
 		}
 		return
 	}
-	d := &shardPool{stage1: p, ctx: ctx, jobs: make(chan int, n)}
-	d.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go d.work(w)
+	l := &listPlan{stage1: p, list: list}
+	l.ctx, l.plan = ctx, l
+	l.publish(n, true)
+	l.start(0, workers)
+	l.wg.Wait()
+}
+
+// listPlan is parsePlan's plan on a pool: entry i is local shard
+// pick(i, list).
+type listPlan struct {
+	pool
+	stage1
+	list []int
+}
+
+func (l *listPlan) run(i, w int) {
+	if l.ctx.Err() == nil {
+		l.parse(pick(i, l.list), w)
 	}
-	for i := 0; i < n; i++ {
-		d.jobs <- pick(i, list)
-	}
-	close(d.jobs)
-	d.wg.Wait()
 }
 
 // planLen is the length of a stage-1 plan over sc: len(list), or every
@@ -589,26 +583,96 @@ func pick(i int, list []int) int {
 	return i
 }
 
-// shardPool is one multi-worker dispatch. The workers share it through
-// one pointer, which keeps each goroutine's closure to that pointer and
-// its worker index.
-type shardPool struct {
-	stage1
-	ctx  context.Context
-	jobs chan int // buffered to hold every job, so the producer never blocks
-	wg   sync.WaitGroup
+// plan is the work of one call's stage-1 pool: run parses plan entry i
+// on worker w, or, once the pool's ctx is done, only retires it.
+type plan interface {
+	run(i, w int)
 }
 
-func (d *shardPool) work(w int) {
-	defer d.wg.Done()
-	for s := range d.jobs {
-		if d.ctx.Err() != nil {
-			// Returning early cannot block the producer: the channel
-			// holds every job.
+// pool is one call's stage-1 workers, the one way Verify, VerifyDelta
+// and VerifyReader parse on more than one: a plan embeds it and sets
+// itself as its plan. The workers claim plan entries in ascending order
+// from an atomic cursor, an entry i only once i < ready, the entries
+// published so far. Verify and VerifyDelta publish their whole plan
+// before the workers start; VerifyReader starts its pool once per call
+// and publishes the image window by window as the bytes arrive, while
+// its caller parses as worker 0 whenever it is not reading.
+//
+// Workers write disjoint [start,end) bit ranges of the shared bitmaps
+// and disjoint result entries; ShardBytes is a multiple of 64, so the
+// ranges are also word-disjoint and no synchronization is needed beyond
+// the pool's. Each entry polls ctx.Err before it parses: one atomic
+// load per 16 KiB shard parse, observed synchronously (a cancel that
+// happened-before a shard starts is always seen). A caller that finds
+// ctx done afterwards must treat the pass as interrupted: the entries
+// retired after the cancel hold no artifacts.
+type pool struct {
+	ctx   context.Context
+	plan  plan
+	next  atomic.Int32 // the next entry to claim
+	ready atomic.Int32 // the entries claimable, published and not stopped
+	mu    sync.Mutex
+	more  sync.Cond // workers wait here for ready to move, or for closed
+	// closed, under mu, means no entry will be published any more:
+	// workers return once they find nothing to claim.
+	closed bool
+	wg     sync.WaitGroup
+}
+
+// start runs workers w0 to w1-1 on goroutines of their own.
+func (p *pool) start(w0, w1 int) {
+	p.more.L = &p.mu
+	p.wg.Add(w1 - w0)
+	for w := w0; w < w1; w++ {
+		go p.work(w)
+	}
+}
+
+func (p *pool) work(w int) {
+	defer p.wg.Done()
+	for {
+		if i, ok := p.claim(); ok {
+			p.plan.run(i, w)
+		} else if !p.sleep() {
 			return
 		}
-		d.parse(s, w)
 	}
+}
+
+// claim takes the next published entry, if there is one.
+func (p *pool) claim() (int, bool) {
+	for {
+		i := p.next.Load()
+		if i >= p.ready.Load() {
+			return 0, false
+		}
+		if p.next.CompareAndSwap(i, i+1) {
+			return int(i), true
+		}
+	}
+}
+
+// sleep waits until an entry is claimable, and reports false instead
+// once none ever will be.
+func (p *pool) sleep() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.next.Load() >= p.ready.Load() && !p.closed {
+		p.more.Wait()
+	}
+	return p.next.Load() < p.ready.Load()
+}
+
+// publish makes the plan's first n entries claimable and, with closed,
+// declares that no more will come. publish(0, true) stops the pool
+// where it stands: each worker returns once its in-flight entry is
+// done.
+func (p *pool) publish(n int, closed bool) {
+	p.mu.Lock()
+	p.ready.Store(int32(n))
+	p.closed = closed
+	p.mu.Unlock()
+	p.more.Broadcast()
 }
 
 // parseShardAt runs stage 1 on local shard s of code, which is image

@@ -58,7 +58,7 @@ import (
 // bundles, a mask over each word) must carry a boundary bit. If any
 // does not — an instruction straddled a bundle boundary, or a lane's
 // walk ended mid-instruction at its seam (the region-end rule) — the
-// parse reports failure, the dispatcher erases the shard's partial
+// parse reports failure, parseShardFused erases the shard's partial
 // writes, and the Figure-5 loop re-parses the shard. The same loads
 // also test each byte for D, and the words holding one are listed; once
 // the bundle check has passed, each listed D byte's jump, which starts

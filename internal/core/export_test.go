@@ -4,3 +4,11 @@ package core
 // Tests use it to inject cancellation and panics into shard workers
 // mid-run; see testShardHook.
 func SetShardHook(f func(shard int)) { testShardHook = f }
+
+// The streaming verifier's window geometry: a window buffer's length,
+// and the span a mid-stream window settles, after which the next
+// window starts.
+const (
+	StreamWindow = streamWindow
+	StreamSettle = streamSettle
+)

@@ -76,10 +76,11 @@ func FuzzVerifyParallelEquiv(f *testing.F) {
 }
 
 // streamEdgeSeeds builds compliant images whose lengths sit on the
-// streaming window's edges — one settled span (seven chunks) ± a few
-// bytes, and one window (eight chunks) + 1 — plus a settled span with a
-// violation in its last shard. Each is tiles of the compliant tile,
-// padded to whole bundles, then NOPs up to the length.
+// streaming window's edges (core.StreamSettle and core.StreamWindow) —
+// one settled span ± a few bytes, one window + 1, and two settled spans
+// and a window, whose last window refills the first buffer — plus a
+// settled span with a violation in its last shard. Each is tiles of the
+// compliant tile, padded to whole bundles, then NOPs up to the length.
 func streamEdgeSeeds(f *testing.F, c *core.Checker, tile []byte) [][]byte {
 	tile = append(tile, bytes.Repeat([]byte{0x90}, (-len(tile))&(core.BundleSize-1))...)
 	build := func(n int) []byte {
@@ -87,7 +88,7 @@ func streamEdgeSeeds(f *testing.F, c *core.Checker, tile []byte) [][]byte {
 		return append(img, bytes.Repeat([]byte{0x90}, n-len(img))...)
 	}
 	var seeds [][]byte
-	for _, n := range []int{streamSettle - 3, streamSettle, streamSettle + 5, streamWindow + 1} {
+	for _, n := range []int{streamSettle - 3, streamSettle, streamSettle + 5, streamWindow + 1, 2*streamSettle + streamWindow} {
 		img := build(n)
 		if !c.Verify(img) {
 			f.Fatalf("window-edge seed of %d bytes is not compliant", n)

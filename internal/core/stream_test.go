@@ -3,13 +3,17 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"rocksalt/internal/core"
+	"rocksalt/internal/flight"
 	"rocksalt/internal/nacl"
 )
 
@@ -37,12 +41,12 @@ func streamEqual(t *testing.T, got, want *core.Report, what string) {
 	}
 }
 
-// streamWindow and streamSettle mirror the streaming verifier's window
-// geometry: an eight-chunk window, of which each mid-stream step
-// settles all but the last chunk.
+// streamWindow and streamSettle are the streaming verifier's window
+// geometry: a window buffer's length, and the span each mid-stream
+// window settles before the next one starts.
 const (
-	streamWindow = 8 * deltaChunk
-	streamSettle = 7 * deltaChunk
+	streamWindow = core.StreamWindow
+	streamSettle = core.StreamSettle
 )
 
 // streamTiles repeats a compliant tile, padded to a chunk multiple,
@@ -229,11 +233,101 @@ func TestVerifyReaderCanceledMidWindow(t *testing.T) {
 	}
 }
 
+// failingReader serves r and then, instead of its EOF, err; before it
+// fails it runs failing once.
+type failingReader struct {
+	r       io.Reader
+	err     error
+	failing func()
+}
+
+func (f *failingReader) Read(b []byte) (int, error) {
+	n, err := f.r.Read(b)
+	if err != io.EOF {
+		return n, err
+	}
+	if f.failing != nil {
+		f.failing()
+		f.failing = nil
+	}
+	return 0, f.err
+}
+
+// TestVerifyReaderDrainsOnError: a stream that fails inside a window,
+// with a read error or by ending short, returns its error only once
+// every shard in flight has finished, so the window memory goes back to
+// its pool with no worker still reading it, and following calls on the
+// same checker match VerifyWith, over one window (which must not wait on
+// the failed call's counts) and over the whole image. At two workers the caller reads window 1 while the pool's
+// other worker parses window 0; the shard hook holds that worker in
+// image shard 0 until the failing read has started a goroutine to
+// release it. Shard 0's flight span, recorded as its parse ends, must
+// be there when VerifyReader returns; under -race, a window handed back
+// while the shard still reads it is a data race with the following
+// call's reads. A third stream fails in window 2, after the caller has
+// begun to parse, with nothing held.
+func TestVerifyReaderDrainsOnError(t *testing.T) {
+	c := checker(t)
+	img := streamTiles(t, 16, 3*streamWindow)
+	for _, tc := range []struct {
+		name   string
+		err    error
+		msg    string
+		failAt int
+		hold   bool
+	}{
+		{"read error", errors.New("device gone"), "device gone", streamWindow + streamSettle/2, true},
+		{"short stream", io.EOF, "stream ended", streamWindow + streamSettle/2, true},
+		{"read error in window 2", errors.New("device gone"), "device gone", 2*streamSettle + streamWindow/2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr := flight.NewRecorder(0)
+			flight.SetGlobal(fr)
+			defer flight.SetGlobal(nil)
+			r := &failingReader{r: bytes.NewReader(img[:tc.failAt]), err: tc.err}
+			if tc.hold {
+				entered, release := make(chan struct{}), make(chan struct{})
+				core.SetShardHook(func(shard int) {
+					if shard == 0 {
+						close(entered)
+						<-release
+					}
+				})
+				defer core.SetShardHook(nil)
+				r.failing = func() {
+					<-entered
+					go close(release)
+				}
+			}
+			rep, err := c.VerifyReader(r, core.VerifyOptions{StreamSize: int64(len(img)), Workers: 2})
+			if err == nil || !strings.Contains(err.Error(), tc.msg) || rep != nil {
+				t.Fatalf("got report %v, error %v; want an error naming %q", rep, err, tc.msg)
+			}
+			if !slices.ContainsFunc(fr.Snapshot(), func(ev flight.Event) bool {
+				return ev.Kind == flight.SpanShard && ev.Shard == 0
+			}) {
+				t.Fatal("VerifyReader returned while shard 0 was still being parsed")
+			}
+			core.SetShardHook(nil)
+			for _, next := range [][]byte{img[:streamSettle], img} {
+				want := c.VerifyWith(next, core.VerifyOptions{Workers: 1})
+				for _, w := range []int{1, 2} {
+					got, err := c.VerifyReader(bytes.NewReader(next), core.VerifyOptions{StreamSize: int64(len(next)), Workers: w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					streamEqual(t, got, want, fmt.Sprintf("%d-byte call after the failed one, workers=%d", len(next), w))
+				}
+			}
+		})
+	}
+}
+
 // maxStreamAllocs bounds a steady-state VerifyReader call at one
-// worker: its Report, the harvest closure and the one-byte probe past
-// the declared size. The window and both scratches are pooled and must
-// not be among them.
-const maxStreamAllocs = 3
+// worker: its Report. The window buffers, their pool, the one-byte
+// probe past the declared size and both kinds of scratch are pooled
+// and must not be among them.
+const maxStreamAllocs = 1
 
 // TestVerifyReaderAllocs pins the steady-state allocation behaviour of
 // VerifyReader: after warm-up calls (which fill the pools), a call at
