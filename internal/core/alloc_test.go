@@ -9,6 +9,7 @@ import (
 	"rocksalt/internal/core"
 	"rocksalt/internal/flight"
 	"rocksalt/internal/nacl"
+	"rocksalt/internal/policy"
 	"rocksalt/internal/telemetry"
 )
 
@@ -100,47 +101,77 @@ func TestVerifyZeroAllocGenerated(t *testing.T) {
 
 // TestTwoWorkerAllocs pins what a call on the stage-1 pool allocates:
 // at two workers, the fewest bytes any of 20 warm calls allocated is
-// the same for images of about 1 MiB and 8 MiB, for VerifyWith and for
-// VerifyReader. A call's pool is one object whose workers claim shards
-// from a cursor, and a stream starts it once; a job queue sized by the
-// shard count, or workers started per window, grow with the image.
-// Taking the minimum leaves out the calls where a per-P pool missed,
-// and the two sizes take turns, so anything else the process allocates
-// meanwhile falls on both.
+// the same for images of about 1 MiB and 8 MiB, for VerifyWith, for
+// VerifyReader and for a one-chunk VerifyDeltaWith edit round. A call's
+// pool is one object whose workers claim shards from a cursor, and a
+// stream starts it once; a job queue sized by the shard count, or
+// workers started per window, grow with the image. Taking the minimum
+// leaves out the calls where a per-P pool missed, and the two sizes
+// take turns, so anything else the process allocates meanwhile falls on
+// both. VerifyWith and VerifyDeltaWith are also held to their count: the
+// Report and one allocation per started worker, nothing else.
 func TestTwoWorkerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the bound only holds in normal builds")
 	}
 	c := checker(t)
+	const workers = 2
+	opts := core.VerifyOptions{Workers: workers}
+	edit := []core.Range{{Off: deltaChunk + 1024, Len: 64}}
 	paths := []struct {
 		name string
-		call func(t *testing.T, img []byte)
+		// call returns one call on img, made ready to repeat.
+		call func(t *testing.T, img []byte) func()
+		// counted marks the paths held to the Report and their workers.
+		counted bool
 	}{
-		{"VerifyWith", func(t *testing.T, img []byte) {
-			if !c.VerifyWith(img, core.VerifyOptions{Workers: 2}).Safe {
-				t.Fatalf("image of %d bytes rejected", len(img))
+		{"VerifyWith", func(t *testing.T, img []byte) func() {
+			return func() {
+				if !c.VerifyWith(img, opts).Safe {
+					t.Fatalf("image of %d bytes rejected", len(img))
+				}
 			}
-		}},
-		{"VerifyReader", func(t *testing.T, img []byte) {
-			rep, err := c.VerifyReader(bytes.NewReader(img), core.VerifyOptions{StreamSize: int64(len(img)), Workers: 2})
-			if err != nil || !rep.Safe {
-				t.Fatalf("stream of %d bytes: safe=%v err=%v", len(img), rep != nil && rep.Safe, err)
+		}, true},
+		{"VerifyReader", func(t *testing.T, img []byte) func() {
+			return func() {
+				rep, err := c.VerifyReader(bytes.NewReader(img), core.VerifyOptions{StreamSize: int64(len(img)), Workers: workers})
+				if err != nil || !rep.Safe {
+					t.Fatalf("stream of %d bytes: safe=%v err=%v", len(img), rep != nil && rep.Safe, err)
+				}
 			}
-		}},
+		}, false},
+		{"VerifyDeltaWith", func(t *testing.T, img []byte) func() {
+			_, state, err := c.VerifyDeltaWith(img, nil, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				rep, next, err := c.VerifyDeltaWith(img, edit, state, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Safe || rep.Workers != workers {
+					t.Fatalf("delta round over %d bytes: safe=%v on %d workers", len(img), rep.Safe, rep.Workers)
+				}
+				state = next
+			}
+		}, true},
 	}
 	images := [2][]byte{streamTiles(t, 15, 1<<20), streamTiles(t, 15, 8<<20)}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
-			for _, img := range images {
-				p.call(t, img)
-				p.call(t, img)
+			var calls [2]func()
+			for k, img := range images {
+				calls[k] = p.call(t, img)
+				calls[k]()
+				calls[k]()
 			}
 			var perCall [2][]uint64
 			var before, after runtime.MemStats
 			for i := 0; i < 20; i++ {
-				for k, img := range images {
+				for k, call := range calls {
 					runtime.ReadMemStats(&before)
-					p.call(t, img)
+					call()
 					runtime.ReadMemStats(&after)
 					perCall[k] = append(perCall[k], after.TotalAlloc-before.TotalAlloc)
 				}
@@ -151,15 +182,23 @@ func TestTwoWorkerAllocs(t *testing.T) {
 			} else {
 				t.Logf("%s at two workers allocated %d bytes per call", p.name, small)
 			}
+			if !p.counted {
+				return
+			}
+			for k, call := range calls {
+				if allocs := testing.AllocsPerRun(100, call); allocs > 1+workers {
+					t.Errorf("%s at two workers on %d bytes allocated %.1f times a call, want <= %d (the Report and a start per worker)",
+						p.name, len(images[k]), allocs, 1+workers)
+				}
+			}
 		})
 	}
 }
 
-// maxDeltaRoundAllocs bounds a steady-state delta round: its Report and
-// the encoding buffers of the configuration key the round hashes. The
-// dirty set and re-parse list are scratch in the DeltaState and must
-// not be among them.
-const maxDeltaRoundAllocs = 3
+// maxDeltaRoundAllocs bounds a steady-state one-worker delta round: its
+// Report. The configuration key is built on the stack, and the dirty
+// set and re-parse list are scratch in the DeltaState.
+const maxDeltaRoundAllocs = 1
 
 // TestDeltaRoundAllocs pins the steady-state allocation behaviour of
 // VerifyDelta: after one warm-up round (which sizes the state's
@@ -203,6 +242,16 @@ func TestDeltaRoundAllocs(t *testing.T) {
 	}
 }
 
+// liveHeap is the live heap after two collections: the first only
+// moves pooled objects to the pools' victim caches.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
 // TestDeltaStateFootprint pins what a DeltaState retains between
 // rounds: the packed boundary bitmap (size/8 bytes), the per-shard
 // results and their cross-shard jump targets. The image tiles one
@@ -225,13 +274,6 @@ func TestDeltaStateFootprint(t *testing.T) {
 	unit = append(unit, bytes.Repeat([]byte{0x90}, core.ShardBytes-len(unit))...)
 	const size = 4 << 20
 	img := bytes.Repeat(unit, size/core.ShardBytes)
-	liveHeap := func() int64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC() // the first collection only moves pooled scratch to the victim cache
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
 	rep, state, err := c.VerifyDeltaWith(img, nil, nil, core.VerifyOptions{Workers: 1})
 	if err != nil || !rep.Safe {
 		t.Fatalf("tiled image: safe=%v err=%v", rep != nil && rep.Safe, err)
@@ -319,5 +361,41 @@ func TestNewCheckerFootprint(t *testing.T) {
 		t.Errorf("NewCheckerFromTables allocated %d bytes per construction, want <= %d", mean, maxCheckerFootprint)
 	} else {
 		t.Logf("NewCheckerFromTables allocated %d bytes per construction", mean)
+	}
+}
+
+// maxCompiledPolicyFootprint bounds the live heap one compiled policy
+// keeps in the compile memo: its three automata's tables and flags, and
+// the few grammar nodes its safe grammar adds over the shared
+// instruction forms.
+const maxCompiledPolicyFootprint = 256 << 10
+
+// TestCompiledPolicyFootprint pins what policy.Compile retains: once
+// the instruction-form classification is memoized, compiling a spec the
+// memo has not seen must leave less than maxCompiledPolicyFootprint of
+// live heap. The derivative regexes the DFA construction walks are
+// garbage once the tables exist; an automaton that keeps its states'
+// regexes holds about half a megabyte of them for the process's life.
+func TestCompiledPolicyFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the bound only holds in normal builds")
+	}
+	if _, err := policy.Compile(policy.NaCl16()); err != nil {
+		t.Fatal(err)
+	}
+	// A guard cutoff no other spec uses gives a fingerprint of its own.
+	spec := policy.NaCl16()
+	spec.Name, spec.GuardCutoff = "footprint", 0x7ff0
+	before := liveHeap()
+	com, err := policy.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := liveHeap() - before
+	runtime.KeepAlive(com)
+	if retained >= maxCompiledPolicyFootprint {
+		t.Errorf("compiling %s retained %d bytes, want < %d", spec.Name, retained, maxCompiledPolicyFootprint)
+	} else {
+		t.Logf("compiling %s retained %d bytes", spec.Name, retained)
 	}
 }

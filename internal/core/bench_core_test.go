@@ -101,11 +101,12 @@ func BenchmarkVerifySmall(b *testing.B) {
 }
 
 // BenchmarkVerifyDelta is one VerifyDelta round on a 16 MiB image
-// after a 4 KiB slot rewrite, with default workers. The image tiles a
-// generated unit padded to the slot, so every jump stays in its slot,
-// and each iteration writes the other of two compliant contents into
-// one mid-image slot, so every round re-parses that slot's chunk and
-// replays the other 255.
+// after a 4 KiB slot rewrite, at one worker and at default workers. The
+// image tiles a generated unit padded to the slot, so every jump stays
+// in its slot, and each iteration writes the other of two compliant
+// contents into one mid-image slot, so every round re-parses that
+// slot's chunk (four shards) and replays the other 255. Set side by
+// side, the two read what starting the pool costs a round that small.
 func BenchmarkVerifyDelta(b *testing.B) {
 	c, err := core.NewChecker()
 	if err != nil {
@@ -123,22 +124,32 @@ func BenchmarkVerifyDelta(b *testing.B) {
 		}
 		contents[i] = append(unit, bytes.Repeat([]byte{0x90}, slot-len(unit))...)
 	}
-	img := bytes.Repeat(contents[0], (16<<20)/slot)
-	off := len(img)/2 + 3*slot
-	edit := []core.Range{{Off: off, Len: slot}}
-	_, state, err := c.VerifyDeltaWith(img, nil, nil, core.VerifyOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(img[off:], contents[(i+1)%2])
-		var rep *core.Report
-		rep, state, err = c.VerifyDeltaWith(img, edit, state, core.VerifyOptions{})
-		if err != nil || !rep.Safe {
-			b.Fatalf("delta round: safe=%v err=%v", rep != nil && rep.Safe, err)
-		}
+	for _, w := range []struct {
+		name string
+		opts core.VerifyOptions
+	}{
+		{"workers=1", core.VerifyOptions{Workers: 1}},
+		{"workers=default", core.VerifyOptions{}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			img := bytes.Repeat(contents[0], (16<<20)/slot)
+			off := len(img)/2 + 3*slot
+			edit := []core.Range{{Off: off, Len: slot}}
+			_, state, err := c.VerifyDeltaWith(img, nil, nil, w.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(img[off:], contents[(i+1)%2])
+				var rep *core.Report
+				rep, state, err = c.VerifyDeltaWith(img, edit, state, w.opts)
+				if err != nil || !rep.Safe {
+					b.Fatalf("delta round: safe=%v err=%v", rep != nil && rep.Safe, err)
+				}
+			}
+		})
 	}
 }
 

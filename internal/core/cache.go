@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"slices"
-	"sort"
 	"time"
 
 	"rocksalt/internal/flight"
@@ -36,10 +35,15 @@ import (
 // compiled from different specs never share verdict-cache entries even
 // when their tables coincide (e.g. specs differing only in the guard
 // cutoff).
+//
+// A delta round computes it every round, so the key bytes are built in
+// stack arrays; only a checker with more than keyEntries entry points
+// spills them to the heap.
 func (c *Checker) configKey() vcache.Key {
+	var cfgBuf [25 + 4*keyEntries]byte
+	var entryBuf [keyEntries]uint32
 	fp := c.fused.fingerprint()
-	cfg := make([]byte, 0, 25+4*len(c.Entries))
-	cfg = append(cfg, fp[:]...)
+	cfg := append(cfgBuf[:0], fp[:]...)
 	if c.AlignedCalls {
 		cfg = append(cfg, 1)
 	} else {
@@ -48,18 +52,22 @@ func (c *Checker) configKey() vcache.Key {
 	cfg = binary.LittleEndian.AppendUint16(cfg, uint16(c.params.bundle))
 	cfg = append(cfg, byte(c.params.maskLen))
 	cfg = binary.LittleEndian.AppendUint32(cfg, c.params.guard)
-	entries := make([]uint32, 0, len(c.Entries))
+	entries := entryBuf[:0]
 	for e, ok := range c.Entries {
 		if ok {
 			entries = append(entries, e)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i] < entries[j] })
+	slices.Sort(entries)
 	for _, e := range entries {
 		cfg = binary.LittleEndian.AppendUint32(cfg, e)
 	}
 	return vcache.Sum("rocksalt/config", cfg)
 }
+
+// keyEntries is how many entry points configKey encodes without
+// allocating.
+const keyEntries = 16
 
 // fingerprint returns the (memoized) content hash of the fused
 // automaton: start, tags and transition rows. It identifies the policy

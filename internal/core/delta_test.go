@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -261,6 +263,61 @@ func TestDeltaConfigMismatch(t *testing.T) {
 	}
 	if rep.Stats.DeltaChunksReplayed == 0 {
 		t.Fatal("rebuilt state replayed nothing on the next round")
+	}
+
+	// The checker's own entry whitelist is configuration too: changing
+	// it between rounds forces a full re-parse, whether the entries fit
+	// the key's stack arrays or spill past them. The image opens with a
+	// jump out of the image, legal only while its target is an entry, so
+	// a replayed first chunk would carry the previous round's verdict.
+	// Each whitelist size runs twice, with the largest entry the jump's
+	// target and then one bundle past it, so the two keys differ only in
+	// the entry encoded last.
+	const entry = 1 << 28
+	bundle := com.Spec.BundleSize
+	jmp := bytes.Repeat([]byte{0x90}, bundle)
+	jmp[0] = 0xe9
+	binary.LittleEndian.PutUint32(jmp[1:], entry-5)
+	out := append(jmp, img...)
+	opts := core.VerifyOptions{Workers: 1}
+	rep, state2, err = b.VerifyDeltaWith(out, nil, state2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Safe {
+		t.Fatal("a jump to an entry missing from the whitelist verified")
+	}
+	for _, n := range []int{1, core.KeyEntries, core.KeyEntries + 1, 4 * core.KeyEntries} {
+		for _, allowed := range []bool{true, false} {
+			b.Entries = map[uint32]bool{}
+			for e := 1; e < n; e++ {
+				b.Entries[uint32(entry-e*bundle)] = true
+			}
+			if allowed {
+				b.Entries[entry] = true
+			} else {
+				b.Entries[uint32(entry+bundle)] = true
+			}
+			what := fmt.Sprintf("round after %d entries, the jump's target among them: %v", n, allowed)
+			rep, state2, err = b.VerifyDeltaWith(out, nil, state2, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			deltaRoundEqual(t, rep, b.VerifyWith(out, opts), what)
+			if rep.Safe != allowed {
+				t.Fatalf("%s: safe=%v", what, rep.Safe)
+			}
+			if rep.Stats.DeltaChunksReplayed != 0 {
+				t.Fatalf("%s: replayed %d chunks", what, rep.Stats.DeltaChunksReplayed)
+			}
+		}
+	}
+	rep, _, err = b.VerifyDeltaWith(out, nil, state2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.DeltaChunksReplayed == 0 {
+		t.Fatal("a round with the entries unchanged replayed nothing")
 	}
 }
 

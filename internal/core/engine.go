@@ -46,7 +46,8 @@ import (
 // All per-run mutable state (the packed boundary bitmap, the shard
 // result array and the shards' stage-2 summary bytes) lives in a pooled
 // scratch, and each in-flight shard parse borrows a pooled parseBuf, so
-// steady-state Verify runs without allocating.
+// steady-state Verify runs without allocating. A multi-worker call's
+// plan is pooled too, and allocates only its worker starts.
 
 // EngineKind selects the stage-1 matcher.
 type EngineKind uint8
@@ -531,8 +532,8 @@ func (p *stage1) parse(s, w int) {
 // local shards — list, or every shard of p.sc when list is nil — on
 // workers workers and returns once they are done. One worker parses
 // in-line, with no goroutine or pool, so the lean path stays
-// allocation-free; more run the plan on a pool whose workers claim it
-// shard by shard while the caller waits.
+// allocation-free; more run the plan on a pooled listPlan whose workers
+// claim it shard by shard while the caller waits.
 func (p stage1) parsePlan(ctx context.Context, workers int, list []int) {
 	n := planLen(list, p.sc)
 	if workers == 1 {
@@ -544,11 +545,15 @@ func (p stage1) parsePlan(ctx context.Context, workers int, list []int) {
 		}
 		return
 	}
-	l := &listPlan{stage1: p, list: list}
+	l := listPlanPool.Get().(*listPlan)
+	l.stage1, l.list = p, list
 	l.ctx, l.plan = ctx, l
+	l.next.Store(0)
 	l.publish(n, true)
 	l.start(0, workers)
 	l.wg.Wait()
+	l.release()
+	listPlanPool.Put(l)
 }
 
 // listPlan is parsePlan's plan on a pool: entry i is local shard
@@ -559,10 +564,20 @@ type listPlan struct {
 	list []int
 }
 
+var listPlanPool = sync.Pool{New: func() any { return new(listPlan) }}
+
 func (l *listPlan) run(i, w int) {
 	if l.ctx.Err() == nil {
 		l.parse(pick(i, l.list), w)
 	}
+}
+
+// release drops every reference the plan holds into its call — the
+// ctx, the bytes, the scratch, the recorder and the list — so a pooled
+// plan never keeps a caller's image alive. Its workers must have
+// returned.
+func (l *listPlan) release() {
+	l.ctx, l.plan, l.stage1, l.list = nil, nil, stage1{}, nil
 }
 
 // planLen is the length of a stage-1 plan over sc: len(list), or every

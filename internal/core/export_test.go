@@ -12,3 +12,7 @@ const (
 	StreamWindow = streamWindow
 	StreamSettle = streamSettle
 )
+
+// KeyEntries is how many entry points the delta configuration key
+// encodes in stack arrays before it spills to the heap.
+const KeyEntries = keyEntries

@@ -35,6 +35,17 @@ func FuzzCheckerAgreement(f *testing.F) {
 	f.Add(append([]byte{0xf2, 0x0f, 0x1f, 0x84, 0, 0, 0, 0, 0}, make([]byte, 23)...))
 	f.Add([]byte{0x66, 0x90, 0xf3, 0xa4, 0xeb, 0x00})
 	f.Add(bytes.Repeat([]byte{0x90}, 32))
+	// One compliant image of three shards: the generator's direct jumps
+	// land on any earlier bundle start, so this seed's mutants reach
+	// jumps across shard boundaries.
+	multi, err := nacl.NewGenerator(124).Random(8000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(multi) <= 2*core.ShardBytes || len(multi) > 1<<16 {
+		f.Fatalf("multi-shard seed of %d bytes, want three or four shards", len(multi))
+	}
+	f.Add(multi)
 
 	c, err := core.NewChecker()
 	if err != nil {

@@ -21,7 +21,6 @@ type DFA struct {
 	Accepts []bool
 	Rejects []bool // state matches nothing, ever (derivative is Void)
 	Table   [][256]uint16
-	States  []*Regex // state i's regex (diagnostics, inversion tests)
 }
 
 // NumStates returns the number of DFA states.
@@ -66,7 +65,7 @@ func (c *Ctx) CompileDFA(r *Regex, maxStates int) (*DFA, error) {
 		accepts[i] = s.nullable
 		rejects[i] = s.op == rVoid
 	}
-	return &DFA{Start: 0, Accepts: accepts, Rejects: rejects, Table: table, States: states}, nil
+	return &DFA{Start: 0, Accepts: accepts, Rejects: rejects, Table: table}, nil
 }
 
 // BitDFA is the automaton over single bits, used for state-count ablations
@@ -76,7 +75,6 @@ type BitDFA struct {
 	Accepts []bool
 	Rejects []bool
 	Next    [][2]int
-	States  []*Regex
 }
 
 // NumStates returns the number of bit-DFA states.
@@ -113,7 +111,7 @@ func (c *Ctx) CompileBitDFA(r *Regex, maxStates int) (*BitDFA, error) {
 		accepts[i] = s.nullable
 		rejects[i] = s.op == rVoid
 	}
-	return &BitDFA{Start: 0, Accepts: accepts, Rejects: rejects, Next: next, States: states}, nil
+	return &BitDFA{Start: 0, Accepts: accepts, Rejects: rejects, Next: next}, nil
 }
 
 // PrefixFree reports whether no accepted string is a proper prefix of
